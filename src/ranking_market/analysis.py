@@ -12,23 +12,19 @@ estimator returns bit-identical results for any ``jobs`` setting.
 from __future__ import annotations
 
 import math
+import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from statistics import NormalDist
 from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .instance import (
-    ArrivalOrder,
-    BipartiteInstance,
-    kvv_hard_instance,
-    random_bipartite,
-    without_right_vertex,
-)
+from .instance import ArrivalOrder, BipartiteInstance, kvv_hard_instance, random_bipartite
 from .matchers import _assign_min_score, greedy, maximum_matching, random_greedy
-from .market import PriceAssignment, PriceScheme, prices_from_weights, run_market
+from .market import PriceAssignment, PriceScheme, _settle, prices_from_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -94,10 +90,18 @@ def _finish(total: float, total_sq: float, trials: int, seed: int, level: float)
 
 def _run_chunks(worker, trials: int, jobs: int) -> list:
     spans = [(t0, min(t0 + _CHUNK_TRIALS, trials)) for t0 in range(0, trials, _CHUNK_TRIALS)]
-    if jobs <= 1 or len(spans) <= 1:
+    # the pool starts all its workers at once, so never more than can be busy
+    workers = min(jobs, len(spans), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t0, t1) for t0, t1 in spans]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *zip(*spans)))
+
+
+def _combine(parts: list) -> list:
+    """Column-wise totals of the chunk results, added in chunk order, so the
+    floating-point totals are the same for every jobs setting."""
+    return [reduce(operator.add, column) for column in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +135,63 @@ def _require_edge(instance: BipartiteInstance, buyer: int, item: int) -> None:
         raise ValueError(f"({buyer}, {item}) is not an edge of the instance")
 
 
+def _markets(instance: BipartiteInstance, pa: PriceAssignment, sigma: ArrivalOrder, item: int):
+    """Assignments of the full market and of the market without `item`.
+
+    The reduced market is the same kernel with the item's score set to inf,
+    which the kernel never takes: exactly as if the item's edges were gone.
+    """
+    if len(pa) != instance.n_right or len(sigma) != instance.n_left:
+        raise ValueError("price assignment or arrival order sized wrongly")
+    scores = list(pa.prices)
+    scores[item] = math.inf
+    adjacency, order = instance.adjacency, sigma.order
+    return (
+        _assign_min_score(adjacency, pa.prices, order),
+        _assign_min_score(adjacency, scores, order),
+    )
+
+
+def _counterfactual(pa: PriceAssignment, full: list, reduced: list, buyer: int, item: int):
+    fallback = reduced[buyer]
+    if fallback is None:
+        price, weight = 1.0, 1.0
+    else:
+        price, weight = pa.prices[fallback], pa.weights[fallback]
+    utils, _ = _settle(full, pa.prices)
+    return CounterfactualResult(
+        counterfactual_price=price,
+        counterfactual_weight=weight if pa.scheme is PriceScheme.EXPONENTIAL else None,
+        item_sold=item in full,
+        buyer_utility=utils[buyer],
+    )
+
+
+def _property_check(pa: PriceAssignment, item: int, cf: CounterfactualResult) -> PropertyCheck:
+    return PropertyCheck(
+        sold_if_cheaper=pa.prices[item] >= cf.counterfactual_price or cf.item_sold,
+        utility_floor=cf.buyer_utility >= 1.0 - cf.counterfactual_price - _IDENTITY_TOL,
+    )
+
+
+def _nested_availability(full: list, reduced: list, order, item: int) -> bool:
+    """Replay both markets' sales in arrival order and check that after each
+    arrival the full market's available set contains the reduced market's
+    with at most one item to spare. Equivalently, the reduced market's sold
+    set, which starts out holding the removed item, contains the full
+    market's with at most one item to spare.
+    """
+    sold_full: set[int] = set()
+    sold_reduced = {item}
+    for b in order:
+        for sold, j in ((sold_full, full[b]), (sold_reduced, reduced[b])):
+            if j is not None:
+                sold.add(j)
+        if not sold_full <= sold_reduced or len(sold_reduced) > len(sold_full) + 1:
+            return False
+    return True
+
+
 def counterfactual(
     instance: BipartiteInstance,
     pa: PriceAssignment,
@@ -142,19 +203,8 @@ def counterfactual(
     record the price of the item `buyer` falls back to, alongside the full
     market's outcome for the (buyer, item) edge."""
     _require_edge(instance, buyer, item)
-    reduced = run_market(without_right_vertex(instance, item), pa, sigma)
-    fallback = reduced.matching.assignment[buyer]
-    if fallback is None:
-        price, weight = 1.0, 1.0
-    else:
-        price, weight = pa.prices[fallback], pa.weights[fallback]
-    full = run_market(instance, pa, sigma)
-    return CounterfactualResult(
-        counterfactual_price=price,
-        counterfactual_weight=weight if pa.scheme is PriceScheme.EXPONENTIAL else None,
-        item_sold=item in full.purchased,
-        buyer_utility=full.utils[buyer],
-    )
+    full, reduced = _markets(instance, pa, sigma, item)
+    return _counterfactual(pa, full, reduced, buyer, item)
 
 
 def check_counterfactual_properties(
@@ -170,11 +220,7 @@ def check_counterfactual_properties(
     buyer's counterfactual price. utility_floor: the buyer's utility in the
     full market is at least 1 minus the counterfactual price.
     """
-    cf = counterfactual(instance, pa, sigma, buyer, item)
-    return PropertyCheck(
-        sold_if_cheaper=pa.prices[item] >= cf.counterfactual_price or cf.item_sold,
-        utility_floor=cf.buyer_utility >= 1.0 - cf.counterfactual_price - _IDENTITY_TOL,
-    )
+    return _property_check(pa, item, counterfactual(instance, pa, sigma, buyer, item))
 
 
 def check_monotone_availability(
@@ -183,41 +229,13 @@ def check_monotone_availability(
     sigma: ArrivalOrder,
     item: int,
 ) -> bool:
-    """Lockstep the full market against the market without `item` and verify
-    that at every arrival the full market's available set contains the
-    reduced market's and exceeds it by at most one item."""
+    """Verify that at every arrival the full market's available set contains
+    the available set of the market without `item` and exceeds it by at most
+    one item."""
     if not 0 <= item < instance.n_right:
         raise ValueError(f"right vertex {item} out of range")
-    if len(pa) != instance.n_right or len(sigma) != instance.n_left:
-        raise ValueError("price assignment or arrival order sized wrongly")
-    prices = pa.prices
-    n_right = instance.n_right
-    avail_full = [True] * n_right
-    avail_reduced = [True] * n_right
-    avail_reduced[item] = False
-
-    def nested_with_one_extra() -> bool:
-        extra = 0
-        for k in range(n_right):
-            if avail_reduced[k] and not avail_full[k]:
-                return False
-            if avail_full[k] and not avail_reduced[k]:
-                extra += 1
-        return extra <= 1
-
-    for b in sigma.order:
-        if not nested_with_one_extra():
-            return False
-        for avail in (avail_full, avail_reduced):
-            best_j = -1
-            best_p = math.inf
-            for j in instance.adjacency[b]:
-                if avail[j] and prices[j] < best_p:
-                    best_p = prices[j]
-                    best_j = j
-            if best_j >= 0:
-                avail[best_j] = False
-    return nested_with_one_extra()
+    full, reduced = _markets(instance, pa, sigma, item)
+    return _nested_availability(full, reduced, sigma.order, item)
 
 
 # ---------------------------------------------------------------------------
@@ -236,42 +254,22 @@ def _edge_chunk(
     seed: int,
     buyers: np.ndarray,
     items: np.ndarray,
-    track_buyer: int | None,
-    track_item: int | None,
     t0: int,
     t1: int,
 ):
     adjacency = instance.adjacency
     order = sigma.order
-    n_left, n_right = instance.n_left, instance.n_right
     exponential = scheme is PriceScheme.EXPONENTIAL
     sum_x = np.zeros(len(buyers))
     sumsq_x = np.zeros(len(buyers))
-    served = 0
-    priciest = 0
-    served_without_priciest = 0
     for t in range(t0, t1):
-        w = trial_rng(seed, t).random(n_right)
-        prices = np.exp(w - 1.0) if exponential else w
-        plist = prices.tolist()
-        assignment = _assign_min_score(adjacency, plist, order)
-        utils = np.zeros(n_left)
-        revs = np.zeros(n_right)
-        for b, j in enumerate(assignment):
-            if j is not None:
-                pj = plist[j]
-                utils[b] = 1.0 - pj
-                revs[j] = pj
-        x = utils[buyers] + revs[items]
+        w = trial_rng(seed, t).random(instance.n_right)
+        plist = (np.exp(w - 1.0) if exponential else w).tolist()
+        utils, revs = _settle(_assign_min_score(adjacency, plist, order), plist)
+        x = np.array(utils)[buyers] + np.array(revs)[items]
         sum_x += x
         sumsq_x += x * x
-        if track_buyer is not None:
-            got_item = assignment[track_buyer] is not None
-            is_priciest = int(np.argmax(w)) == track_item
-            served += got_item
-            priciest += is_priciest
-            served_without_priciest += got_item and not is_priciest
-    return sum_x, sumsq_x, served, priciest, served_without_priciest
+    return sum_x, sumsq_x
 
 
 def _edge_sweep(
@@ -283,33 +281,17 @@ def _edge_sweep(
     seed: int,
     level: float,
     jobs: int,
-    track_buyer: int | None = None,
-    track_item: int | None = None,
-):
+) -> dict[tuple[int, int], EstimateWithCI]:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     buyers = np.array([e[0] for e in edges], dtype=np.intp)
     items = np.array([e[1] for e in edges], dtype=np.intp)
-    worker = partial(
-        _edge_chunk, instance, sigma, scheme, seed, buyers, items, track_buyer, track_item
-    )
-    parts = _run_chunks(worker, trials, jobs)
-    sum_x = parts[0][0].copy()
-    sumsq_x = parts[0][1].copy()
-    served = parts[0][2]
-    priciest = parts[0][3]
-    bad = parts[0][4]
-    for p in parts[1:]:
-        sum_x += p[0]
-        sumsq_x += p[1]
-        served += p[2]
-        priciest += p[3]
-        bad += p[4]
-    estimates = {
+    worker = partial(_edge_chunk, instance, sigma, scheme, seed, buyers, items)
+    sum_x, sumsq_x = _combine(_run_chunks(worker, trials, jobs))
+    return {
         edge: _finish(float(sum_x[k]), float(sumsq_x[k]), trials, seed, level)
         for k, edge in enumerate(edges)
     }
-    return estimates, served, priciest, bad
 
 
 def estimate_edge_guarantee(
@@ -327,7 +309,7 @@ def estimate_edge_guarantee(
     """Monte Carlo estimate of E[util_buyer + rev_item] over fresh weight
     draws per trial, with the arrival order held fixed."""
     _require_edge(instance, buyer, item)
-    estimates, _, _, _ = _edge_sweep(
+    estimates = _edge_sweep(
         instance, _coerce_scheme(scheme), sigma, [(buyer, item)], trials, seed, level, jobs
     )
     return estimates[(buyer, item)]
@@ -353,10 +335,7 @@ def edge_guarantee_sweep(
         _require_edge(instance, buyer, item)
     if not edges:
         raise ValueError("instance has no edges to sweep")
-    estimates, _, _, _ = _edge_sweep(
-        instance, _coerce_scheme(scheme), sigma, edges, trials, seed, level, jobs
-    )
-    return estimates
+    return _edge_sweep(instance, _coerce_scheme(scheme), sigma, edges, trials, seed, level, jobs)
 
 
 def _size_chunk(
@@ -369,21 +348,15 @@ def _size_chunk(
 ):
     adjacency = instance.adjacency
     order = sigma.order
-    n_right = instance.n_right
     sum_s = 0.0
     sumsq_s = 0.0
     for t in range(t0, t1):
         if algorithm == "ranking-market":
-            w = trial_rng(seed, t).random(n_right)
-            plist = np.exp(w - 1.0).tolist()
-            assignment = _assign_min_score(adjacency, plist, order)
+            w = trial_rng(seed, t).random(instance.n_right)
+            assignment = _assign_min_score(adjacency, np.exp(w - 1.0).tolist(), order)
             size = len(assignment) - assignment.count(None)
-        elif algorithm == "random-greedy":
-            size = random_greedy(instance, sigma, trial_rng(seed, t)).size
-        elif algorithm == "greedy":
-            size = greedy(instance, sigma).size
         else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+            size = random_greedy(instance, sigma, trial_rng(seed, t)).size
         sum_s += size
         sumsq_s += size * size
     return sum_s, sumsq_s
@@ -400,18 +373,18 @@ def estimate_matching_size(
     jobs: int = 1,
 ) -> EstimateWithCI:
     """Monte Carlo estimate of the expected matching size, with fresh
-    randomness (weights or greedy choices) per trial."""
+    randomness (weights or greedy choices) per trial. Greedy is
+    deterministic, so its size is computed once and counts for every
+    trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if algorithm not in ("ranking-market", "random-greedy", "greedy"):
+    if algorithm == "greedy":
+        size = greedy(instance, sigma).size
+        return _finish(float(size * trials), float(size * size * trials), trials, seed, level)
+    if algorithm not in ("ranking-market", "random-greedy"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     worker = partial(_size_chunk, instance, sigma, algorithm, seed)
-    parts = _run_chunks(worker, trials, jobs)
-    total = 0.0
-    total_sq = 0.0
-    for s, sq in parts:
-        total += s
-        total_sq += sq
+    total, total_sq = _combine(_run_chunks(worker, trials, jobs))
     return _finish(total, total_sq, trials, seed, level)
 
 
@@ -457,25 +430,18 @@ def _welfare_chunk(
 ):
     adjacency = instance.adjacency
     order = sigma.order
-    n_left, n_right = instance.n_left, instance.n_right
     sum_m = 0.0
     sumsq_m = 0.0
     sum_e = 0.0
     sumsq_e = 0.0
     violations = 0
     for t in range(t0, t1):
-        w = trial_rng(seed, t).random(n_right)
+        w = trial_rng(seed, t).random(instance.n_right)
         plist = np.exp(w - 1.0).tolist()
         assignment = _assign_min_score(adjacency, plist, order)
         size = len(assignment) - assignment.count(None)
-        utils = np.zeros(n_left)
-        revs = np.zeros(n_right)
-        for b, j in enumerate(assignment):
-            if j is not None:
-                pj = plist[j]
-                utils[b] = 1.0 - pj
-                revs[j] = pj
-        edge_sum = float(np.sum(utils[buyers] + revs[items])) if len(buyers) else 0.0
+        utils, revs = _settle(assignment, plist)
+        edge_sum = float(np.sum(np.array(utils)[buyers] + np.array(revs)[items]))
         if size < edge_sum - _IDENTITY_TOL:
             violations += 1
         sum_m += size
@@ -519,15 +485,7 @@ def check_welfare_bound(
     buyers = np.array([p[0] for p in optimum_pairs], dtype=np.intp)
     items = np.array([p[1] for p in optimum_pairs], dtype=np.intp)
     worker = partial(_welfare_chunk, instance, sigma, seed, buyers, items)
-    parts = _run_chunks(worker, trials, jobs)
-    sum_m = sumsq_m = sum_e = sumsq_e = 0.0
-    violations = 0
-    for pm, pmsq, pe, pesq, v in parts:
-        sum_m += pm
-        sumsq_m += pmsq
-        sum_e += pe
-        sumsq_e += pesq
-        violations += v
+    sum_m, sumsq_m, sum_e, sumsq_e, violations = _combine(_run_chunks(worker, trials, jobs))
     return WelfareBound(
         matching_size=_finish(sum_m, sumsq_m, trials, seed, level),
         matched_edge_sum=_finish(sum_e, sumsq_e, trials, seed, level),
@@ -564,6 +522,39 @@ class LastBuyerReport:
     reference_probability: float
 
 
+def _last_buyer_chunk(instance: BipartiteInstance, seed: int, t0: int, t1: int):
+    adjacency = instance.adjacency
+    n = instance.n_right
+    last = n - 1
+    order = range(n)  # identity arrival order
+    sum_x = [0.0, 0.0]  # exponential, uniform
+    sumsq_x = [0.0, 0.0]
+    served = priciest = served_without_priciest = 0
+    for t in range(t0, t1):
+        w = trial_rng(seed, t).random(n)
+        exp_prices = np.exp(w - 1.0).tolist()
+        uni_prices = w.tolist()
+        assignment = _assign_min_score(adjacency, exp_prices, order)
+        # np.exp keeps the order of the weights, but rounding can merge two
+        # distinct weights into one price. That tie goes to the lower index,
+        # while the uniform market takes the lower weight: only then can the
+        # two markets differ, so only then is the uniform market run.
+        uni_assignment = assignment
+        if len(set(exp_prices)) < n:
+            uni_assignment = _assign_min_score(adjacency, uni_prices, order)
+        for s, prices, chosen in ((0, exp_prices, assignment), (1, uni_prices, uni_assignment)):
+            utils, revs = _settle(chosen, prices)
+            x = utils[last] + revs[last]
+            sum_x[s] += x
+            sumsq_x[s] += x * x
+        got_item = assignment[last] is not None
+        is_priciest = int(np.argmax(w)) == last
+        served += got_item
+        priciest += is_priciest
+        served_without_priciest += got_item and not is_priciest
+    return sum_x[0], sumsq_x[0], sum_x[1], sumsq_x[1], served, priciest, served_without_priciest
+
+
 def last_buyer_report(
     n: int,
     trials: int,
@@ -575,6 +566,7 @@ def last_buyer_report(
     """Measure the last buyer's edge of the triangular instance under both
     price schemes, plus the service and priciest-last-item probabilities.
 
+    Each trial runs one market and does the accounting under both schemes.
     The exponential estimate meets the 1 - 1/e bound; the uniform estimate
     sits near 1/2, which is the whole point of the exponential price curve.
     """
@@ -582,23 +574,9 @@ def last_buyer_report(
         raise ValueError("the report needs n >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    instance = kvv_hard_instance(n)
-    sigma = ArrivalOrder.identity(n)
-    edge = (n - 1, n - 1)
-    exp_estimates, served, priciest, bad = _edge_sweep(
-        instance,
-        PriceScheme.EXPONENTIAL,
-        sigma,
-        [edge],
-        trials,
-        seed,
-        level,
-        jobs,
-        track_buyer=n - 1,
-        track_item=n - 1,
-    )
-    uni_estimates, _, _, _ = _edge_sweep(
-        instance, PriceScheme.UNIFORM, sigma, [edge], trials, seed, level, jobs
+    worker = partial(_last_buyer_chunk, kvv_hard_instance(n), seed)
+    sum_e, sumsq_e, sum_u, sumsq_u, served, priciest, bad = _combine(
+        _run_chunks(worker, trials, jobs)
     )
     # Bernoulli sums: the sum of squares equals the sum
     return LastBuyerReport(
@@ -606,8 +584,8 @@ def last_buyer_report(
         trials=trials,
         seed=seed,
         level=level,
-        exponential=exp_estimates[edge],
-        uniform=uni_estimates[edge],
+        exponential=_finish(sum_e, sumsq_e, trials, seed, level),
+        uniform=_finish(sum_u, sumsq_u, trials, seed, level),
         service_probability=_finish(served, served, trials, seed, level),
         priciest_last_probability=_finish(priciest, priciest, trials, seed, level),
         service_without_priciest=bad,
@@ -665,10 +643,11 @@ def _property_chunk(
         sigma = ArrivalOrder.random(inst.n_left, rng)
         pa = prices_from_weights(rng.random(inst.n_right), PriceScheme.EXPONENTIAL)
         buyer, item = edges[int(rng.integers(len(edges)))]
-        check = check_counterfactual_properties(inst, pa, sigma, buyer, item)
+        full, reduced = _markets(inst, pa, sigma, item)
+        check = _property_check(pa, item, _counterfactual(pa, full, reduced, buyer, item))
         p1 += not check.sold_if_cheaper
         p2 += not check.utility_floor
-        mono += not check_monotone_availability(inst, pa, sigma, item)
+        mono += not _nested_availability(full, reduced, sigma.order, item)
     return p1, p2, mono
 
 
@@ -692,10 +671,7 @@ def property_sweep(
     if instance is not None and instance.edge_count == 0:
         raise ValueError("property sweep needs an instance with at least one edge")
     worker = partial(_property_chunk, instance, max_side, seed)
-    parts = _run_chunks(worker, trials, jobs)
-    p1 = sum(p[0] for p in parts)
-    p2 = sum(p[1] for p in parts)
-    mono = sum(p[2] for p in parts)
+    p1, p2, mono = _combine(_run_chunks(worker, trials, jobs))
     return PropertySweep(
         trials=trials,
         seed=seed,

@@ -8,7 +8,8 @@ rerunning with that seed reproduces the output byte for byte, for any
 --jobs setting.
 
 Exit codes: 0 all requested assertions pass, 1 an assertion failed,
-2 usage or input errors.
+2 usage or input errors, 3 an unexpected internal error (a bug, reported
+in one stderr line; never a failed check).
 """
 
 from __future__ import annotations
@@ -445,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

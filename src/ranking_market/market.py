@@ -83,6 +83,19 @@ def _check_prices(instance: BipartiteInstance, pa: PriceAssignment) -> None:
         raise ValueError(f"price assignment has {len(pa)} entries, expected {instance.n_right}")
 
 
+def _settle(assignment, prices) -> tuple[list[float], list[float]]:
+    """The market's accounting for one assignment: buyer b's utility is
+    1 - p_j for the item j it bought (else 0), item j's revenue is p_j if it
+    sold (else 0)."""
+    utils = [0.0] * len(assignment)
+    revs = [0.0] * len(prices)
+    for b, j in enumerate(assignment):
+        if j is not None:
+            utils[b] = 1.0 - prices[j]
+            revs[j] = prices[j]
+    return utils, revs
+
+
 def run_market(
     instance: BipartiteInstance, pa: PriceAssignment, sigma: ArrivalOrder
 ) -> MarketOutcome:
@@ -95,14 +108,8 @@ def run_market(
     """
     _check_sigma(instance, sigma)
     _check_prices(instance, pa)
-    prices = pa.prices
-    assignment = _assign_min_score(instance.adjacency, prices, sigma.order)
-    utils = [0.0] * instance.n_left
-    revs = [0.0] * instance.n_right
-    for b, j in enumerate(assignment):
-        if j is not None:
-            utils[b] = 1.0 - prices[j]
-            revs[j] = prices[j]
+    assignment = _assign_min_score(instance.adjacency, pa.prices, sigma.order)
+    utils, revs = _settle(assignment, pa.prices)
     return MarketOutcome(
         matching=Matching(tuple(assignment)),
         utils=tuple(utils),

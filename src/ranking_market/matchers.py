@@ -53,9 +53,11 @@ def _assign_min_score(adjacency, score, order) -> list[int | None]:
     """Sequentially assign each arriving left vertex to its available
     neighbor with the minimum score, ties going to the lowest index.
 
-    This single loop realizes both RANKING (score = rank values) and the
-    price market (score = prices); adjacency lists are sorted ascending, so
-    the strict '<' comparison implements the lowest-index tie-break.
+    This single loop realizes RANKING (score = rank values), greedy (the
+    identity ranking) and the price market (score = prices); adjacency lists
+    are sorted ascending, so the strict '<' comparison implements the
+    lowest-index tie-break. A neighbor scoring inf is never taken, so the
+    market without an item is the same loop with that item's score at inf.
     """
     n_right = len(score)
     available = [True] * n_right
@@ -90,18 +92,10 @@ def ranking(
 
 
 def greedy(instance: BipartiteInstance, sigma: ArrivalOrder) -> Matching:
-    """Deterministic greedy: each arrival takes its lowest-index unmatched
-    neighbor. The output is always a maximal matching."""
-    _check_sigma(instance, sigma)
-    available = [True] * instance.n_right
-    assignment: list[int | None] = [None] * instance.n_left
-    for b in sigma.order:
-        for j in instance.adjacency[b]:
-            if available[j]:
-                available[j] = False
-                assignment[b] = j
-                break
-    return Matching(tuple(assignment))
+    """Deterministic greedy: RANKING under the identity ranking, so each
+    arrival takes its lowest-index unmatched neighbor. The output is always a
+    maximal matching."""
+    return ranking(instance, RightPermutation.identity(instance.n_right), sigma)
 
 
 def random_greedy(instance: BipartiteInstance, sigma: ArrivalOrder, seed) -> Matching:
@@ -129,20 +123,33 @@ def maximum_matching(instance: BipartiteInstance) -> Matching:
     match_right = [-1] * instance.n_right
     match_left: list[int | None] = [None] * instance.n_left
     adjacency = instance.adjacency
-
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if not visited[v]:
-                visited[v] = True
-                if match_right[v] == -1 or augment(match_right[v], visited):
-                    match_right[v] = u
-                    match_left[u] = v
-                    return True
-        return False
-
-    for u in range(instance.n_left):
-        if adjacency[u]:
-            augment(u, [False] * instance.n_right)
+    for root in range(instance.n_left):
+        visited = [False] * instance.n_right
+        # Depth-first search for an augmenting path from root, on an explicit
+        # stack so path length is not bounded by the recursion limit:
+        # path[d] is the left vertex at depth d and cursor[d] the index of
+        # the neighbor it is trying.
+        path = [root]
+        cursor = [0]
+        while path:
+            neighbors = adjacency[path[-1]]
+            k = cursor[-1]
+            while k < len(neighbors) and visited[neighbors[k]]:
+                k += 1
+            if k == len(neighbors):
+                path.pop()
+                cursor.pop()
+                continue
+            cursor[-1] = k
+            v = neighbors[k]
+            visited[v] = True
+            if match_right[v] == -1:
+                for u, c in zip(path, cursor):
+                    match_right[adjacency[u][c]] = u
+                    match_left[u] = adjacency[u][c]
+                break
+            path.append(match_right[v])
+            cursor.append(0)
     return Matching(tuple(match_left))
 
 

@@ -58,3 +58,36 @@ def replay_market(
     for j in range(instance.n_right):
         if j not in sold:
             assert outcome.revs[j] == 0.0
+
+
+def reference_assignment(
+    instance: BipartiteInstance,
+    pa: PriceAssignment,
+    sigma: ArrivalOrder,
+    removed: int | None = None,
+) -> list[int | None]:
+    """The market re-simulated from scratch, optionally without item
+    `removed`: each buyer takes its cheapest open neighbor, ties to the
+    lowest index."""
+    available = set(range(instance.n_right)) - {removed}
+    assignment: list[int | None] = [None] * instance.n_left
+    for b in sigma.order:
+        open_neighbors = [k for k in instance.adjacency[b] if k in available]
+        if open_neighbors:
+            j = min(open_neighbors, key=lambda k: (pa.prices[k], k))
+            assignment[b] = j
+            available.remove(j)
+    return assignment
+
+
+def availability_sets(
+    n_right: int, assignment, order, removed: int | None = None
+) -> list[frozenset[int]]:
+    """The available items before each arrival and after the last, each set
+    recomputed from scratch from the purchases made so far."""
+    return [
+        frozenset(range(n_right))
+        - {removed}
+        - {assignment[b] for b in order[:k] if assignment[b] is not None}
+        for k in range(len(order) + 1)
+    ]

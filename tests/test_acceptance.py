@@ -75,14 +75,20 @@ def test_welfare_decomposition_identity():
 
 
 def test_market_equals_ranking_under_both_schemes():
-    with checkpoint("equivalence: exponential market = uniform market = RANKING, "
-                    "1000 random draws", budget_seconds=10):
+    # RANKING under the induced permutation equals the exponential market for
+    # every draw. The uniform market equals both only while e^(w-1) keeps
+    # distinct weights distinct: rounding can merge two weights into one
+    # price (pinned in test_market), so each draw here is checked to have
+    # none.
+    with checkpoint("equivalence: exponential market = RANKING = uniform market, "
+                    "1000 random draws without merged prices", budget_seconds=10):
         rng = np.random.default_rng(202)
         for _ in range(1000):
             inst = random_instance(rng, max_side=30)
             sigma = ArrivalOrder.random(inst.n_left, rng)
             w = rng.random(inst.n_right)
             exp_pa = prices_from_weights(w, EXP)
+            assert len(set(exp_pa.prices)) == len(set(w.tolist()))
             exp_match = run_market(inst, exp_pa, sigma).matching
             uni_match = run_market(inst, prices_from_weights(w, UNI), sigma).matching
             ranked = ranking(inst, permutation_from_prices(exp_pa), sigma)

@@ -26,7 +26,9 @@ from ranking_market import (
     RightPermutation,
     trial_rng,
 )
-from helpers import random_instance
+from ranking_market import analysis, run_market, without_right_vertex
+from ranking_market.analysis import _markets, _nested_availability
+from helpers import availability_sets, random_instance, reference_assignment
 
 EXP = PriceScheme.EXPONENTIAL
 UNI = PriceScheme.UNIFORM
@@ -327,3 +329,180 @@ def test_edge_guarantee_agrees_with_direct_average():
         out = run_market(inst, prices_from_weights(w, EXP), sigma)
         total += out.utils[buyer] + out.revs[item]
     assert est.mean == pytest.approx(total / trials, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one kernel call per market: counts, the remark3 tie fallback, the pool
+# ---------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, name: str = "_assign_min_score") -> list[int]:
+    """Count the calls analysis makes to one of its module attributes
+    (default: the assignment kernel)."""
+    calls = [0]
+    fn = getattr(analysis, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(analysis, name, counting)
+    return calls
+
+
+def test_last_buyer_report_simulates_once_per_trial(monkeypatch):
+    calls = count_calls(monkeypatch)
+    last_buyer_report(6, trials=3000, seed=4)
+    assert calls[0] == 3000
+
+
+def test_property_sweep_simulates_two_markets_per_tuple(monkeypatch):
+    calls = count_calls(monkeypatch)
+    property_sweep(400, seed=3)
+    assert calls[0] == 2 * 400
+    calls[0] = 0
+    property_sweep(300, seed=3, instance=kvv_hard_instance(5))
+    assert calls[0] == 2 * 300
+
+
+def test_greedy_size_is_computed_once(monkeypatch):
+    calls = count_calls(monkeypatch, "greedy")
+    inst = make_instance(2, 2, [(0, 0), (0, 1), (1, 0)])
+    est = estimate_matching_size(inst, "greedy", ArrivalOrder.identity(2), 5000, 1)
+    assert calls[0] == 1
+    assert est.mean == 1.0 and est.half_width == 0.0 and est.trials == 5000
+
+
+class _FixedDraw:
+    def __init__(self, weights):
+        self.weights = np.array(weights)
+
+    def random(self, n):
+        assert n == len(self.weights)
+        return self.weights.copy()
+
+
+# e^(w-1) rounds these two distinct weights to one price
+TIED_WEIGHTS = [np.nextafter(0.1, 1.0), 0.1]
+
+
+def test_last_buyer_report_tie_fallback_matches_two_simulations(monkeypatch):
+    # every third trial draws two weights that the exponential curve merges:
+    # the exponential market then gives item 0 to the first buyer (tie to the
+    # lower index) and the uniform market gives it item 1 (the lower weight)
+    n, trials, seed = 2, 900, 12
+
+    def draws(seed, t):
+        return _FixedDraw(TIED_WEIGHTS) if t % 3 == 0 else trial_rng(seed, t)
+
+    monkeypatch.setattr(analysis, "trial_rng", draws)
+    calls = count_calls(monkeypatch)
+    report = last_buyer_report(n, trials=trials, seed=seed)
+    assert calls[0] == trials + trials // 3
+
+    inst = kvv_hard_instance(n)
+    sigma = ArrivalOrder.identity(n)
+    totals = {EXP: 0.0, UNI: 0.0}
+    served = 0
+    for t in range(trials):
+        w = draws(seed, t).random(n)
+        for scheme in (EXP, UNI):
+            out = run_market(inst, prices_from_weights(w, scheme), sigma)
+            totals[scheme] += out.utils[n - 1] + out.revs[n - 1]
+            if scheme is EXP:
+                served += out.matching.assignment[n - 1] is not None
+    assert report.uniform.mean == totals[UNI] / trials
+    assert report.exponential.mean == pytest.approx(totals[EXP] / trials, rel=1e-12)
+    assert report.service_probability.mean == served / trials
+    # without the fallback the tied trials would score 1 under uniform prices
+    assert report.uniform.mean < report.exponential.mean - 0.2
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    chunks in this process, so no worker is ever started."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "jobs, chunks, cpus, expected",
+    [(5000, 3, 4, 3), (5000, 6, 4, 4), (2, 6, 4, 2), (5000, 1, 4, None), (5000, 3, 1, None),
+     (5000, 3, None, None)],
+)
+def test_pool_size_is_bounded(monkeypatch, jobs, chunks, cpus, expected):
+    monkeypatch.setattr(_RecordingPool, "requested", [])
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+    inst = kvv_hard_instance(3)
+    sigma = ArrivalOrder.identity(3)
+    trials = 2048 * (chunks - 1) + 5
+    est = estimate_matching_size(inst, "ranking-market", sigma, trials, 8, jobs=jobs)
+    assert _RecordingPool.requested == ([] if expected is None else [expected])
+    assert est == estimate_matching_size(inst, "ranking-market", sigma, trials, 8)
+
+
+# ---------------------------------------------------------------------------
+# the reduced market and the replayed monotone check against a from-scratch
+# oracle
+# ---------------------------------------------------------------------------
+
+
+def test_reduced_market_and_monotone_replay_match_the_oracle():
+    rng = np.random.default_rng(61)
+    for k in range(1200):
+        inst = random_instance(rng, max_side=8)
+        sigma = ArrivalOrder.random(inst.n_left, rng)
+        w = rng.random(inst.n_right)
+        if k % 4 == 0:
+            w = np.round(w, 1)  # price ties
+        pa = prices_from_weights(w, EXP if k % 2 else UNI)
+        item = int(rng.integers(inst.n_right))
+        full, reduced = _markets(inst, pa, sigma, item)
+        assert full == reference_assignment(inst, pa, sigma)
+        assert reduced == reference_assignment(inst, pa, sigma, removed=item)
+        without = run_market(without_right_vertex(inst, item), pa, sigma)
+        assert reduced == list(without.matching.assignment)
+        sets_full = availability_sets(inst.n_right, full, sigma.order)
+        sets_reduced = availability_sets(inst.n_right, reduced, sigma.order, removed=item)
+        nested = all(r <= f and len(f - r) <= 1 for f, r in zip(sets_full, sets_reduced))
+        assert nested  # a theorem
+        assert check_monotone_availability(inst, pa, sigma, item) == nested
+
+
+def test_monotone_replay_flags_exactly_the_non_nested_pairs():
+    # arbitrary assignment pairs, most of them not produced by any market, so
+    # the replay has to reject as well as accept
+    rng = np.random.default_rng(62)
+    outcomes = set()
+    for _ in range(3000):
+        n_left, n_right = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        item = int(rng.integers(n_right))
+        order = tuple(int(b) for b in rng.permutation(n_left))
+
+        def random_assignment(items):
+            picks = [int(j) for j in rng.permutation(items)] + [None] * n_left
+            return [picks[i] for i in rng.permutation(len(picks))[:n_left]]
+
+        full = random_assignment(n_right)
+        reduced = random_assignment([j for j in range(n_right) if j != item] or [item])
+        if item in reduced:
+            reduced = [None if j == item else j for j in reduced]
+        sets_full = availability_sets(n_right, full, order)
+        sets_reduced = availability_sets(n_right, reduced, order, removed=item)
+        nested = all(r <= f and len(f - r) <= 1 for f, r in zip(sets_full, sets_reduced))
+        assert _nested_availability(full, reduced, order, item) == nested
+        outcomes.add(nested)
+    assert outcomes == {True, False}

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ranking_market import cli
 from ranking_market.cli import main
 
 
@@ -220,3 +221,27 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("mean_ratio,")
+
+
+def test_ratio_on_a_long_chain_file(tmp_path, capsys):
+    # the augmenting paths of this instance are 3000 steps long
+    n = 3000
+    lines = [f"{n} {n}", "0 0"] + [f"{i} {j}" for i in range(1, n) for j in (i - 1, i)]
+    inst = tmp_path / "chain.txt"
+    inst.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(capsys, "ratio", "--file", str(inst), "--trials", "3", "--seed", "1")
+    assert code == 0
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["optimum"] == "3000"
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_ratio", crash)
+    code = main(["ratio", "--kvv", "3", "--trials", "10", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"

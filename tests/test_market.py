@@ -176,3 +176,25 @@ def test_price_indicator_integral():
         se = float(x.std(ddof=1)) / math.sqrt(len(x))
         expected = math.exp(y - 1.0) - math.exp(-1.0)
         assert abs(mean - expected) <= 4 * se, f"y={y}"
+
+
+def test_exp_rounding_can_merge_weights_into_a_tie():
+    # the weights differ by one ulp, but w - 1 rounds both to the same double,
+    # so the exponential prices tie and the tie goes to the lower index, while
+    # the uniform market takes the strictly cheaper item 1
+    inst = make_instance(1, 2, [(0, 0), (0, 1)])
+    w = [np.nextafter(0.1, 1.0), 0.1]
+    exp_pa = prices_from_weights(w, EXP)
+    assert w[0] != w[1] and exp_pa.prices[0] == exp_pa.prices[1]
+    sigma = ArrivalOrder.identity(1)
+    assert run_market(inst, exp_pa, sigma).matching.assignment == (0,)
+    assert run_market(inst, prices_from_weights(w, UNI), sigma).matching.assignment == (1,)
+
+
+def test_exp_prices_never_reorder_weights():
+    # exp rounding may merge neighbouring weights (above) but never swaps
+    # them; last_buyer_report relies on this to reuse one simulation
+    w = draw_weights(50_000, 29)
+    w = np.sort(np.concatenate([w, np.nextafter(w, 1.0)]))
+    p = np.exp(w - 1.0)
+    assert np.all(np.diff(p) >= 0.0)

@@ -203,3 +203,31 @@ def test_validate_matching_rejects_bad_matchings():
         validate_matching(Matching((1, 0)), inst)
     with pytest.raises(ValueError):
         validate_matching(Matching((0,)), inst)
+
+
+def chain_instance(n: int):
+    """Left 0 - {0}, left i - {i-1, i}: each new left vertex's augmenting
+    path runs back through every earlier one."""
+    return make_instance(n, n, [(0, 0)] + [(i, j) for i in range(1, n) for j in (i - 1, i)])
+
+
+def test_maximum_matching_long_chain_needs_no_recursion():
+    inst = chain_instance(3000)
+    m = maximum_matching(inst)
+    validate_matching(m, inst)
+    assert m.size == 3000
+    for n in range(1, 9):
+        assert maximum_matching(chain_instance(n)).size == brute_force_max_size(chain_instance(n))
+
+
+def test_greedy_takes_the_lowest_index_open_neighbor():
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        inst = random_instance(rng, max_side=8)
+        sigma = ArrivalOrder.random(inst.n_left, rng)
+        expected: list[int | None] = [None] * inst.n_left
+        taken = set()
+        for b in sigma.order:
+            expected[b] = next((k for k in inst.adjacency[b] if k not in taken), None)
+            taken.add(expected[b])
+        assert greedy(inst, sigma).assignment == tuple(expected)
