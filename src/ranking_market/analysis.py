@@ -15,20 +15,18 @@ import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from statistics import NormalDist
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .instance import ArrivalOrder, BipartiteInstance, kvv_hard_instance, random_bipartite
-from .matchers import _assign_min_score, greedy, maximum_matching, random_greedy
+from .matchers import _assign_min_score, maximum_matching
 from .market import PriceAssignment, PriceScheme, _settle, prices_from_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
-
-Algorithm = Literal["ranking-market", "random-greedy", "greedy"]
 
 _IDENTITY_TOL = 1e-9
 
@@ -89,6 +87,10 @@ def _finish(total: float, total_sq: float, trials: int, seed: int, level: float)
 
 
 def _run_chunks(worker, trials: int, jobs: int) -> list:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     spans = [(t0, min(t0 + _CHUNK_TRIALS, trials)) for t0 in range(0, trials, _CHUNK_TRIALS)]
     # the pool starts all its workers at once, so never more than can be busy
     workers = min(jobs, len(spans), os.cpu_count() or 1)
@@ -243,55 +245,96 @@ def check_monotone_availability(
 # ---------------------------------------------------------------------------
 
 
-def _coerce_scheme(scheme: PriceScheme | str) -> PriceScheme:
-    return scheme if isinstance(scheme, PriceScheme) else PriceScheme(scheme)
-
-
-def _edge_chunk(
+def _trial_chunk(
     instance: BipartiteInstance,
     sigma: ArrivalOrder,
     scheme: PriceScheme,
+    observe,
     seed: int,
-    buyers: np.ndarray,
-    items: np.ndarray,
     t0: int,
     t1: int,
 ):
-    adjacency = instance.adjacency
-    order = sigma.order
+    """Run one market per trial t0..t1-1 and return the sums of
+    x = observe(weights, prices, assignment) and of x * x, added in trial
+    order. x is a number or a numpy vector of several quantities."""
+    adjacency, order, n_right = instance.adjacency, sigma.order, instance.n_right
     exponential = scheme is PriceScheme.EXPONENTIAL
-    sum_x = np.zeros(len(buyers))
-    sumsq_x = np.zeros(len(buyers))
+    total = total_sq = 0.0
     for t in range(t0, t1):
-        w = trial_rng(seed, t).random(instance.n_right)
-        plist = (np.exp(w - 1.0) if exponential else w).tolist()
-        utils, revs = _settle(_assign_min_score(adjacency, plist, order), plist)
-        x = np.array(utils)[buyers] + np.array(revs)[items]
-        sum_x += x
-        sumsq_x += x * x
-    return sum_x, sumsq_x
+        w = trial_rng(seed, t).random(n_right)
+        prices = (np.exp(w - 1.0) if exponential else w).tolist()
+        x = observe(w, prices, _assign_min_score(adjacency, prices, order))
+        total += x
+        total_sq += x * x
+    return total, total_sq
 
 
-def _edge_sweep(
+def _estimate(
     instance: BipartiteInstance,
-    scheme: PriceScheme,
     sigma: ArrivalOrder,
-    edges: list[tuple[int, int]],
+    scheme: PriceScheme,
+    observe,
     trials: int,
     seed: int,
     level: float,
     jobs: int,
-) -> dict[tuple[int, int], EstimateWithCI]:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    buyers = np.array([e[0] for e in edges], dtype=np.intp)
-    items = np.array([e[1] for e in edges], dtype=np.intp)
-    worker = partial(_edge_chunk, instance, sigma, scheme, seed, buyers, items)
-    sum_x, sumsq_x = _combine(_run_chunks(worker, trials, jobs))
-    return {
-        edge: _finish(float(sum_x[k]), float(sumsq_x[k]), trials, seed, level)
-        for k, edge in enumerate(edges)
-    }
+):
+    """The totals of _trial_chunk over trials 0..trials-1, for any jobs."""
+    _z(level)  # an invalid level fails before the first trial, not after the last
+    worker = partial(_trial_chunk, instance, sigma, scheme, observe, seed)
+    return _combine(_run_chunks(worker, trials, jobs))
+
+
+# Observers: what each estimator reads off one market run. They are
+# module-level functions (bound with partial) so chunks can go to worker
+# processes.
+
+
+def _edge_values(buyers: np.ndarray, items: np.ndarray, w, prices, assignment) -> np.ndarray:
+    """util_i + rev_j for each edge (buyers[k], items[k])."""
+    utils, revs = _settle(assignment, prices)
+    return np.array(utils)[buyers] + np.array(revs)[items]
+
+
+def _matching_size(w, prices, assignment) -> int:
+    return len(assignment) - assignment.count(None)
+
+
+def _welfare(buyers: np.ndarray, items: np.ndarray, w, prices, assignment) -> np.ndarray:
+    """[|M|, the sum of util + rev over the given edges, whether |M| fell
+    below that sum]."""
+    size = _matching_size(w, prices, assignment)
+    edge_sum = float(np.sum(_edge_values(buyers, items, w, prices, assignment)))
+    return np.array([size, edge_sum, size < edge_sum - _IDENTITY_TOL])
+
+
+def _last_buyer(adjacency, w, exp_prices, assignment) -> np.ndarray:
+    """On the triangular instance under exponential prices: [the last edge's
+    util + rev under exponential prices, the same under uniform prices, the
+    last buyer is served, the last item is the priciest, served without it]."""
+    n = len(exp_prices)
+    last = n - 1
+    uni_prices = w.tolist()
+    # np.exp keeps the order of the weights, but rounding can merge two
+    # distinct weights into one price. That tie goes to the lower index,
+    # while the uniform market takes the lower weight: only then can the
+    # two markets differ, so only then is the uniform market run.
+    uni_assignment = assignment
+    if len(set(exp_prices)) < n:
+        uni_assignment = _assign_min_score(adjacency, uni_prices, range(n))
+    values = []
+    for prices, chosen in ((exp_prices, assignment), (uni_prices, uni_assignment)):
+        utils, revs = _settle(chosen, prices)
+        values.append(utils[last] + revs[last])
+    served = assignment[last] is not None
+    priciest = int(np.argmax(w)) == last
+    return np.array([*values, served, priciest, served and not priciest])
+
+
+def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
+    """The buyers and the items of a list of edges, as index arrays."""
+    buyers, items = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    return buyers, items
 
 
 def estimate_edge_guarantee(
@@ -308,9 +351,8 @@ def estimate_edge_guarantee(
 ) -> EstimateWithCI:
     """Monte Carlo estimate of E[util_buyer + rev_item] over fresh weight
     draws per trial, with the arrival order held fixed."""
-    _require_edge(instance, buyer, item)
-    estimates = _edge_sweep(
-        instance, _coerce_scheme(scheme), sigma, [(buyer, item)], trials, seed, level, jobs
+    estimates = edge_guarantee_sweep(
+        instance, scheme, sigma, trials, seed, level=level, jobs=jobs, edges=[(buyer, item)]
     )
     return estimates[(buyer, item)]
 
@@ -335,36 +377,18 @@ def edge_guarantee_sweep(
         _require_edge(instance, buyer, item)
     if not edges:
         raise ValueError("instance has no edges to sweep")
-    return _edge_sweep(instance, _coerce_scheme(scheme), sigma, edges, trials, seed, level, jobs)
-
-
-def _size_chunk(
-    instance: BipartiteInstance,
-    sigma: ArrivalOrder,
-    algorithm: str,
-    seed: int,
-    t0: int,
-    t1: int,
-):
-    adjacency = instance.adjacency
-    order = sigma.order
-    sum_s = 0.0
-    sumsq_s = 0.0
-    for t in range(t0, t1):
-        if algorithm == "ranking-market":
-            w = trial_rng(seed, t).random(instance.n_right)
-            assignment = _assign_min_score(adjacency, np.exp(w - 1.0).tolist(), order)
-            size = len(assignment) - assignment.count(None)
-        else:
-            size = random_greedy(instance, sigma, trial_rng(seed, t)).size
-        sum_s += size
-        sumsq_s += size * size
-    return sum_s, sumsq_s
+    observe = partial(_edge_values, *_edge_arrays(edges))
+    sum_x, sumsq_x = _estimate(
+        instance, sigma, PriceScheme(scheme), observe, trials, seed, level, jobs
+    )
+    return {
+        edge: _finish(float(sum_x[k]), float(sumsq_x[k]), trials, seed, level)
+        for k, edge in enumerate(edges)
+    }
 
 
 def estimate_matching_size(
     instance: BipartiteInstance,
-    algorithm: Algorithm,
     sigma: ArrivalOrder,
     trials: int,
     seed: int,
@@ -372,83 +396,36 @@ def estimate_matching_size(
     level: float = 0.999,
     jobs: int = 1,
 ) -> EstimateWithCI:
-    """Monte Carlo estimate of the expected matching size, with fresh
-    randomness (weights or greedy choices) per trial. Greedy is
-    deterministic, so its size is computed once and counts for every
-    trial."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if algorithm == "greedy":
-        size = greedy(instance, sigma).size
-        return _finish(float(size * trials), float(size * size * trials), trials, seed, level)
-    if algorithm not in ("ranking-market", "random-greedy"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    worker = partial(_size_chunk, instance, sigma, algorithm, seed)
-    total, total_sq = _combine(_run_chunks(worker, trials, jobs))
+    """Monte Carlo estimate of RANKING's expected matching size, run as the
+    exponential-price market with fresh weights per trial."""
+    total, total_sq = _estimate(
+        instance, sigma, PriceScheme.EXPONENTIAL, _matching_size, trials, seed, level, jobs
+    )
     return _finish(total, total_sq, trials, seed, level)
 
 
 def estimate_competitive_ratio(
     instance: BipartiteInstance,
-    algorithm: Algorithm,
     sigma: ArrivalOrder,
     trials: int,
     seed: int,
     *,
     level: float = 0.999,
     jobs: int = 1,
-) -> EstimateWithCI:
-    """Estimate of E[|M|] / |M*|, where |M*| is the offline optimum."""
+) -> tuple[EstimateWithCI, int]:
+    """Estimate of RANKING's E[|M|] / |M*|, returned together with the
+    offline optimum |M*|."""
     optimum = maximum_matching(instance).size
     if optimum == 0:
         raise ValueError("competitive ratio is undefined on an instance with optimum 0")
-    sizes = estimate_matching_size(
-        instance, algorithm, sigma, trials, seed, level=level, jobs=jobs
-    )
-    return EstimateWithCI(
-        mean=sizes.mean / optimum,
-        half_width=sizes.half_width / optimum,
-        trials=trials,
-        seed=seed,
-        level=level,
-    )
+    sizes = estimate_matching_size(instance, sigma, trials, seed, level=level, jobs=jobs)
+    ratio = replace(sizes, mean=sizes.mean / optimum, half_width=sizes.half_width / optimum)
+    return ratio, optimum
 
 
 # ---------------------------------------------------------------------------
 # The welfare chain and the uniform-price failure report
 # ---------------------------------------------------------------------------
-
-
-def _welfare_chunk(
-    instance: BipartiteInstance,
-    sigma: ArrivalOrder,
-    seed: int,
-    buyers: np.ndarray,
-    items: np.ndarray,
-    t0: int,
-    t1: int,
-):
-    adjacency = instance.adjacency
-    order = sigma.order
-    sum_m = 0.0
-    sumsq_m = 0.0
-    sum_e = 0.0
-    sumsq_e = 0.0
-    violations = 0
-    for t in range(t0, t1):
-        w = trial_rng(seed, t).random(instance.n_right)
-        plist = np.exp(w - 1.0).tolist()
-        assignment = _assign_min_score(adjacency, plist, order)
-        size = len(assignment) - assignment.count(None)
-        utils, revs = _settle(assignment, plist)
-        edge_sum = float(np.sum(np.array(utils)[buyers] + np.array(revs)[items]))
-        if size < edge_sum - _IDENTITY_TOL:
-            violations += 1
-        sum_m += size
-        sumsq_m += size * size
-        sum_e += edge_sum
-        sumsq_e += edge_sum * edge_sum
-    return sum_m, sumsq_m, sum_e, sumsq_e, violations
 
 
 @dataclass(frozen=True)
@@ -479,19 +456,17 @@ def check_welfare_bound(
 ) -> WelfareBound:
     """Estimate E[|M|] under exponential prices next to the per-M*-edge sum
     of util+rev and the (1 - 1/e)|M*| lower bound."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     optimum_pairs = maximum_matching(instance).pairs
-    buyers = np.array([p[0] for p in optimum_pairs], dtype=np.intp)
-    items = np.array([p[1] for p in optimum_pairs], dtype=np.intp)
-    worker = partial(_welfare_chunk, instance, sigma, seed, buyers, items)
-    sum_m, sumsq_m, sum_e, sumsq_e, violations = _combine(_run_chunks(worker, trials, jobs))
+    observe = partial(_welfare, *_edge_arrays(optimum_pairs))
+    total, total_sq = _estimate(
+        instance, sigma, PriceScheme.EXPONENTIAL, observe, trials, seed, level, jobs
+    )
     return WelfareBound(
-        matching_size=_finish(sum_m, sumsq_m, trials, seed, level),
-        matched_edge_sum=_finish(sum_e, sumsq_e, trials, seed, level),
+        matching_size=_finish(float(total[0]), float(total_sq[0]), trials, seed, level),
+        matched_edge_sum=_finish(float(total[1]), float(total_sq[1]), trials, seed, level),
         lower_bound=GUARANTEE * len(optimum_pairs),
         optimum=len(optimum_pairs),
-        pointwise_violations=violations,
+        pointwise_violations=int(total[2]),
     )
 
 
@@ -522,39 +497,6 @@ class LastBuyerReport:
     reference_probability: float
 
 
-def _last_buyer_chunk(instance: BipartiteInstance, seed: int, t0: int, t1: int):
-    adjacency = instance.adjacency
-    n = instance.n_right
-    last = n - 1
-    order = range(n)  # identity arrival order
-    sum_x = [0.0, 0.0]  # exponential, uniform
-    sumsq_x = [0.0, 0.0]
-    served = priciest = served_without_priciest = 0
-    for t in range(t0, t1):
-        w = trial_rng(seed, t).random(n)
-        exp_prices = np.exp(w - 1.0).tolist()
-        uni_prices = w.tolist()
-        assignment = _assign_min_score(adjacency, exp_prices, order)
-        # np.exp keeps the order of the weights, but rounding can merge two
-        # distinct weights into one price. That tie goes to the lower index,
-        # while the uniform market takes the lower weight: only then can the
-        # two markets differ, so only then is the uniform market run.
-        uni_assignment = assignment
-        if len(set(exp_prices)) < n:
-            uni_assignment = _assign_min_score(adjacency, uni_prices, order)
-        for s, prices, chosen in ((0, exp_prices, assignment), (1, uni_prices, uni_assignment)):
-            utils, revs = _settle(chosen, prices)
-            x = utils[last] + revs[last]
-            sum_x[s] += x
-            sumsq_x[s] += x * x
-        got_item = assignment[last] is not None
-        is_priciest = int(np.argmax(w)) == last
-        served += got_item
-        priciest += is_priciest
-        served_without_priciest += got_item and not is_priciest
-    return sum_x[0], sumsq_x[0], sum_x[1], sumsq_x[1], served, priciest, served_without_priciest
-
-
 def last_buyer_report(
     n: int,
     trials: int,
@@ -572,20 +514,21 @@ def last_buyer_report(
     """
     if n < 2:
         raise ValueError("the report needs n >= 2")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    worker = partial(_last_buyer_chunk, kvv_hard_instance(n), seed)
-    sum_e, sumsq_e, sum_u, sumsq_u, served, priciest, bad = _combine(
-        _run_chunks(worker, trials, jobs)
+    instance = kvv_hard_instance(n)
+    observe = partial(_last_buyer, instance.adjacency)
+    total, total_sq = _estimate(
+        instance, ArrivalOrder.identity(n), PriceScheme.EXPONENTIAL, observe,
+        trials, seed, level, jobs,
     )
+    served, priciest, bad = (int(c) for c in total[2:])
     # Bernoulli sums: the sum of squares equals the sum
     return LastBuyerReport(
         n=n,
         trials=trials,
         seed=seed,
         level=level,
-        exponential=_finish(sum_e, sumsq_e, trials, seed, level),
-        uniform=_finish(sum_u, sumsq_u, trials, seed, level),
+        exponential=_finish(float(total[0]), float(total_sq[0]), trials, seed, level),
+        uniform=_finish(float(total[1]), float(total_sq[1]), trials, seed, level),
         service_probability=_finish(served, served, trials, seed, level),
         priciest_last_probability=_finish(priciest, priciest, trials, seed, level),
         service_without_priciest=bad,
@@ -666,8 +609,6 @@ def property_sweep(
     otherwise each trial draws a fresh random instance with sides up to
     max_side. All three are theorems, so any violation is a bug.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if instance is not None and instance.edge_count == 0:
         raise ValueError("property sweep needs an instance with at least one edge")
     worker = partial(_property_chunk, instance, max_side, seed)

@@ -41,7 +41,7 @@ from .instance import (
     random_bipartite,
     serialize,
 )
-from .matchers import exact_ranking_expectation, maximum_matching
+from .matchers import exact_ranking_expectation
 from .market import PriceScheme, prices_from_weights, run_market
 
 _AUX_INSTANCE = 0
@@ -172,10 +172,9 @@ def cmd_ratio(args) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     instance, source = _load_instance(args, seed)
     sigma = _resolve_sigma(args, instance.n_left, seed)
-    optimum = maximum_matching(instance).size
     started = time.perf_counter()
-    est = estimate_competitive_ratio(
-        instance, "ranking-market", sigma, args.trials, seed, level=args.level, jobs=args.jobs
+    est, optimum = estimate_competitive_ratio(
+        instance, sigma, args.trials, seed, level=args.level, jobs=args.jobs
     )
     _log(f"ratio: mean {est.mean:.6f} over {args.trials} trials, seed {seed} "
          f"({time.perf_counter() - started:.1f}s)")
@@ -300,7 +299,7 @@ def cmd_oracle_check(args) -> int:
     exact: Fraction = exact_ranking_expectation(instance, sigma)
     started = time.perf_counter()
     mc = estimate_matching_size(
-        instance, "ranking-market", sigma, args.trials, seed, level=args.level, jobs=args.jobs
+        instance, sigma, args.trials, seed, level=args.level, jobs=args.jobs
     )
     diff = abs(float(exact) - mc.mean)
     deviation = diff / mc.half_width if mc.half_width > 0 else 0.0

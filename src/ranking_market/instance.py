@@ -10,6 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest side size `parse` accepts. An instance costs memory per vertex
+# (a neighbour set per left vertex, a flag per right vertex in every
+# market run), so a two-number header alone could otherwise ask for
+# unbounded memory. A million per side leaves room for long chains.
+MAX_SIDE = 1_000_000
+
 
 @dataclass(frozen=True)
 class BipartiteInstance:
@@ -165,8 +171,8 @@ def serialize(instance: BipartiteInstance) -> str:
 
 
 def parse(text: str) -> BipartiteInstance:
-    """Parse the interchange format; malformed input raises ValueError with
-    the 1-based line number."""
+    """Parse the interchange format; malformed input, and a header with a side
+    larger than MAX_SIDE, raise ValueError with the 1-based line number."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -183,6 +189,8 @@ def parse(text: str) -> BipartiteInstance:
         if header is None:
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: side sizes must be non-negative")
+            if a > MAX_SIDE or b > MAX_SIDE:
+                raise ValueError(f"line {lineno}: side sizes must be at most {MAX_SIDE}")
             header = (a, b)
         else:
             if not (0 <= a < header[0]) or not (0 <= b < header[1]):

@@ -1,4 +1,4 @@
-"""Matching algorithms: online (RANKING, greedy, random greedy), the offline
+"""Matching algorithms: online (RANKING and greedy), the offline
 maximum-matching solver, and exact brute-force oracles for small instances."""
 
 from __future__ import annotations
@@ -7,8 +7,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .instance import ArrivalOrder, BipartiteInstance, RightPermutation
 
@@ -96,22 +94,6 @@ def greedy(instance: BipartiteInstance, sigma: ArrivalOrder) -> Matching:
     arrival takes its lowest-index unmatched neighbor. The output is always a
     maximal matching."""
     return ranking(instance, RightPermutation.identity(instance.n_right), sigma)
-
-
-def random_greedy(instance: BipartiteInstance, sigma: ArrivalOrder, seed) -> Matching:
-    """Greedy with each arrival choosing uniformly at random among its
-    currently unmatched neighbors. Deterministic given the seed."""
-    _check_sigma(instance, sigma)
-    rng = np.random.default_rng(seed)
-    available = [True] * instance.n_right
-    assignment: list[int | None] = [None] * instance.n_left
-    for b in sigma.order:
-        open_neighbors = [j for j in instance.adjacency[b] if available[j]]
-        if open_neighbors:
-            j = open_neighbors[int(rng.integers(len(open_neighbors)))]
-            available[j] = False
-            assignment[b] = j
-    return Matching(tuple(assignment))
 
 
 def maximum_matching(instance: BipartiteInstance) -> Matching:

@@ -91,3 +91,10 @@ def availability_sets(
         - {assignment[b] for b in order[:k] if assignment[b] is not None}
         for k in range(len(order) + 1)
     ]
+
+
+class NoPool:
+    """Stands in for ProcessPoolExecutor where no pool may be started."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")

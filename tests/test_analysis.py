@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -17,18 +18,21 @@ from ranking_market import (
     estimate_competitive_ratio,
     estimate_edge_guarantee,
     estimate_matching_size,
+    greedy,
     kvv_hard_instance,
     last_buyer_report,
     make_instance,
+    maximum_matching,
     prices_from_weights,
     property_sweep,
+    random_bipartite,
     ranking,
     RightPermutation,
     trial_rng,
 )
 from ranking_market import analysis, run_market, without_right_vertex
 from ranking_market.analysis import _markets, _nested_availability
-from helpers import availability_sets, random_instance, reference_assignment
+from helpers import NoPool, availability_sets, random_instance, reference_assignment
 
 EXP = PriceScheme.EXPONENTIAL
 UNI = PriceScheme.UNIFORM
@@ -167,12 +171,84 @@ def test_estimators_are_reproducible_and_jobs_invariant():
     b = edge_guarantee_sweep(inst, EXP, sigma, trials=5000, seed=13)
     c = edge_guarantee_sweep(inst, EXP, sigma, trials=5000, seed=13, jobs=3)
     assert a == b == c
-    r1 = estimate_matching_size(inst, "ranking-market", sigma, 5000, 21)
-    r2 = estimate_matching_size(inst, "ranking-market", sigma, 5000, 21, jobs=2)
+    r1 = estimate_matching_size(inst, sigma, 5000, 21)
+    r2 = estimate_matching_size(inst, sigma, 5000, 21, jobs=2)
     assert r1 == r2
     s1 = property_sweep(3000, seed=2, instance=inst)
     s2 = property_sweep(3000, seed=2, instance=inst, jobs=2)
     assert s1 == s2
+
+
+# sha256 over the reprs of golden_results(), captured from the estimators at
+# these inputs. Any change to a random stream, to a tie-break or to the order
+# in which trials and chunks are added changes it.
+GOLDEN_DIGEST = "7b70f2a31df1e7b28c95059058ab19d6fad70e204cf7d7ae23d51a24132f3f83"
+
+
+def golden_results() -> list:
+    kvv5 = kvv_hard_instance(5)
+    ident = ArrivalOrder.identity(5)
+    rand = random_bipartite(6, 5, 0.5, np.random.default_rng(7))
+    sigma = ArrivalOrder.random(6, np.random.default_rng(8))
+    out = []
+    for scheme in (EXP, UNI):
+        for jobs in (1, 2):
+            out.append(edge_guarantee_sweep(kvv5, scheme, ident, 4500, 3, jobs=jobs))
+        out.append(edge_guarantee_sweep(rand, scheme, sigma, 700, 4, level=0.95))
+        out.append(estimate_edge_guarantee(rand, *rand.edges[-1], scheme, sigma, 500, 9))
+    out.append(check_welfare_bound(kvv5, ident, 1500, 5))
+    out.append(check_welfare_bound(rand, sigma, 1500, 6, level=0.9))
+    out.append(estimate_matching_size(kvv5, ident, 900, 10))
+    out.append(estimate_matching_size(rand, sigma, 900, 11, level=0.99))
+    for n in (2, 5, 50):
+        out.append(last_buyer_report(n, 1000, 7))
+    out.append(last_buyer_report(5, 2100, 7, jobs=2))
+    return out
+
+
+def test_estimator_results_match_the_golden_digest():
+    results = golden_results()
+    # three chunks, so jobs=2 runs a pool of two workers and the chunk order
+    # of the reduction shows in the digest
+    assert results[0] == results[1] and results[4] == results[5]
+    assert results[-1] == last_buyer_report(5, 2100, 7)
+    text = "\n".join(repr(r) for r in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
+
+
+def _every_estimator(inst, sigma, trials, **kw):
+    """Call each Monte Carlo entry point once with the given keywords."""
+    return [
+        lambda: edge_guarantee_sweep(inst, EXP, sigma, trials, 1, **kw),
+        lambda: estimate_edge_guarantee(inst, 0, 0, UNI, sigma, trials, 1, **kw),
+        lambda: estimate_matching_size(inst, sigma, trials, 1, **kw),
+        lambda: estimate_competitive_ratio(inst, sigma, trials, 1, **kw),
+        lambda: check_welfare_bound(inst, sigma, trials, 1, **kw),
+        lambda: last_buyer_report(inst.n_right, trials, 1, **kw),
+    ]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_rejected(monkeypatch, jobs):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
+    inst = kvv_hard_instance(3)
+    calls = _every_estimator(inst, ArrivalOrder.identity(3), 5000, jobs=jobs)
+    calls.append(lambda: property_sweep(5000, 1, jobs=jobs))
+    for call in calls:
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            call()
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 5.0, -0.5])
+def test_invalid_level_is_rejected_before_any_trial(monkeypatch, level):
+    def no_trial(seed, t):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(analysis, "trial_rng", no_trial)
+    inst = kvv_hard_instance(3)
+    for call in _every_estimator(inst, ArrivalOrder.identity(3), 1, level=level):
+        with pytest.raises(ValueError, match="confidence level"):
+            call()
 
 
 def test_trial_rng_streams():
@@ -182,33 +258,20 @@ def test_trial_rng_streams():
 
 def test_ratio_single_edge_exact():
     inst = make_instance(1, 1, [(0, 0)])
-    est = estimate_competitive_ratio(
-        inst, "ranking-market", ArrivalOrder.identity(1), trials=500, seed=1
-    )
+    est, optimum = estimate_competitive_ratio(inst, ArrivalOrder.identity(1), trials=500, seed=1)
     assert est.mean == 1.0
     assert est.half_width == 0.0
+    assert optimum == 1
 
 
 def test_ratio_greedy_half_exhibit():
     inst = make_instance(2, 2, [(0, 0), (0, 1), (1, 0)])
-    est = estimate_competitive_ratio(inst, "greedy", ArrivalOrder.identity(2), 1, 1)
-    assert est.mean == 0.5
-    assert est.half_width == 0.0
+    assert greedy(inst, ArrivalOrder.identity(2)).size / maximum_matching(inst).size == 0.5
 
 
 def test_ratio_rejects_zero_optimum():
     with pytest.raises(ValueError):
-        estimate_competitive_ratio(
-            make_instance(2, 2, []), "ranking-market", ArrivalOrder.identity(2), 10, 1
-        )
-
-
-def test_random_greedy_ratio_is_sane():
-    inst = kvv_hard_instance(5)
-    est = estimate_competitive_ratio(
-        inst, "random-greedy", ArrivalOrder.identity(5), trials=2000, seed=4
-    )
-    assert 0.5 <= est.mean <= 1.0
+        estimate_competitive_ratio(make_instance(2, 2, []), ArrivalOrder.identity(2), 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +399,16 @@ def test_edge_guarantee_agrees_with_direct_average():
 # ---------------------------------------------------------------------------
 
 
-def count_calls(monkeypatch, name: str = "_assign_min_score") -> list[int]:
-    """Count the calls analysis makes to one of its module attributes
-    (default: the assignment kernel)."""
+def count_calls(monkeypatch) -> list[int]:
+    """Count the calls analysis makes to the assignment kernel."""
     calls = [0]
-    fn = getattr(analysis, name)
+    fn = analysis._assign_min_score
 
     def counting(*args):
         calls[0] += 1
         return fn(*args)
 
-    monkeypatch.setattr(analysis, name, counting)
+    monkeypatch.setattr(analysis, "_assign_min_score", counting)
     return calls
 
 
@@ -363,14 +425,6 @@ def test_property_sweep_simulates_two_markets_per_tuple(monkeypatch):
     calls[0] = 0
     property_sweep(300, seed=3, instance=kvv_hard_instance(5))
     assert calls[0] == 2 * 300
-
-
-def test_greedy_size_is_computed_once(monkeypatch):
-    calls = count_calls(monkeypatch, "greedy")
-    inst = make_instance(2, 2, [(0, 0), (0, 1), (1, 0)])
-    est = estimate_matching_size(inst, "greedy", ArrivalOrder.identity(2), 5000, 1)
-    assert calls[0] == 1
-    assert est.mean == 1.0 and est.half_width == 0.0 and est.trials == 5000
 
 
 class _FixedDraw:
@@ -449,9 +503,9 @@ def test_pool_size_is_bounded(monkeypatch, jobs, chunks, cpus, expected):
     inst = kvv_hard_instance(3)
     sigma = ArrivalOrder.identity(3)
     trials = 2048 * (chunks - 1) + 5
-    est = estimate_matching_size(inst, "ranking-market", sigma, trials, 8, jobs=jobs)
+    est = estimate_matching_size(inst, sigma, trials, 8, jobs=jobs)
     assert _RecordingPool.requested == ([] if expected is None else [expected])
-    assert est == estimate_matching_size(inst, "ranking-market", sigma, trials, 8)
+    assert est == estimate_matching_size(inst, sigma, trials, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from ranking_market import cli
+from ranking_market import analysis, cli
+from ranking_market import instance as instance_module
 from ranking_market.cli import main
+from helpers import NoPool
 
 
 def run_cli(capsys, *argv):
@@ -245,3 +247,68 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: boom\n"
+
+
+def test_ratio_computes_the_optimum_once(monkeypatch, capsys):
+    calls = []
+    real = analysis.maximum_matching
+
+    def counting(instance):
+        calls.append(instance.n_left)
+        return real(instance)
+
+    # cli is patched too, so an optimum computed there would be counted
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "maximum_matching", counting, raising=False)
+    code, out = run_cli(capsys, "ratio", "--kvv", "4", "--trials", "20", "--seed", "1")
+    assert code == 0
+    assert calls == [4]
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["optimum"] == "4"
+
+
+def _no_trial(seed, t):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("trials", ["1", "3"])
+@pytest.mark.parametrize(
+    "argv",
+    [["ratio", "--kvv", "3"], ["claim1", "--kvv", "3"], ["remark3", "--n", "3"],
+     ["oracle-check", "--kvv", "3"]],
+)
+def test_invalid_level_exits_2_before_any_trial(monkeypatch, capsys, argv, trials):
+    # a trial would raise AssertionError, which main reports as exit 3
+    monkeypatch.setattr(analysis, "trial_rng", _no_trial)
+    code = main(argv + ["--trials", trials, "--seed", "1", "--level", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "confidence level" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [["claim1", "--kvv", "3", "--trials", "5000"], ["ratio", "--kvv", "3", "--trials", "5000"],
+     ["remark3", "--n", "3", "--trials", "5000"], ["properties", "--sweep", "5000"]],
+)
+def test_jobs_below_one_exits_2(monkeypatch, capsys, argv, jobs):
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
+    code = main(argv + ["--seed", "1", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "jobs must be >= 1" in captured.err
+
+
+def test_oversize_file_header_exits_2(monkeypatch, tmp_path, capsys):
+    def no_instance(*args):
+        raise AssertionError("make_instance was reached")
+
+    monkeypatch.setattr(instance_module, "make_instance", no_instance)
+    inst = tmp_path / "huge.txt"
+    inst.write_text("1000000000 1000000000\n")
+    code = main(["ratio", "--file", str(inst), "--trials", "3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "line 1" in captured.err

@@ -13,6 +13,8 @@ from ranking_market import (
     serialize,
     without_right_vertex,
 )
+from ranking_market import instance as instance_module
+from ranking_market.instance import MAX_SIDE
 
 
 def test_make_instance_single_edge():
@@ -86,6 +88,25 @@ def test_parse_comments_and_blank_lines():
 def test_parse_out_of_range_reports_line():
     with pytest.raises(ValueError, match="line 3"):
         parse("# header\n2 2\n0 5\n")
+
+
+def test_parse_rejects_an_oversize_header_before_allocating(monkeypatch):
+    def no_instance(*args):
+        raise AssertionError("make_instance was reached")
+
+    monkeypatch.setattr(instance_module, "make_instance", no_instance)
+    big = MAX_SIDE + 1
+    for text, line in [
+        ("1000000000 1000000000\n", 1),
+        ("# a comment\n\n3 1000000000\n0 0\n", 3),
+        (f"{big} 1\n", 1),
+        (f"1 {big}\n", 1),
+    ]:
+        with pytest.raises(ValueError, match=f"line {line}: side sizes must be at most"):
+            parse(text)
+    # the bound itself is accepted
+    monkeypatch.setattr(instance_module, "make_instance", lambda *args: args)
+    assert parse(f"{MAX_SIDE} {MAX_SIDE}\n") == (MAX_SIDE, MAX_SIDE, [])
 
 
 def test_parse_malformed_reports_line():

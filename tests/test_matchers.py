@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ from ranking_market import (
     kvv_hard_instance,
     make_instance,
     maximum_matching,
-    random_greedy,
     ranking,
     validate_matching,
 )
@@ -66,42 +64,19 @@ def test_greedy_no_edges():
     assert greedy(make_instance(3, 3, []), ArrivalOrder.identity(3)).size == 0
 
 
-def test_random_greedy_forced_edge():
-    inst = make_instance(1, 1, [(0, 0)])
-    for seed in range(10):
-        assert random_greedy(inst, ArrivalOrder.identity(1), seed).assignment == (0,)
-
-
-def test_random_greedy_deterministic_by_seed():
-    inst = kvv_hard_instance(6)
-    sigma = ArrivalOrder.identity(6)
-    assert random_greedy(inst, sigma, 11) == random_greedy(inst, sigma, 11)
-
-
-def test_random_greedy_splits_evenly():
-    # first buyer picks r_0 or r_1 uniformly; size 2 iff it picks r_1
-    inst = make_instance(2, 2, [(0, 0), (0, 1), (1, 0)])
-    trials = 4000
-    hits = sum(
-        random_greedy(inst, IDENTITY2, seed).size == 2 for seed in range(trials)
-    )
-    se = math.sqrt(0.25 / trials)
-    assert abs(hits / trials - 0.5) <= 4 * se
-
-
 def test_greedy_outputs_are_maximal():
     rng = np.random.default_rng(21)
     for _ in range(40):
         inst = random_instance(rng, max_side=8)
         sigma = ArrivalOrder.random(inst.n_left, rng)
-        for m in (greedy(inst, sigma), random_greedy(inst, sigma, rng)):
-            validate_matching(m, inst)
-            matched_right = {j for j in m.assignment if j is not None}
-            for i, j in enumerate(m.assignment):
-                if j is None:
-                    assert all(k in matched_right for k in inst.adjacency[i])
-            # maximality implies at least half the optimum
-            assert 2 * m.size >= maximum_matching(inst).size
+        m = greedy(inst, sigma)
+        validate_matching(m, inst)
+        matched_right = {j for j in m.assignment if j is not None}
+        for i, j in enumerate(m.assignment):
+            if j is None:
+                assert all(k in matched_right for k in inst.adjacency[i])
+        # maximality implies at least half the optimum
+        assert 2 * m.size >= maximum_matching(inst).size
 
 
 def test_maximum_matching_examples():
@@ -189,7 +164,7 @@ def test_monte_carlo_matches_exact_expectation():
     inst = kvv_hard_instance(5)
     sigma = ArrivalOrder.identity(5)
     exact = float(exact_ranking_expectation(inst, sigma))
-    est = estimate_matching_size(inst, "ranking-market", sigma, trials=40_000, seed=8)
+    est = estimate_matching_size(inst, sigma, trials=40_000, seed=8)
     assert abs(est.mean - exact) <= 4 * est.stderr
 
 
