@@ -24,7 +24,7 @@ import numpy as np
 
 from .instance import ArrivalOrder, BipartiteInstance, kvv_hard_instance, random_bipartite
 from .matchers import _assign_min_score, maximum_matching
-from .market import PriceAssignment, PriceScheme, _settle, prices_from_weights
+from .market import PriceAssignment, PriceScheme, _price_list, _settle, prices_from_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -86,11 +86,17 @@ def _finish(total: float, total_sq: float, trials: int, seed: int, level: float)
     )
 
 
-def _run_chunks(worker, trials: int, jobs: int) -> list:
+def _check_run(trials: int, jobs: int, level: float | None = None) -> None:
+    """Every estimator's first step: bad arguments fail before any setup."""
+    if level is not None:
+        _z(level)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
+def _run_chunks(worker, trials: int, jobs: int) -> list:
     spans = [(t0, min(t0 + _CHUNK_TRIALS, trials)) for t0 in range(0, trials, _CHUNK_TRIALS)]
     # the pool starts all its workers at once, so never more than can be busy
     workers = min(jobs, len(spans), os.cpu_count() or 1)
@@ -258,11 +264,10 @@ def _trial_chunk(
     x = observe(weights, prices, assignment) and of x * x, added in trial
     order. x is a number or a numpy vector of several quantities."""
     adjacency, order, n_right = instance.adjacency, sigma.order, instance.n_right
-    exponential = scheme is PriceScheme.EXPONENTIAL
     total = total_sq = 0.0
     for t in range(t0, t1):
         w = trial_rng(seed, t).random(n_right)
-        prices = (np.exp(w - 1.0) if exponential else w).tolist()
+        prices = _price_list(w, scheme)
         x = observe(w, prices, _assign_min_score(adjacency, prices, order))
         total += x
         total_sq += x * x
@@ -276,11 +281,9 @@ def _estimate(
     observe,
     trials: int,
     seed: int,
-    level: float,
     jobs: int,
 ):
     """The totals of _trial_chunk over trials 0..trials-1, for any jobs."""
-    _z(level)  # an invalid level fails before the first trial, not after the last
     worker = partial(_trial_chunk, instance, sigma, scheme, observe, seed)
     return _combine(_run_chunks(worker, trials, jobs))
 
@@ -314,7 +317,7 @@ def _last_buyer(adjacency, w, exp_prices, assignment) -> np.ndarray:
     last buyer is served, the last item is the priciest, served without it]."""
     n = len(exp_prices)
     last = n - 1
-    uni_prices = w.tolist()
+    uni_prices = _price_list(w, PriceScheme.UNIFORM)
     # np.exp keeps the order of the weights, but rounding can merge two
     # distinct weights into one price. That tie goes to the lower index,
     # while the uniform market takes the lower weight: only then can the
@@ -371,6 +374,7 @@ def edge_guarantee_sweep(
     """Per-edge guarantee estimates for every requested edge (default: all
     edges), sharing one market simulation per trial. Identical to calling
     estimate_edge_guarantee per edge with the same seed."""
+    _check_run(trials, jobs, level)
     if edges is None:
         edges = list(instance.edges)
     for buyer, item in edges:
@@ -379,7 +383,7 @@ def edge_guarantee_sweep(
         raise ValueError("instance has no edges to sweep")
     observe = partial(_edge_values, *_edge_arrays(edges))
     sum_x, sumsq_x = _estimate(
-        instance, sigma, PriceScheme(scheme), observe, trials, seed, level, jobs
+        instance, sigma, PriceScheme(scheme), observe, trials, seed, jobs
     )
     return {
         edge: _finish(float(sum_x[k]), float(sumsq_x[k]), trials, seed, level)
@@ -398,8 +402,9 @@ def estimate_matching_size(
 ) -> EstimateWithCI:
     """Monte Carlo estimate of RANKING's expected matching size, run as the
     exponential-price market with fresh weights per trial."""
+    _check_run(trials, jobs, level)
     total, total_sq = _estimate(
-        instance, sigma, PriceScheme.EXPONENTIAL, _matching_size, trials, seed, level, jobs
+        instance, sigma, PriceScheme.EXPONENTIAL, _matching_size, trials, seed, jobs
     )
     return _finish(total, total_sq, trials, seed, level)
 
@@ -415,6 +420,7 @@ def estimate_competitive_ratio(
 ) -> tuple[EstimateWithCI, int]:
     """Estimate of RANKING's E[|M|] / |M*|, returned together with the
     offline optimum |M*|."""
+    _check_run(trials, jobs, level)
     optimum = maximum_matching(instance).size
     if optimum == 0:
         raise ValueError("competitive ratio is undefined on an instance with optimum 0")
@@ -456,10 +462,11 @@ def check_welfare_bound(
 ) -> WelfareBound:
     """Estimate E[|M|] under exponential prices next to the per-M*-edge sum
     of util+rev and the (1 - 1/e)|M*| lower bound."""
+    _check_run(trials, jobs, level)
     optimum_pairs = maximum_matching(instance).pairs
     observe = partial(_welfare, *_edge_arrays(optimum_pairs))
     total, total_sq = _estimate(
-        instance, sigma, PriceScheme.EXPONENTIAL, observe, trials, seed, level, jobs
+        instance, sigma, PriceScheme.EXPONENTIAL, observe, trials, seed, jobs
     )
     return WelfareBound(
         matching_size=_finish(float(total[0]), float(total_sq[0]), trials, seed, level),
@@ -512,13 +519,14 @@ def last_buyer_report(
     The exponential estimate meets the 1 - 1/e bound; the uniform estimate
     sits near 1/2, which is the whole point of the exponential price curve.
     """
+    _check_run(trials, jobs, level)
     if n < 2:
         raise ValueError("the report needs n >= 2")
     instance = kvv_hard_instance(n)
     observe = partial(_last_buyer, instance.adjacency)
     total, total_sq = _estimate(
         instance, ArrivalOrder.identity(n), PriceScheme.EXPONENTIAL, observe,
-        trials, seed, level, jobs,
+        trials, seed, jobs,
     )
     served, priciest, bad = (int(c) for c in total[2:])
     # Bernoulli sums: the sum of squares equals the sum
@@ -609,6 +617,7 @@ def property_sweep(
     otherwise each trial draws a fresh random instance with sides up to
     max_side. All three are theorems, so any violation is a bug.
     """
+    _check_run(trials, jobs)
     if instance is not None and instance.edge_count == 0:
         raise ValueError("property sweep needs an instance with at least one edge")
     worker = partial(_property_chunk, instance, max_side, seed)

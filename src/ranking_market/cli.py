@@ -1,11 +1,14 @@
 """Command-line front end: instance generation, experiment execution, and
 machine-readable CSV/JSON output.
 
-Machine output goes to stdout (or --out); human summaries and timing go to
-stderr. Numeric fields carry 12 significant digits. Every randomized
-subcommand prints its effective master seed in the machine output, and
-rerunning with that seed reproduces the output byte for byte, for any
---jobs setting.
+`main` runs every subcommand through one pipeline: resolve the master seed
+(a fresh 48-bit one without --seed), load the instance and arrival order the
+subcommand takes, time its computation, write one stderr line
+"<subcommand>: <summary>, seed S (T s)" and emit its rows, each ending with
+the seed, to stdout (or --out). That machine output is the byte contract:
+rerunning with its seed reproduces it byte for byte, for any --jobs setting.
+Numeric fields carry 12 significant digits; JSON "config" keys follow
+_CONFIG_KEYS. Stderr (summary, timing, errors) is not part of the contract.
 
 Exit codes: 0 all requested assertions pass, 1 an assertion failed,
 2 usage or input errors, 3 an unexpected internal error (a bug, reported
@@ -47,6 +50,13 @@ from .market import PriceScheme, prices_from_weights, run_market
 _AUX_INSTANCE = 0
 _AUX_SIGMA = 1
 
+# Keys of the JSON config, in output order. A subcommand's config holds the
+# ones its parser defines, plus "instance" (its source label, or
+# "random-per-trial" for `properties` without one) when it takes an instance.
+_CONFIG_KEYS = (
+    "subcommand", "instance", "n", "scheme", "sigma", "trials", "sweep", "seed", "level"
+)
+
 
 def _fresh_seed() -> int:
     return secrets.randbits(48)
@@ -86,10 +96,6 @@ def _emit(args, config: dict, header: list[str], rows: list[list]) -> None:
     _write_output(args, text)
 
 
-def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # Shared argument groups
 # ---------------------------------------------------------------------------
@@ -127,79 +133,67 @@ def _add_scheme_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=("exp", "uniform"), default="exp")
 
 
-def _load_instance(args, seed: int | None) -> tuple[BipartiteInstance, str]:
+def _load_instance(args) -> tuple[BipartiteInstance | None, str]:
+    """The instance a subcommand runs on, with its source label."""
     if args.kvv is not None:
         return kvv_hard_instance(args.kvv), f"kvv:{args.kvv}"
     if args.random is not None:
         n_left, n_right = int(args.random[0]), int(args.random[1])
         prob = float(args.random[2])
-        inst = random_bipartite(n_left, n_right, prob, aux_rng(seed, _AUX_INSTANCE))
+        inst = random_bipartite(n_left, n_right, prob, aux_rng(args.seed, _AUX_INSTANCE))
         return inst, f"random:{n_left}:{n_right}:{_cell(_round12(prob))}"
-    text = Path(args.file).read_text()
-    return parse(text), f"file:{args.file}"
+    if args.file is not None:
+        if args.subcommand == "gen":
+            raise ValueError("gen needs a generator spec (--kvv or --random), not --file")
+        text = Path(args.file).read_text()
+        return parse(text), f"file:{args.file}"
+    return None, "random-per-trial"  # only `properties` may omit the instance
 
 
-def _resolve_sigma(args, n_left: int, seed: int) -> ArrivalOrder:
+def _resolve_sigma(args, n_left: int) -> ArrivalOrder:
     if args.sigma == "identity":
         return ArrivalOrder.identity(n_left)
     if args.sigma == "reversed":
         return ArrivalOrder.reversed(n_left)
-    return ArrivalOrder.random(n_left, aux_rng(seed, _AUX_SIGMA))
+    return ArrivalOrder.random(n_left, aux_rng(args.seed, _AUX_SIGMA))
+
+
+def _config(args) -> dict:
+    """The JSON config: the _CONFIG_KEYS the subcommand has, in that order."""
+    return {key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)}
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes (args, instance, sigma) after main has resolved the
+# seed, the instance and the arrival order, and returns (exit code, stderr
+# summary, header, rows); main appends the seed column to the rows.
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    if args.file is not None:
-        raise ValueError("gen needs a generator spec (--kvv or --random), not --file")
+def cmd_gen(args, instance, sigma):
     if args.kvv is not None:
-        instance = kvv_hard_instance(args.kvv)
         head = f"# generator: kvv n={args.kvv}\n"
     else:
-        seed = args.seed if args.seed is not None else _fresh_seed()
-        instance, _ = _load_instance(args, seed)
-        n_left, n_right = int(args.random[0]), int(args.random[1])
         prob = _cell(_round12(float(args.random[2])))
-        head = f"# generator: random n_left={n_left} n_right={n_right} edge_prob={prob} seed={seed}\n"
+        head = (f"# generator: random n_left={instance.n_left} n_right={instance.n_right} "
+                f"edge_prob={prob} seed={args.seed}\n")
     _write_output(args, head + serialize(instance))
-    return 0
+    return 0, f"{instance.edge_count} edges", None, None
 
 
-def cmd_ratio(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    instance, source = _load_instance(args, seed)
-    sigma = _resolve_sigma(args, instance.n_left, seed)
-    started = time.perf_counter()
+def cmd_ratio(args, instance, sigma):
     est, optimum = estimate_competitive_ratio(
-        instance, sigma, args.trials, seed, level=args.level, jobs=args.jobs
+        instance, sigma, args.trials, args.seed, level=args.level, jobs=args.jobs
     )
-    _log(f"ratio: mean {est.mean:.6f} over {args.trials} trials, seed {seed} "
-         f"({time.perf_counter() - started:.1f}s)")
-    config = {
-        "subcommand": "ratio",
-        "instance": source,
-        "sigma": args.sigma,
-        "trials": args.trials,
-        "seed": seed,
-        "level": args.level,
-    }
-    header = ["mean_ratio", "half_width", "level", "optimum", "trials", "seed"]
-    _emit(args, config, header, [[est.mean, est.half_width, args.level, optimum, args.trials, seed]])
-    return 0
+    header = ["mean_ratio", "half_width", "level", "optimum", "trials"]
+    rows = [[est.mean, est.half_width, args.level, optimum, args.trials]]
+    return 0, f"mean {est.mean:.6f} over {args.trials} trials", header, rows
 
 
-def cmd_claim1(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    instance, source = _load_instance(args, seed)
-    sigma = _resolve_sigma(args, instance.n_left, seed)
-    scheme = PriceScheme(args.scheme)
+def cmd_claim1(args, instance, sigma):
     edges = [tuple(args.edge)] if args.edge is not None else None
-    started = time.perf_counter()
     estimates = edge_guarantee_sweep(
-        instance, scheme, sigma, args.trials, seed,
+        instance, PriceScheme(args.scheme), sigma, args.trials, args.seed,
         level=args.level, jobs=args.jobs, edges=edges,
     )
     rows = []
@@ -207,114 +201,63 @@ def cmd_claim1(args) -> int:
     for (i, j), est in estimates.items():
         ok = est.mean >= GUARANTEE - 4.0 * est.half_width
         passes += ok
-        rows.append([i, j, est.mean, est.half_width, ok, args.trials, seed])
-    _log(f"claim1: {passes}/{len(rows)} edges meet the 1-1/e bound, seed {seed} "
-         f"({time.perf_counter() - started:.1f}s)")
-    config = {
-        "subcommand": "claim1",
-        "instance": source,
-        "scheme": args.scheme,
-        "sigma": args.sigma,
-        "trials": args.trials,
-        "seed": seed,
-        "level": args.level,
-    }
-    header = ["i", "j", "mean", "half_width", "passed", "trials", "seed"]
-    _emit(args, config, header, rows)
-    return 0 if passes == len(rows) else 1
+        rows.append([i, j, est.mean, est.half_width, ok, args.trials])
+    header = ["i", "j", "mean", "half_width", "passed", "trials"]
+    code = 0 if passes == len(rows) else 1
+    return code, f"{passes}/{len(rows)} edges meet the 1-1/e bound", header, rows
 
 
-def cmd_remark3(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    started = time.perf_counter()
-    report = last_buyer_report(args.n, args.trials, seed, level=args.level, jobs=args.jobs)
-    _log(f"remark3: exp {report.exponential.mean:.4f}, uniform {report.uniform.mean:.4f}, "
-         f"P(priciest last) {report.priciest_last_probability.mean:.4f} vs 1/n = "
-         f"{report.reference_probability:.4f}, seed {seed} "
-         f"({time.perf_counter() - started:.1f}s)")
-    config = {
-        "subcommand": "remark3",
-        "n": args.n,
-        "trials": args.trials,
-        "seed": seed,
-        "level": args.level,
-    }
-    header = ["metric", "mean", "half_width", "reference", "trials", "seed"]
+def cmd_remark3(args, instance, sigma):
+    report = last_buyer_report(args.n, args.trials, args.seed, level=args.level, jobs=args.jobs)
+    summary = (f"exp {report.exponential.mean:.4f}, uniform {report.uniform.mean:.4f}, "
+               f"P(priciest last) {report.priciest_last_probability.mean:.4f} vs 1/n = "
+               f"{report.reference_probability:.4f}")
+    header = ["metric", "mean", "half_width", "reference", "trials"]
     rows = [
         ["edge_guarantee_exp", report.exponential.mean, report.exponential.half_width,
-         GUARANTEE, args.trials, seed],
+         GUARANTEE, args.trials],
         ["edge_guarantee_uniform", report.uniform.mean, report.uniform.half_width,
-         GUARANTEE, args.trials, seed],
+         GUARANTEE, args.trials],
         ["service_probability", report.service_probability.mean,
          report.service_probability.half_width, report.reference_probability,
-         args.trials, seed],
+         args.trials],
         ["priciest_last_probability", report.priciest_last_probability.mean,
          report.priciest_last_probability.half_width, report.reference_probability,
-         args.trials, seed],
+         args.trials],
         ["service_without_priciest_count", float(report.service_without_priciest),
-         0.0, 0.0, args.trials, seed],
+         0.0, 0.0, args.trials],
     ]
-    _emit(args, config, header, rows)
-    return 0
+    return 0, summary, header, rows
 
 
-def cmd_properties(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    instance = None
-    source = "random-per-trial"
-    if args.kvv is not None or args.random is not None or args.file is not None:
-        instance, source = _load_instance(args, seed)
-    started = time.perf_counter()
-    sweep = property_sweep(args.sweep, seed, instance=instance, jobs=args.jobs)
-    _log(f"properties: {sweep.violations} violations / {sweep.trials} trials, seed {seed} "
-         f"({time.perf_counter() - started:.1f}s)")
-    config = {
-        "subcommand": "properties",
-        "instance": source,
-        "sweep": args.sweep,
-        "seed": seed,
-    }
+def cmd_properties(args, instance, sigma):
+    sweep = property_sweep(args.sweep, args.seed, instance=instance, jobs=args.jobs)
     header = [
         "trials",
         "sold_if_cheaper_violations",
         "utility_floor_violations",
         "monotone_violations",
-        "seed",
     ]
     rows = [[
         sweep.trials,
         sweep.sold_if_cheaper_violations,
         sweep.utility_floor_violations,
         sweep.monotone_violations,
-        seed,
     ]]
-    _emit(args, config, header, rows)
-    return 0 if sweep.passed else 1
+    summary = f"{sweep.violations} violations / {sweep.trials} trials"
+    return 0 if sweep.passed else 1, summary, header, rows
 
 
-def cmd_oracle_check(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    instance, source = _load_instance(args, seed)
-    sigma = _resolve_sigma(args, instance.n_left, seed)
+def cmd_oracle_check(args, instance, sigma):
     exact: Fraction = exact_ranking_expectation(instance, sigma)
-    started = time.perf_counter()
     mc = estimate_matching_size(
-        instance, sigma, args.trials, seed, level=args.level, jobs=args.jobs
+        instance, sigma, args.trials, args.seed, level=args.level, jobs=args.jobs
     )
     diff = abs(float(exact) - mc.mean)
     deviation = diff / mc.half_width if mc.half_width > 0 else 0.0
     ok = diff <= 4.0 * mc.half_width
-    _log(f"oracle-check: exact {float(exact):.6f}, mc {mc.mean:.6f}, "
-         f"deviation {deviation:.2f} half-widths, seed {seed} "
-         f"({time.perf_counter() - started:.1f}s)")
-    config = {
-        "subcommand": "oracle-check",
-        "instance": source,
-        "sigma": args.sigma,
-        "trials": args.trials,
-        "seed": seed,
-        "level": args.level,
-    }
+    summary = (f"exact {float(exact):.6f}, mc {mc.mean:.6f}, "
+               f"deviation {deviation:.2f} half-widths")
     header = [
         "exact_numerator",
         "exact_denominator",
@@ -324,7 +267,6 @@ def cmd_oracle_check(args) -> int:
         "deviation_over_half_width",
         "passed",
         "trials",
-        "seed",
     ]
     rows = [[
         exact.numerator,
@@ -335,41 +277,26 @@ def cmd_oracle_check(args) -> int:
         deviation,
         ok,
         args.trials,
-        seed,
     ]]
-    _emit(args, config, header, rows)
-    return 0 if ok else 1
+    return 0 if ok else 1, summary, header, rows
 
 
-def cmd_run(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    instance, source = _load_instance(args, seed)
-    sigma = _resolve_sigma(args, instance.n_left, seed)
-    scheme = PriceScheme(args.scheme)
-    weights = trial_rng(seed, 0).random(instance.n_right)
-    pa = prices_from_weights(weights, scheme)
+def cmd_run(args, instance, sigma):
+    weights = trial_rng(args.seed, 0).random(instance.n_right)
+    pa = prices_from_weights(weights, PriceScheme(args.scheme))
     outcome = run_market(instance, pa, sigma)
-    _log(f"run: matched {outcome.matching.size} of {instance.n_left} buyers, seed {seed}")
-    config = {
-        "subcommand": "run",
-        "instance": source,
-        "scheme": args.scheme,
-        "sigma": args.sigma,
-        "seed": seed,
-    }
     # one row per buyer (item -1 when unmatched) plus one per unsold item
-    header = ["buyer", "item", "weight", "price", "util", "rev", "seed"]
+    header = ["buyer", "item", "weight", "price", "util", "rev"]
     rows: list[list] = []
     for b, j in enumerate(outcome.matching.assignment):
         if j is None:
-            rows.append([b, -1, 0.0, 0.0, 0.0, 0.0, seed])
+            rows.append([b, -1, 0.0, 0.0, 0.0, 0.0])
         else:
-            rows.append([b, j, pa.weights[j], pa.prices[j], outcome.utils[b], outcome.revs[j], seed])
+            rows.append([b, j, pa.weights[j], pa.prices[j], outcome.utils[b], outcome.revs[j]])
     for j in range(instance.n_right):
         if j not in outcome.purchased:
-            rows.append([-1, j, pa.weights[j], pa.prices[j], 0.0, 0.0, seed])
-    _emit(args, config, header, rows)
-    return 0
+            rows.append([-1, j, pa.weights[j], pa.prices[j], 0.0, 0.0])
+    return 0, f"matched {outcome.matching.size} of {instance.n_left} buyers", header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +366,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand through the pipeline the module docstring describes
+    and return its exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.seed is None:
+            args.seed = _fresh_seed()
+        instance = sigma = None
+        if hasattr(args, "kvv"):  # the subcommand takes an instance
+            instance, args.instance = _load_instance(args)
+        if hasattr(args, "sigma"):
+            sigma = _resolve_sigma(args, instance.n_left)
+        started = time.perf_counter()
+        code, summary, header, rows = args.func(args, instance, sigma)
+        print(f"{args.subcommand}: {summary}, seed {args.seed} "
+              f"({time.perf_counter() - started:.1f}s)", file=sys.stderr)
+        if header is not None:
+            _emit(args, _config(args), header + ["seed"], [row + [args.seed] for row in rows])
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

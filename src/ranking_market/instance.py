@@ -16,6 +16,11 @@ import numpy as np
 # unbounded memory. A million per side leaves room for long chains.
 MAX_SIDE = 1_000_000
 
+# Most potential edges a generator builds: n(n+1)/2 for kvv_hard_instance(n),
+# n_left * n_right for random_bipartite. Sizes come from the command line and
+# kvv_hard_instance(2000) already takes ~75 MB, so larger fails up front.
+MAX_EDGES = 2_000_000
+
 
 @dataclass(frozen=True)
 class BipartiteInstance:
@@ -128,6 +133,8 @@ def kvv_hard_instance(n: int) -> BipartiteInstance:
     """
     if n < 1:
         raise ValueError("kvv_hard_instance requires n >= 1")
+    if n * (n + 1) // 2 > MAX_EDGES:
+        raise ValueError(f"kvv_hard_instance({n}) edges exceed MAX_EDGES = {MAX_EDGES}")
     adjacency = tuple(tuple(range(i, n)) for i in range(n))
     return BipartiteInstance(n_left=n, n_right=n, adjacency=adjacency)
 
@@ -137,6 +144,8 @@ def random_bipartite(n_left: int, n_right: int, edge_prob: float, seed) -> Bipar
     with probability edge_prob. Deterministic given the seed."""
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
+    if n_left * n_right > MAX_EDGES:
+        raise ValueError(f"{n_left}x{n_right} potential edges exceed MAX_EDGES = {MAX_EDGES}")
     rng = np.random.default_rng(seed)
     coins = rng.random((n_left, n_right)) < edge_prob
     adjacency = tuple(tuple(int(j) for j in np.flatnonzero(coins[i])) for i in range(n_left))

@@ -65,17 +65,23 @@ def draw_weights(n: int, seed) -> np.ndarray:
 def prices_from_weights(weights, scheme: PriceScheme) -> PriceAssignment:
     """Price every item from its weight under the given scheme. Weights must
     lie in [0, 1]; w = 1 is allowed for hand-built boundary cases."""
-    ws = tuple(float(w) for w in weights)
+    array = np.asarray(weights, dtype=float)
+    ws = tuple(array.tolist())
     for w in ws:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"weight {w} outside [0, 1]")
-    if scheme is PriceScheme.EXPONENTIAL:
-        prices = tuple(math.exp(w - 1.0) for w in ws)
-    elif scheme is PriceScheme.UNIFORM:
-        prices = ws
-    else:
-        raise ValueError(f"unknown price scheme {scheme!r}")
+    prices = tuple(_price_list(array, scheme))
     return PriceAssignment(weights=ws, prices=prices, scheme=scheme)
+
+
+def _price_list(weights: np.ndarray, scheme: PriceScheme) -> list[float]:
+    """The package's one price rule, so that market runs and estimator
+    trials price alike to the bit (math.exp and np.exp can differ)."""
+    if scheme is PriceScheme.EXPONENTIAL:
+        return np.exp(weights - 1.0).tolist()
+    if scheme is PriceScheme.UNIFORM:
+        return weights.tolist()
+    raise ValueError(f"unknown price scheme {scheme!r}")
 
 
 def _check_prices(instance: BipartiteInstance, pa: PriceAssignment) -> None:

@@ -228,9 +228,20 @@ def _every_estimator(inst, sigma, trials, **kw):
     ]
 
 
+def _forbid_work(monkeypatch):
+    """Make a trial, a pool or an offline optimum raise AssertionError, which
+    pytest.raises(ValueError) does not catch."""
+    def no_work(*args):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(analysis, "trial_rng", no_work)
+    monkeypatch.setattr(analysis, "maximum_matching", no_work)
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_is_rejected(monkeypatch, jobs):
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
+    _forbid_work(monkeypatch)
     inst = kvv_hard_instance(3)
     calls = _every_estimator(inst, ArrivalOrder.identity(3), 5000, jobs=jobs)
     calls.append(lambda: property_sweep(5000, 1, jobs=jobs))
@@ -239,12 +250,20 @@ def test_jobs_below_one_is_rejected(monkeypatch, jobs):
             call()
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_trials_below_one_is_rejected(monkeypatch, trials):
+    _forbid_work(monkeypatch)
+    inst = kvv_hard_instance(3)
+    calls = _every_estimator(inst, ArrivalOrder.identity(3), trials)
+    calls.append(lambda: property_sweep(trials, 1))
+    for call in calls:
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            call()
+
+
 @pytest.mark.parametrize("level", [0.0, 1.0, 5.0, -0.5])
 def test_invalid_level_is_rejected_before_any_trial(monkeypatch, level):
-    def no_trial(seed, t):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(analysis, "trial_rng", no_trial)
+    _forbid_work(monkeypatch)
     inst = kvv_hard_instance(3)
     for call in _every_estimator(inst, ArrivalOrder.identity(3), 1, level=level):
         with pytest.raises(ValueError, match="confidence level"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -238,7 +239,7 @@ def test_ratio_on_a_long_chain_file(tmp_path, capsys):
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
-    def crash(args):
+    def crash(args, instance, sigma):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_ratio", crash)
@@ -301,6 +302,15 @@ def test_jobs_below_one_exits_2(monkeypatch, capsys, argv, jobs):
     assert "jobs must be >= 1" in captured.err
 
 
+def test_oversize_generator_exits_2(capsys):
+    for argv in (["ratio", "--kvv", "2000"], ["remark3", "--n", "2000"],
+                 ["gen", "--random", "1415", "1414", "0.5"]):
+        code = main(argv + ["--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert "MAX_EDGES" in captured.err
+
+
 def test_oversize_file_header_exits_2(monkeypatch, tmp_path, capsys):
     def no_instance(*args):
         raise AssertionError("make_instance was reached")
@@ -312,3 +322,54 @@ def test_oversize_file_header_exits_2(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "line 1" in captured.err
+
+
+# sha256 over (argv, exit code, stdout, --out file) of every GOLDEN_ARGV case,
+# captured before the command pipeline moved into main. Placeholders {out}
+# and {inst} stand for paths under tmp_path, so the digest does not depend on
+# where the test runs.
+GOLDEN_CLI_DIGEST = "f9a75014f80727ca5fb7f60c578dafc96669a92cbbef21609506f4e7e1ffb2db"
+
+GOLDEN_ARGV = [
+    ["gen", "--kvv", "4"],
+    ["gen", "--random", "5", "4", "0.5", "--seed", "3", "--out", "{out}"],
+    ["gen", "--file", "{inst}"],
+    ["ratio", "--kvv", "6", "--trials", "300", "--seed", "11"],
+    ["ratio", "--kvv", "6", "--trials", "300", "--seed", "11", "--format", "json",
+     "--sigma", "reversed"],
+    ["ratio", "--kvv", "4", "--trials", "200", "--seed", "2", "--format", "json",
+     "--out", "{out}"],
+    ["ratio", "--kvv", "3", "--trials", "3", "--seed", "1", "--level", "5"],
+    ["claim1", "--kvv", "4", "--trials", "400", "--seed", "8"],
+    ["claim1", "--kvv", "4", "--trials", "400", "--seed", "8", "--format", "json",
+     "--scheme", "uniform", "--sigma", "random"],
+    ["claim1", "--kvv", "12", "--scheme", "uniform", "--edge", "11", "11",
+     "--trials", "3000", "--seed", "4"],
+    ["claim1", "--kvv", "5", "--trials", "2500", "--seed", "3", "--jobs", "2"],
+    ["remark3", "--n", "5", "--trials", "500", "--seed", "3"],
+    ["remark3", "--n", "5", "--trials", "500", "--seed", "3", "--format", "json",
+     "--level", "0.95"],
+    ["remark3", "--n", "1", "--trials", "100", "--seed", "1"],
+    ["properties", "--sweep", "100", "--seed", "2"],
+    ["properties", "--kvv", "5", "--sweep", "100", "--seed", "8", "--format", "json"],
+    ["oracle-check", "--kvv", "3", "--trials", "400", "--seed", "8"],
+    ["oracle-check", "--random", "4", "5", "0.4", "--trials", "400", "--seed", "5",
+     "--format", "json", "--sigma", "random"],
+    ["oracle-check", "--file", "{inst}", "--trials", "300", "--seed", "6"],
+    ["run", "--kvv", "5", "--seed", "8", "--sigma", "random"],
+    ["run", "--random", "5", "4", "0.6", "--seed", "2", "--format", "json",
+     "--scheme", "uniform"],
+]
+
+
+def test_cli_output_matches_the_golden_digest(tmp_path, capsys):
+    paths = {"out": str(tmp_path / "out.txt"), "inst": str(tmp_path / "inst.txt")}
+    digest = hashlib.sha256()
+    for template in GOLDEN_ARGV:
+        (tmp_path / "inst.txt").write_text("3 4\n0 0\n0 1\n1 0\n2 0\n2 3\n")
+        (tmp_path / "out.txt").unlink(missing_ok=True)
+        argv = [arg.format(**paths) for arg in template]
+        code, out = run_cli(capsys, *argv)
+        written = (tmp_path / "out.txt").read_text() if "--out" in argv and code == 0 else ""
+        digest.update(repr((template, code, out, written)).encode())
+    assert digest.hexdigest() == GOLDEN_CLI_DIGEST

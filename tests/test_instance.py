@@ -14,7 +14,7 @@ from ranking_market import (
     without_right_vertex,
 )
 from ranking_market import instance as instance_module
-from ranking_market.instance import MAX_SIDE
+from ranking_market.instance import MAX_EDGES, MAX_SIDE
 
 
 def test_make_instance_single_edge():
@@ -43,6 +43,16 @@ def test_kvv_small():
 def test_kvv_rejects_zero():
     with pytest.raises(ValueError):
         kvv_hard_instance(0)
+
+
+def test_generators_reject_more_than_max_edges():
+    # just above the bound, so without the check each call builds (~0.2 s)
+    assert min(2000 * 2001 // 2, 1415 * 1414) > MAX_EDGES >= 1414 * 1414
+    with pytest.raises(ValueError, match="MAX_EDGES"):
+        kvv_hard_instance(2000)
+    with pytest.raises(ValueError, match="MAX_EDGES"):
+        random_bipartite(1415, 1414, 0.5, 1)
+    assert random_bipartite(1414, 1414, 0.0, 1).edge_count == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 40])

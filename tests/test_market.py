@@ -46,6 +46,15 @@ def test_uniform_prices_are_weights():
     assert pa.prices == (0.5, 0.25)
 
 
+def test_exp_prices_are_the_estimators_np_exp():
+    # math.exp and np.exp differ in the last bit on some weights; a market
+    # run must price like the estimators' trials, which use np.exp
+    w = np.random.default_rng(0).random(200)
+    expected = np.exp(w - 1.0)
+    assert any(math.exp(x - 1.0) != y for x, y in zip(w, expected))
+    assert np.array(prices_from_weights(w, EXP).prices).tobytes() == expected.tobytes()
+
+
 def test_prices_reject_bad_weights():
     with pytest.raises(ValueError):
         prices_from_weights([1.2], EXP)
