@@ -24,7 +24,14 @@ import numpy as np
 
 from .instance import ArrivalOrder, BipartiteInstance, kvv_hard_instance, random_bipartite
 from .matchers import _assign_min_score, maximum_matching
-from .market import PriceAssignment, PriceScheme, _price_list, _settle, prices_from_weights
+from .market import (
+    PriceAssignment,
+    PriceScheme,
+    _price_array,
+    _settle,
+    _settle_block,
+    prices_from_weights,
+)
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -34,6 +41,10 @@ _IDENTITY_TOL = 1e-9
 # in block order, so parallel and sequential execution produce identical
 # floating-point results.
 _CHUNK_TRIALS = 2048
+
+# Within a chunk, trials run through the kernel in blocks of this many
+# markets. It divides _CHUNK_TRIALS, so blocks never straddle chunks.
+_BLOCK_TRIALS = 128
 
 # Auxiliary streams (instance generation, arrival orders) live far above any
 # realistic trial index so they never collide with trial_rng streams.
@@ -261,16 +272,31 @@ def _trial_chunk(
     t1: int,
 ):
     """Run one market per trial t0..t1-1 and return the sums of
-    x = observe(weights, prices, assignment) and of x * x, added in trial
-    order. x is a number or a numpy vector of several quantities."""
+    x = observe(weights, prices, assignments) and of x * x, added in trial
+    order.
+
+    Trials run in blocks of B <= _BLOCK_TRIALS. Row r of a block's weights
+    W [B, n_right] is trial_rng(seed, t).random(n_right) for its trial t;
+    the one price rule gives the prices P [B, n_right], and one kernel call
+    gives the assignments A [B, n_left], -1 for an unserved buyer. x is
+    [B] (one value per trial) or [B, k] (k values per trial). The running
+    totals are added into the block's first row and then accumulated row by
+    row, so the sums equal those of a trial-by-trial loop to the bit.
+    """
     adjacency, order, n_right = instance.adjacency, sigma.order, instance.n_right
     total = total_sq = 0.0
-    for t in range(t0, t1):
-        w = trial_rng(seed, t).random(n_right)
-        prices = _price_list(w, scheme)
+    for b0 in range(t0, t1, _BLOCK_TRIALS):
+        w = np.empty((min(_BLOCK_TRIALS, t1 - b0), n_right))
+        for r in range(len(w)):
+            w[r] = trial_rng(seed, b0 + r).random(n_right)
+        prices = _price_array(w, scheme)
         x = observe(w, prices, _assign_min_score(adjacency, prices, order))
-        total += x
-        total_sq += x * x
+        x_sq = x * x
+        x[0] += total
+        x_sq[0] += total_sq
+        # copy the last rows, so that a block's arrays are freed with it
+        total = np.add.accumulate(x, axis=0, out=x)[-1].copy()
+        total_sq = np.add.accumulate(x_sq, axis=0, out=x_sq)[-1].copy()
     return total, total_sq
 
 
@@ -288,50 +314,57 @@ def _estimate(
     return _combine(_run_chunks(worker, trials, jobs))
 
 
-# Observers: what each estimator reads off one market run. They are
-# module-level functions (bound with partial) so chunks can go to worker
-# processes.
+# Observers: what each estimator reads off a block of B market runs, given
+# the weights [B, n_right], the prices [B, n_right] and the assignments
+# [B, n_left] (-1 for an unserved buyer). Each returns a float array, [B] or
+# [B, k]. They are module-level functions (bound with partial) so chunks
+# can go to worker processes.
 
 
 def _edge_values(buyers: np.ndarray, items: np.ndarray, w, prices, assignment) -> np.ndarray:
-    """util_i + rev_j for each edge (buyers[k], items[k])."""
-    utils, revs = _settle(assignment, prices)
-    return np.array(utils)[buyers] + np.array(revs)[items]
+    """[B, k]: util_i + rev_j for each edge (buyers[k], items[k])."""
+    utils, revs = _settle_block(prices, assignment)
+    values = utils[:, buyers]
+    values += revs[:, items]
+    return values
 
 
-def _matching_size(w, prices, assignment) -> int:
-    return len(assignment) - assignment.count(None)
+def _matching_size(w, prices, assignment) -> np.ndarray:
+    """[B]: the size of each market's matching."""
+    return np.count_nonzero(assignment >= 0, axis=1).astype(float)
 
 
 def _welfare(buyers: np.ndarray, items: np.ndarray, w, prices, assignment) -> np.ndarray:
-    """[|M|, the sum of util + rev over the given edges, whether |M| fell
-    below that sum]."""
+    """[B, 3]: |M|, the sum of util + rev over the given edges, and whether
+    |M| fell below that sum."""
     size = _matching_size(w, prices, assignment)
-    edge_sum = float(np.sum(_edge_values(buyers, items, w, prices, assignment)))
-    return np.array([size, edge_sum, size < edge_sum - _IDENTITY_TOL])
+    edge_sum = _edge_values(buyers, items, w, prices, assignment).sum(axis=1)
+    return np.stack([size, edge_sum, size < edge_sum - _IDENTITY_TOL], axis=1)
 
 
 def _last_buyer(adjacency, w, exp_prices, assignment) -> np.ndarray:
-    """On the triangular instance under exponential prices: [the last edge's
-    util + rev under exponential prices, the same under uniform prices, the
-    last buyer is served, the last item is the priciest, served without it]."""
-    n = len(exp_prices)
-    last = n - 1
-    uni_prices = _price_list(w, PriceScheme.UNIFORM)
+    """[B, 5] on the triangular instance under exponential prices: the last
+    edge's util + rev under exponential prices, the same under uniform
+    prices, the last buyer is served, the last item is the priciest, served
+    without it."""
+    last = exp_prices.shape[1] - 1
+    uni_prices = _price_array(w, PriceScheme.UNIFORM)
     # np.exp keeps the order of the weights, but rounding can merge two
     # distinct weights into one price. That tie goes to the lower index,
     # while the uniform market takes the lower weight: only then can the
-    # two markets differ, so only then is the uniform market run.
+    # two markets differ, so only on those rows is the uniform market run.
+    tied = (np.diff(np.sort(exp_prices, axis=1), axis=1) == 0).any(axis=1)
     uni_assignment = assignment
-    if len(set(exp_prices)) < n:
-        uni_assignment = _assign_min_score(adjacency, uni_prices, range(n))
+    if tied.any():
+        uni_assignment = assignment.copy()
+        uni_assignment[tied] = _assign_min_score(adjacency, uni_prices[tied], range(last + 1))
     values = []
     for prices, chosen in ((exp_prices, assignment), (uni_prices, uni_assignment)):
-        utils, revs = _settle(chosen, prices)
-        values.append(utils[last] + revs[last])
-    served = assignment[last] is not None
-    priciest = int(np.argmax(w)) == last
-    return np.array([*values, served, priciest, served and not priciest])
+        utils, revs = _settle_block(prices, chosen)
+        values.append(utils[:, last] + revs[:, last])
+    served = assignment[:, last] >= 0
+    priciest = w.argmax(axis=1) == last
+    return np.stack([*values, served, priciest, served & ~priciest], axis=1).astype(float)
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +439,7 @@ def estimate_matching_size(
     total, total_sq = _estimate(
         instance, sigma, PriceScheme.EXPONENTIAL, _matching_size, trials, seed, jobs
     )
-    return _finish(total, total_sq, trials, seed, level)
+    return _finish(float(total), float(total_sq), trials, seed, level)
 
 
 def estimate_competitive_ratio(

@@ -74,14 +74,20 @@ def prices_from_weights(weights, scheme: PriceScheme) -> PriceAssignment:
     return PriceAssignment(weights=ws, prices=prices, scheme=scheme)
 
 
-def _price_list(weights: np.ndarray, scheme: PriceScheme) -> list[float]:
-    """The package's one price rule, so that market runs and estimator
-    trials price alike to the bit (math.exp and np.exp can differ)."""
+def _price_array(weights: np.ndarray, scheme: PriceScheme) -> np.ndarray:
+    """The package's one price rule, elementwise on an array of any shape,
+    so that market runs and estimator blocks price alike to the bit
+    (math.exp and np.exp can differ)."""
     if scheme is PriceScheme.EXPONENTIAL:
-        return np.exp(weights - 1.0).tolist()
+        return np.exp(weights - 1.0)
     if scheme is PriceScheme.UNIFORM:
-        return weights.tolist()
+        return weights
     raise ValueError(f"unknown price scheme {scheme!r}")
+
+
+def _price_list(weights: np.ndarray, scheme: PriceScheme) -> list[float]:
+    """The price rule for one market's weights, as a list."""
+    return _price_array(weights, scheme).tolist()
 
 
 def _check_prices(instance: BipartiteInstance, pa: PriceAssignment) -> None:
@@ -99,6 +105,20 @@ def _settle(assignment, prices) -> tuple[list[float], list[float]]:
         if j is not None:
             utils[b] = 1.0 - prices[j]
             revs[j] = prices[j]
+    return utils, revs
+
+
+def _settle_block(prices: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_settle for a block of markets: prices [T, n_right] and the kernel's
+    assignments [T, n_left] (-1 for an unserved buyer) give utilities
+    [T, n_left] and revenues [T, n_right]."""
+    utils = np.zeros(assignment.shape)
+    revs = np.zeros(prices.shape)
+    market, buyer = np.nonzero(assignment >= 0)
+    item = assignment[market, buyer]
+    paid = prices[market, item]
+    utils[market, buyer] = 1.0 - paid
+    revs[market, item] = paid
     return utils, revs
 
 

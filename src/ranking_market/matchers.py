@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .instance import ArrivalOrder, BipartiteInstance, RightPermutation
 
 _INF = float("inf")
@@ -47,16 +49,39 @@ def validate_matching(matching: Matching, instance: BipartiteInstance) -> None:
             raise ValueError(f"pair ({i}, {j}) is not an edge of the instance")
 
 
-def _assign_min_score(adjacency, score, order) -> list[int | None]:
+def _assign_min_score(adjacency, score, order):
     """Sequentially assign each arriving left vertex to its available
     neighbor with the minimum score, ties going to the lowest index.
 
-    This single loop realizes RANKING (score = rank values), greedy (the
+    This single rule realizes RANKING (score = rank values), greedy (the
     identity ranking) and the price market (score = prices); adjacency lists
     are sorted ascending, so the strict '<' comparison implements the
     lowest-index tie-break. A neighbor scoring inf is never taken, so the
     market without an item is the same loop with that item's score at inf.
+
+    A list or tuple of n_right scores runs one market and returns a list
+    with the item of each left vertex, or None. A [T, n_right] float array
+    runs T markets at once and returns a [T, n_left] intp array with -1 for
+    an unserved arrival: per arrival, argmin over the gathered neighbor
+    scores takes the first minimum (the lowest index), a minimum below inf
+    is a purchase, and the taken item's score becomes inf. Row t equals the
+    list form on score[t].
     """
+    if isinstance(score, np.ndarray):
+        scores = score.T.copy()  # [n_right, T]: one neighbor's scores are contiguous
+        assignment = np.full((len(adjacency), scores.shape[1]), -1, dtype=np.intp)
+        markets = np.arange(scores.shape[1])
+        for b in order:
+            if not adjacency[b]:
+                continue
+            neighbors = np.array(adjacency[b], dtype=np.intp)
+            gathered = scores[neighbors]
+            pick = gathered.argmin(axis=0)
+            items = neighbors[pick]
+            np.copyto(assignment[b], items, where=gathered[pick, markets] < _INF)
+            # an unserved market's neighbors all score inf already
+            scores[items, markets] = _INF
+        return assignment.T
     n_right = len(score)
     available = [True] * n_right
     assignment: list[int | None] = [None] * len(adjacency)

@@ -419,13 +419,14 @@ def test_edge_guarantee_agrees_with_direct_average():
 
 
 def count_calls(monkeypatch) -> list[int]:
-    """Count the calls analysis makes to the assignment kernel."""
+    """Count the markets analysis runs through the assignment kernel: one
+    per call with a list of scores, one per row of a block of scores."""
     calls = [0]
     fn = analysis._assign_min_score
 
-    def counting(*args):
-        calls[0] += 1
-        return fn(*args)
+    def counting(adjacency, score, order):
+        calls[0] += score.shape[0] if isinstance(score, np.ndarray) else 1
+        return fn(adjacency, score, order)
 
     monkeypatch.setattr(analysis, "_assign_min_score", counting)
     return calls

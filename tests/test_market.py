@@ -15,6 +15,7 @@ from ranking_market import (
     run_market,
     welfare_decomposition,
 )
+from ranking_market.market import _price_array, _price_list
 from helpers import random_instance, replay_market
 
 EXP = PriceScheme.EXPONENTIAL
@@ -53,6 +54,16 @@ def test_exp_prices_are_the_estimators_np_exp():
     expected = np.exp(w - 1.0)
     assert any(math.exp(x - 1.0) != y for x, y in zip(w, expected))
     assert np.array(prices_from_weights(w, EXP).prices).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 20, 50, 100])
+def test_block_prices_equal_row_by_row_prices(n):
+    # the estimators price a [128, n] block at once; SIMD tail handling
+    # could round a row differently from the same row priced alone
+    w = np.random.default_rng(n).random((128, n))
+    for scheme in (EXP, UNI):
+        rows = np.array([_price_list(w[t], scheme) for t in range(128)])
+        assert _price_array(w, scheme).tobytes() == rows.tobytes()
 
 
 def test_prices_reject_bad_weights():

@@ -17,6 +17,7 @@ from ranking_market import (
     ranking,
     validate_matching,
 )
+from ranking_market.matchers import _assign_min_score
 from helpers import random_instance
 
 IDENTITY2 = ArrivalOrder.identity(2)
@@ -206,3 +207,34 @@ def test_greedy_takes_the_lowest_index_open_neighbor():
             expected[b] = next((k for k in inst.adjacency[b] if k not in taken), None)
             taken.add(expected[b])
         assert greedy(inst, sigma).assignment == tuple(expected)
+
+
+def _block_cases(rng):
+    """Instances with n_left != n_right, empty adjacency rows, 0 x k and
+    k x 0 sides, with a random arrival order each."""
+    for _ in range(60):
+        n_left, n_right = (int(x) for x in rng.integers(0, 9, size=2))
+        coins = rng.random((n_left, n_right)) < rng.uniform(0.0, 1.0)
+        coins[rng.random(n_left) < 0.2] = False  # empty rows
+        edges = [(i, j) for i in range(n_left) for j in range(n_right) if coins[i, j]]
+        yield make_instance(n_left, n_right, edges), ArrivalOrder.random(n_left, rng)
+    for n_left, n_right in ((0, 3), (3, 0), (0, 0), (4, 1), (1, 4)):
+        edges = [(i, j) for i in range(n_left) for j in range(n_right)]
+        yield make_instance(n_left, n_right, edges), ArrivalOrder.random(n_left, rng)
+    yield kvv_hard_instance(20), ArrivalOrder.reversed(20)
+
+
+@pytest.mark.parametrize("rows", [1, 128])
+def test_block_kernel_equals_the_scalar_loop_row_by_row(rows):
+    rng = np.random.default_rng(40 + rows)
+    for inst, sigma in _block_cases(rng):
+        score = rng.random((rows, inst.n_right))
+        score[rows // 3 :] = np.round(score[rows // 3 :], 1)  # forced ties
+        score[rng.random(score.shape) < 0.15] = np.inf
+        before = score.copy()
+        block = _assign_min_score(inst.adjacency, score, sigma.order)
+        assert block.shape == (rows, inst.n_left) and block.dtype == np.intp
+        assert np.array_equal(score, before)  # the caller's scores are not consumed
+        for t in range(rows):
+            scalar = _assign_min_score(inst.adjacency, score[t].tolist(), sigma.order)
+            assert block[t].tolist() == [-1 if j is None else j for j in scalar]
