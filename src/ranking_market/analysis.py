@@ -6,7 +6,10 @@ instance.
 Seeding contract: trial t of any estimator draws all of its randomness from
 ``trial_rng(seed, t)``, a deterministic function of (master seed, trial
 index). Trials are therefore independent of execution order, and every
-estimator returns bit-identical results for any ``jobs`` setting.
+estimator returns bit-identical results for any ``jobs`` setting. The
+estimators draw a block of trials' weights at once with
+``streams._trial_weights``, which is ``trial_rng`` to the bit: row r is
+``trial_rng(seed, t0 + r).random(n)``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .market import (
     _settle_block,
     prices_from_weights,
 )
+from .streams import _trial_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -52,7 +56,9 @@ _AUX_BASE = 1 << 62
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The per-trial random stream: a deterministic function of (seed, trial)."""
+    """The per-trial random stream: a deterministic function of (seed, trial).
+    This is the reference definition; the estimators draw its weights for a
+    block of trials at once with _trial_weights, which equals it to the bit."""
     return np.random.default_rng((seed, trial))
 
 
@@ -275,20 +281,21 @@ def _trial_chunk(
     x = observe(weights, prices, assignments) and of x * x, added in trial
     order.
 
-    Trials run in blocks of B <= _BLOCK_TRIALS. Row r of a block's weights
-    W [B, n_right] is trial_rng(seed, t).random(n_right) for its trial t;
-    the one price rule gives the prices P [B, n_right], and one kernel call
-    gives the assignments A [B, n_left], -1 for an unserved buyer. x is
-    [B] (one value per trial) or [B, k] (k values per trial). The running
-    totals are added into the block's first row and then accumulated row by
-    row, so the sums equal those of a trial-by-trial loop to the bit.
+    Trials run in blocks of B <= _BLOCK_TRIALS. A block's weights
+    W [B, n_right] come from one _trial_weights call (row r is
+    trial_rng(seed, t).random(n_right) for its trial t, to the bit); the one
+    price rule gives the prices P [B, n_right], and one kernel call gives
+    the assignments A [B, n_left], -1 for an unserved buyer. The neighbor
+    lists are converted to index arrays once per chunk. x is [B] (one value
+    per trial) or [B, k] (k values per trial). The running totals are added
+    into the block's first row and then accumulated row by row, so the sums
+    equal those of a trial-by-trial loop to the bit.
     """
-    adjacency, order, n_right = instance.adjacency, sigma.order, instance.n_right
+    adjacency = tuple(np.array(neighbors, dtype=np.intp) for neighbors in instance.adjacency)
+    order, n_right = sigma.order, instance.n_right
     total = total_sq = 0.0
     for b0 in range(t0, t1, _BLOCK_TRIALS):
-        w = np.empty((min(_BLOCK_TRIALS, t1 - b0), n_right))
-        for r in range(len(w)):
-            w[r] = trial_rng(seed, b0 + r).random(n_right)
+        w = _trial_weights(seed, b0, min(b0 + _BLOCK_TRIALS, t1), n_right)
         prices = _price_array(w, scheme)
         x = observe(w, prices, _assign_min_score(adjacency, prices, order))
         x_sq = x * x

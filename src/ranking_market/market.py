@@ -54,14 +54,6 @@ class MarketOutcome:
     purchased: frozenset[int]
 
 
-def draw_weights(n: int, seed) -> np.ndarray:
-    """n independent uniform draws in [0, 1) (53-bit doubles), deterministic
-    given the seed."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return np.random.default_rng(seed).random(n)
-
-
 def prices_from_weights(weights, scheme: PriceScheme) -> PriceAssignment:
     """Price every item from its weight under the given scheme. Weights must
     lie in [0, 1]; w = 1 is allowed for hand-built boundary cases."""

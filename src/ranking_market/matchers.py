@@ -65,16 +65,17 @@ def _assign_min_score(adjacency, score, order):
     an unserved arrival: per arrival, argmin over the gathered neighbor
     scores takes the first minimum (the lowest index), a minimum below inf
     is a purchase, and the taken item's score becomes inf. Row t equals the
-    list form on score[t].
+    list form on score[t]. Here adjacency[b] may also be an intp array, so
+    a caller running many blocks converts the neighbor lists once.
     """
     if isinstance(score, np.ndarray):
         scores = score.T.copy()  # [n_right, T]: one neighbor's scores are contiguous
         assignment = np.full((len(adjacency), scores.shape[1]), -1, dtype=np.intp)
         markets = np.arange(scores.shape[1])
         for b in order:
-            if not adjacency[b]:
+            neighbors = np.asarray(adjacency[b], dtype=np.intp)
+            if len(neighbors) == 0:
                 continue
-            neighbors = np.array(adjacency[b], dtype=np.intp)
             gathered = scores[neighbors]
             pick = gathered.argmin(axis=0)
             items = neighbors[pick]

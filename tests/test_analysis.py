@@ -30,7 +30,7 @@ from ranking_market import (
     RightPermutation,
     trial_rng,
 )
-from ranking_market import analysis, run_market, without_right_vertex
+from ranking_market import analysis, cli, run_market, without_right_vertex
 from ranking_market.analysis import _markets, _nested_availability
 from helpers import NoPool, availability_sets, random_instance, reference_assignment
 
@@ -236,6 +236,7 @@ def _forbid_work(monkeypatch):
 
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(analysis, "trial_rng", no_work)
+    monkeypatch.setattr(analysis, "_trial_weights", no_work)
     monkeypatch.setattr(analysis, "maximum_matching", no_work)
 
 
@@ -273,6 +274,33 @@ def test_invalid_level_is_rejected_before_any_trial(monkeypatch, level):
 def test_trial_rng_streams():
     assert np.array_equal(trial_rng(5, 9).random(4), trial_rng(5, 9).random(4))
     assert not np.array_equal(trial_rng(5, 9).random(4), trial_rng(5, 10).random(4))
+
+
+# Seeds with 1, 2, 3, 4 and 5+ entropy words: (seed, t) has more than the
+# SeedSequence pool's 4 words from 2**96 on, which runs its extra mixing loop.
+STREAM_SEEDS = [0, 23, 2**32 - 1, 2**32, 2**48 - 1, 2**64 + 7, 2**96 + 5, 2**128 + 3, 2**200 + 1]
+# Row spans: estimator blocks, an odd span inside a chunk, a span crossing
+# t = 2**32 (t gains an entropy word there), one row and none.
+STREAM_SPANS = [(0, 128), (128, 256), (2048, 2048 + 333), (2**32 - 300, 2**32 + 300), (9, 10), (5, 5)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 20, 50, 100])
+def test_trial_weights_equal_trial_rng_bit_for_bit(n):
+    # 12 seeds x 1190 rows x 8 sizes: about 1.1e5 (seed, t) pairs
+    seeds = STREAM_SEEDS + [cli._fresh_seed() for _ in range(3)]  # random 48-bit seeds
+    for seed in seeds:
+        for t0, t1 in STREAM_SPANS:
+            batched = analysis._trial_weights(seed, t0, t1, n)
+            assert batched.shape == (t1 - t0, n) and batched.dtype == np.float64
+            for r, t in enumerate(range(t0, t1)):
+                assert np.array_equal(batched[r], trial_rng(seed, t).random(n)), (seed, t, n)
+
+
+def test_trial_weights_reject_a_negative_seed_like_trial_rng():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        trial_rng(-1, 0)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        analysis._trial_weights(-1, 0, 128, 3)
 
 
 def test_ratio_single_edge_exact():
@@ -447,15 +475,6 @@ def test_property_sweep_simulates_two_markets_per_tuple(monkeypatch):
     assert calls[0] == 2 * 300
 
 
-class _FixedDraw:
-    def __init__(self, weights):
-        self.weights = np.array(weights)
-
-    def random(self, n):
-        assert n == len(self.weights)
-        return self.weights.copy()
-
-
 # e^(w-1) rounds these two distinct weights to one price
 TIED_WEIGHTS = [np.nextafter(0.1, 1.0), 0.1]
 
@@ -465,11 +484,17 @@ def test_last_buyer_report_tie_fallback_matches_two_simulations(monkeypatch):
     # the exponential market then gives item 0 to the first buyer (tie to the
     # lower index) and the uniform market gives it item 1 (the lower weight)
     n, trials, seed = 2, 900, 12
+    trial_weights = analysis._trial_weights
 
-    def draws(seed, t):
-        return _FixedDraw(TIED_WEIGHTS) if t % 3 == 0 else trial_rng(seed, t)
+    def tied_weights(seed, t0, t1, n):
+        w = trial_weights(seed, t0, t1, n)
+        w[np.arange(t0, t1) % 3 == 0] = TIED_WEIGHTS
+        return w
 
-    monkeypatch.setattr(analysis, "trial_rng", draws)
+    def draw(t):
+        return np.array(TIED_WEIGHTS) if t % 3 == 0 else trial_rng(seed, t).random(n)
+
+    monkeypatch.setattr(analysis, "_trial_weights", tied_weights)
     calls = count_calls(monkeypatch)
     report = last_buyer_report(n, trials=trials, seed=seed)
     assert calls[0] == trials + trials // 3
@@ -479,7 +504,7 @@ def test_last_buyer_report_tie_fallback_matches_two_simulations(monkeypatch):
     totals = {EXP: 0.0, UNI: 0.0}
     served = 0
     for t in range(trials):
-        w = draws(seed, t).random(n)
+        w = draw(t)
         for scheme in (EXP, UNI):
             out = run_market(inst, prices_from_weights(w, scheme), sigma)
             totals[scheme] += out.utils[n - 1] + out.revs[n - 1]

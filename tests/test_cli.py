@@ -268,7 +268,7 @@ def test_ratio_computes_the_optimum_once(monkeypatch, capsys):
     assert dict(zip(header.split(","), row.split(",")))["optimum"] == "4"
 
 
-def _no_trial(seed, t):
+def _no_trial(*args):
     raise AssertionError("a trial ran")
 
 
@@ -281,6 +281,7 @@ def _no_trial(seed, t):
 def test_invalid_level_exits_2_before_any_trial(monkeypatch, capsys, argv, trials):
     # a trial would raise AssertionError, which main reports as exit 3
     monkeypatch.setattr(analysis, "trial_rng", _no_trial)
+    monkeypatch.setattr(analysis, "_trial_weights", _no_trial)
     code = main(argv + ["--trials", trials, "--seed", "1", "--level", "5"])
     captured = capsys.readouterr()
     assert code == 2
@@ -300,6 +301,20 @@ def test_jobs_below_one_exits_2(monkeypatch, capsys, argv, jobs):
     captured = capsys.readouterr()
     assert code == 2
     assert "jobs must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["claim1", "--kvv", "3", "--trials", "5"], ["remark3", "--n", "3", "--trials", "5"],
+     ["run", "--kvv", "3"], ["properties", "--sweep", "5"]],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    # the estimators' batched streams reject it as trial_rng does
+    code = main(argv + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "expected non-negative integer" in captured.err
+    assert captured.out == ""
 
 
 def test_oversize_generator_exits_2(capsys):

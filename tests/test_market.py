@@ -6,7 +6,6 @@ import pytest
 from ranking_market import (
     ArrivalOrder,
     PriceScheme,
-    draw_weights,
     kvv_hard_instance,
     make_instance,
     permutation_from_prices,
@@ -20,20 +19,6 @@ from helpers import random_instance, replay_market
 
 EXP = PriceScheme.EXPONENTIAL
 UNI = PriceScheme.UNIFORM
-
-
-def test_draw_weights_empty():
-    assert draw_weights(0, 1).shape == (0,)
-
-
-def test_draw_weights_deterministic():
-    assert np.array_equal(draw_weights(32, 5), draw_weights(32, 5))
-
-
-def test_draw_weights_distribution():
-    w = draw_weights(100_000, 12)
-    assert np.all(w >= 0.0) and np.all(w < 1.0)
-    assert abs(float(w.mean()) - 0.5) < 0.01
 
 
 def test_exponential_price_endpoints():
@@ -189,7 +174,7 @@ def test_market_outcomes_replay_cleanly():
 
 def test_price_indicator_integral():
     # E[e^(w-1) * 1{w < y}] over uniform w equals e^(y-1) - 1/e
-    w = draw_weights(100_000, 23)
+    w = np.random.default_rng(23).random(100_000)
     for y in (0.25, 0.5, 0.75, 1.0):
         x = np.exp(w - 1.0) * (w < y)
         mean = float(x.mean())
@@ -214,7 +199,7 @@ def test_exp_rounding_can_merge_weights_into_a_tie():
 def test_exp_prices_never_reorder_weights():
     # exp rounding may merge neighbouring weights (above) but never swaps
     # them; last_buyer_report relies on this to reuse one simulation
-    w = draw_weights(50_000, 29)
+    w = np.random.default_rng(29).random(50_000)
     w = np.sort(np.concatenate([w, np.nextafter(w, 1.0)]))
     p = np.exp(w - 1.0)
     assert np.all(np.diff(p) >= 0.0)

@@ -222,6 +222,8 @@ def _block_cases(rng):
         edges = [(i, j) for i in range(n_left) for j in range(n_right)]
         yield make_instance(n_left, n_right, edges), ArrivalOrder.random(n_left, rng)
     yield kvv_hard_instance(20), ArrivalOrder.reversed(20)
+    # buyers whose only neighbor is item 0: an index array [0] is falsy
+    yield make_instance(3, 2, [(0, 0), (1, 0), (1, 1), (2, 0)]), ArrivalOrder.random(3, rng)
 
 
 @pytest.mark.parametrize("rows", [1, 128])
@@ -233,6 +235,9 @@ def test_block_kernel_equals_the_scalar_loop_row_by_row(rows):
         score[rng.random(score.shape) < 0.15] = np.inf
         before = score.copy()
         block = _assign_min_score(inst.adjacency, score, sigma.order)
+        # the estimators pass the neighbor lists as intp arrays
+        arrays = tuple(np.array(a, dtype=np.intp) for a in inst.adjacency)
+        assert np.array_equal(_assign_min_score(arrays, score, sigma.order), block)
         assert block.shape == (rows, inst.n_left) and block.dtype == np.intp
         assert np.array_equal(score, before)  # the caller's scores are not consumed
         for t in range(rows):
