@@ -6,10 +6,14 @@ instance.
 Seeding contract: trial t of any estimator draws all of its randomness from
 ``trial_rng(seed, t)``, a deterministic function of (master seed, trial
 index). Trials are therefore independent of execution order, and every
-estimator returns bit-identical results for any ``jobs`` setting. The
-estimators draw a block of trials' weights at once with
-``streams._trial_weights``, which is ``trial_rng`` to the bit: row r is
-``trial_rng(seed, t0 + r).random(n)``.
+estimator returns bit-identical results for any ``jobs`` setting. No
+estimator builds those Generators one by one; each reproduces their draws
+to the bit. The Monte Carlo estimators draw a block of trials' weights at
+once with ``streams._trial_weights``: row r is
+``trial_rng(seed, t0 + r).random(n)``. The property sweep, whose tuples
+draw graphs, orders and edges of varying sizes, takes tuple t's draws from
+a Generator that ``streams._trial_generators`` sets to the state
+``trial_rng(seed, t)`` starts in.
 """
 
 from __future__ import annotations
@@ -20,12 +24,19 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from itertools import chain
 from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
 
-from .instance import ArrivalOrder, BipartiteInstance, kvv_hard_instance, random_bipartite
+from .instance import (
+    MAX_EDGES,
+    ArrivalOrder,
+    BipartiteInstance,
+    kvv_hard_instance,
+    random_bipartite,  # unused here; perfbench's tracer wraps it as analysis.random_bipartite
+)
 from .matchers import _assign_min_score, maximum_matching
 from .market import (
     PriceAssignment,
@@ -33,9 +44,8 @@ from .market import (
     _price_array,
     _settle,
     _settle_block,
-    prices_from_weights,
 )
-from .streams import _trial_weights
+from .streams import _trial_generators, _trial_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -610,6 +620,164 @@ class PropertySweep:
         return self.violations == 0
 
 
+# A block of property tuples holds about this many array cells (see
+# _tuple_cells), so its working set stays small whatever the sides are: a
+# block of tiny random graphs takes _BLOCK_TRIALS tuples, a large instance
+# as few as one.
+_BLOCK_CELLS = 1 << 18
+
+# Most cells of a fixed instance's padded neighbor rows, n_left times the
+# largest degree: every kvv_hard_instance and random_bipartite instance fits
+# (at most n**2 <= 2 * MAX_EDGES), and so does any file whose degrees are
+# not too skewed (a 10**6-vertex chain takes 2 * 10**6).
+_MAX_ROW_CELLS = 4 * MAX_EDGES
+
+
+def _tuple_cells(n_left: int, n_right: int, width: int, own_rows: bool) -> int:
+    """Array cells one tuple adds to a block: the scores, assignments and
+    per-arrival arrays of its two markets, plus both markets' copies of its
+    padded neighbor rows when its graph is its own."""
+    return 8 * (n_left + n_right + width) + (2 * n_left * width if own_rows else 0)
+
+
+def _draw_random_tuple(max_side: int, rng: np.random.Generator):
+    """One tuple of a random sweep: the graph (redrawn until it has an edge),
+    the arrival order, the weights and the index of the edge in row-major
+    order, drawn as random_bipartite, ArrivalOrder.random, random() and a
+    pick from the instance's edges draw them."""
+    while True:
+        n_left = int(rng.integers(1, max_side + 1))
+        n_right = int(rng.integers(1, max_side + 1))
+        edge_prob = float(rng.uniform(0.2, 0.9))
+        coins = rng.random((n_left, n_right)) < edge_prob
+        n_edges = np.count_nonzero(coins)
+        if n_edges:
+            break
+    order = rng.permutation(n_left)
+    weights = rng.random(n_right)
+    edge = np.flatnonzero(coins)[rng.integers(n_edges)]
+    return coins, order, weights, edge
+
+
+def _random_block(draws: list):
+    """A block of random tuples padded to its largest graph, L x R: the
+    neighbor rows [B, L, R] (buyer b's row holds item r where (b, r) is an
+    edge and the padding item R elsewhere), the arrival orders [B, L] (the
+    padding buyers, who have no neighbors, arrive last), the weights
+    [B, R], the buyers and the items."""
+    n_left = max(len(order) for _, order, _, _ in draws)
+    n_right = max(len(weights) for _, _, weights, _ in draws)
+    edges = np.zeros((len(draws), n_left, n_right), dtype=bool)
+    orders = np.tile(np.arange(n_left), (len(draws), 1))
+    padded_weights = np.zeros((len(draws), n_right))
+    buyers = np.empty(len(draws), dtype=np.intp)
+    items = np.empty(len(draws), dtype=np.intp)
+    for t, (coins, order, weights, edge) in enumerate(draws):
+        edges[t, : len(order), : len(weights)] = coins
+        orders[t, : len(order)] = order
+        padded_weights[t, : len(weights)] = weights
+        buyers[t], items[t] = divmod(edge, len(weights))
+    rows = np.where(edges, np.arange(n_right), n_right)
+    return rows, orders, padded_weights, buyers, items
+
+
+def _draw_fixed_tuple(n_left: int, n_right: int, n_edges: int, rng: np.random.Generator):
+    """One tuple of a sweep on a fixed instance: the arrival order, the
+    weights and the index of the edge in row-major order."""
+    return rng.permutation(n_left), rng.random(n_right), rng.integers(n_edges)
+
+
+def _instance_rows(instance: BipartiteInstance):
+    """A fixed instance in a block's form: its neighbor rows [1, L, max
+    degree], padded with the padding item n_right and shared by every market
+    of a block, and its edges in row-major order as buyer and item arrays."""
+    adjacency = instance.adjacency
+    degrees = np.fromiter(map(len, adjacency), dtype=np.intp, count=instance.n_left)
+    buyers = np.repeat(np.arange(instance.n_left), degrees)
+    items = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=len(buyers))
+    # an edge's place in its buyer's row
+    places = np.arange(len(items)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    rows = np.full((1, instance.n_left, degrees.max()), instance.n_right, dtype=np.intp)
+    rows[0, buyers, places] = items
+    return rows, buyers, items
+
+
+def _fixed_block(rows, edge_buyers, edge_items, draws: list):
+    """A block of tuples on a fixed instance, in _random_block's form."""
+    orders, weights, picks = (np.array(column) for column in zip(*draws))
+    return rows, orders, weights, edge_buyers[picks], edge_items[picks]
+
+
+def _removal_scores(prices: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """[2B, R]: the block's full markets, then the same markets with each
+    tuple's item scored inf, which the kernel never takes: the markets
+    without that item."""
+    reduced = prices.copy()
+    reduced[np.arange(len(items)), items] = math.inf
+    return np.concatenate([prices, reduced])
+
+
+def _counterfactual_block(prices, full, reduced, buyers, items):
+    """_counterfactual for a block: per tuple, the counterfactual price (1
+    when the buyer buys nothing in the reduced market), whether the item
+    sells in the full market and the buyer's utility there."""
+    rows = np.arange(len(items))
+    fallback = reduced[rows, buyers]
+    bought = full[rows, buyers]
+    cf_price = np.where(fallback >= 0, prices[rows, fallback], 1.0)
+    item_sold = (full == items[:, None]).any(axis=1)
+    utility = np.where(bought >= 0, 1.0 - prices[rows, bought], 0.0)
+    return cf_price, item_sold, utility
+
+
+def _nested_block(full, reduced, orders, items, n_items: int) -> np.ndarray:
+    """_nested_availability for a block: [B] bool. The sold sets only grow,
+    so the reduced market's (which holds the removed item from the start)
+    contains the full market's after every arrival exactly when each item
+    the full market sells at arrival k is held by the reduced market by
+    arrival k; and it has at most one item to spare exactly when, after
+    every arrival, the reduced market has sold no more other items than the
+    full market has sold items."""
+    rows = np.arange(len(items))[:, None]
+    arrivals = np.arange(orders.shape[1])
+    full_steps = full[rows, orders]  # [B, L]: the item arrival k buys, or -1
+    reduced_steps = reduced[rows, orders]
+    grown = np.cumsum((reduced_steps >= 0) & (reduced_steps != items[:, None]), axis=1)
+    sizes = (grown <= np.cumsum(full_steps >= 0, axis=1)).all(axis=1)
+    # the arrival by which the reduced market holds each item (-1: from the
+    # start, L: never); the last column, the padding item, stands for "no
+    # sale", which every market holds
+    held = np.full((len(items), n_items), len(arrivals))
+    held[rows, reduced_steps] = arrivals
+    held[rows[:, 0], items] = -1
+    held[:, -1] = -1
+    return sizes & (held[rows, full_steps] <= arrivals).all(axis=1)
+
+
+def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
+    """[3, B] bool: whether sold_if_cheaper, utility_floor and monotone
+    availability hold for each of a block of B tuples under exponential
+    prices, given the neighbor rows [B or 1, L, D] padded with the item R,
+    the arrival orders [B, L], the weights [B, R] and the tuples' buyers
+    and items. Both markets of every tuple go through one kernel call; the
+    checks are _property_check and _nested_availability as array
+    operations."""
+    n_tuples, n_right = weights.shape
+    prices = np.full((n_tuples, n_right + 1), math.inf)  # the padding item scores inf
+    prices[:, :n_right] = _price_array(weights, PriceScheme.EXPONENTIAL)
+    adjacency = np.broadcast_to(rows, (2, n_tuples) + rows.shape[1:]).reshape(-1, *rows.shape[1:])
+    assignment = _assign_min_score(
+        adjacency, _removal_scores(prices, items), np.concatenate([orders, orders])
+    )
+    full, reduced = assignment[:n_tuples], assignment[n_tuples:]
+    cf_price, item_sold, utility = _counterfactual_block(prices, full, reduced, buyers, items)
+    return np.stack([
+        (prices[np.arange(n_tuples), items] >= cf_price) | item_sold,
+        utility >= 1.0 - cf_price - _IDENTITY_TOL,
+        _nested_block(full, reduced, orders, items, n_right + 1),
+    ])
+
+
 def _property_chunk(
     instance: BipartiteInstance | None,
     max_side: int,
@@ -617,28 +785,29 @@ def _property_chunk(
     t0: int,
     t1: int,
 ):
-    fixed_edges = list(instance.edges) if instance is not None else None
-    p1 = p2 = mono = 0
-    for t in range(t0, t1):
-        rng = trial_rng(seed, t)
-        if instance is None:
-            while True:
-                n_left = int(rng.integers(1, max_side + 1))
-                n_right = int(rng.integers(1, max_side + 1))
-                inst = random_bipartite(n_left, n_right, float(rng.uniform(0.2, 0.9)), rng)
-                if inst.edge_count:
-                    break
-            edges = list(inst.edges)
-        else:
-            inst, edges = instance, fixed_edges
-        sigma = ArrivalOrder.random(inst.n_left, rng)
-        pa = prices_from_weights(rng.random(inst.n_right), PriceScheme.EXPONENTIAL)
-        buyer, item = edges[int(rng.integers(len(edges)))]
-        full, reduced = _markets(inst, pa, sigma, item)
-        check = _property_check(pa, item, _counterfactual(pa, full, reduced, buyer, item))
-        p1 += not check.sold_if_cheaper
-        p2 += not check.utility_floor
-        mono += not _nested_availability(full, reduced, sigma.order, item)
+    """The violation counts of tuples t0..t1-1. Tuple t makes exactly the
+    draws, in the same order, that one tuple of the reference loop makes
+    from trial_rng(seed, t): a random graph with sides up to max_side (or
+    the fixed instance), the arrival order, the weights and the edge. They
+    come from one Generator that _trial_generators sets to each tuple's
+    starting state. Tuples are checked in blocks (_property_block), sized
+    by _tuple_cells to about _BLOCK_CELLS cells.
+    """
+    if instance is None:
+        draw = partial(_draw_random_tuple, max_side)
+        make_block = _random_block
+        cells = _tuple_cells(max_side, max_side, max_side, own_rows=True)
+    else:
+        rows, edge_buyers, edge_items = _instance_rows(instance)
+        draw = partial(_draw_fixed_tuple, instance.n_left, instance.n_right, len(edge_items))
+        make_block = partial(_fixed_block, rows, edge_buyers, edge_items)
+        cells = _tuple_cells(instance.n_left, instance.n_right, rows.shape[2], own_rows=False)
+    block = min(_BLOCK_TRIALS, max(1, _BLOCK_CELLS // cells))
+    counts = np.zeros(3, dtype=np.int64)
+    for b0 in range(t0, t1, block):
+        draws = [draw(rng) for rng in _trial_generators(seed, b0, min(b0 + block, t1))]
+        counts += np.count_nonzero(~_property_block(*make_block(draws)), axis=1)
+    p1, p2, mono = counts.tolist()
     return p1, p2, mono
 
 
@@ -658,8 +827,20 @@ def property_sweep(
     max_side. All three are theorems, so any violation is a bug.
     """
     _check_run(trials, jobs)
-    if instance is not None and instance.edge_count == 0:
-        raise ValueError("property sweep needs an instance with at least one edge")
+    if not 1 <= max_side <= math.isqrt(MAX_EDGES):
+        raise ValueError(
+            f"max_side must lie in [1, {math.isqrt(MAX_EDGES)}] (max_side**2 <= "
+            f"MAX_EDGES = {MAX_EDGES}), got {max_side}"
+        )
+    if instance is not None:
+        if instance.edge_count == 0:
+            raise ValueError("property sweep needs an instance with at least one edge")
+        cells = instance.n_left * max(map(len, instance.adjacency))
+        if cells > _MAX_ROW_CELLS:
+            raise ValueError(
+                f"property sweep pads every buyer's neighbors to the largest degree: "
+                f"{cells} cells exceed {_MAX_ROW_CELLS}"
+            )
     worker = partial(_property_chunk, instance, max_side, seed)
     p1, p2, mono = _combine(_run_chunks(worker, trials, jobs))
     return PropertySweep(

@@ -65,23 +65,38 @@ def _assign_min_score(adjacency, score, order):
     an unserved arrival: per arrival, argmin over the gathered neighbor
     scores takes the first minimum (the lowest index), a minimum below inf
     is a purchase, and the taken item's score becomes inf. Row t equals the
-    list form on score[t]. Here adjacency[b] may also be an intp array, so
-    a caller running many blocks converts the neighbor lists once.
+    list form on score[t]. The T markets either share one graph and one
+    arrival order (adjacency[b] a list or intp array, order a sequence of
+    left vertices) or each have their own: order a [T, n_left] array,
+    row t market t's arrival order, and adjacency a [T, n_left, D] intp
+    array of padded neighbor rows, adjacency[t, b] buyer b's neighbors in
+    market t in ascending order with gaps and tail filled by an item whose
+    score is inf in every market.
     """
     if isinstance(score, np.ndarray):
         scores = score.T.copy()  # [n_right, T]: one neighbor's scores are contiguous
-        assignment = np.full((len(adjacency), scores.shape[1]), -1, dtype=np.intp)
         markets = np.arange(scores.shape[1])
-        for b in order:
-            neighbors = np.asarray(adjacency[b], dtype=np.intp)
-            if len(neighbors) == 0:
-                continue
-            gathered = scores[neighbors]
+        per_market = isinstance(order, np.ndarray) and order.ndim == 2
+        n_left = order.shape[1] if per_market else len(adjacency)
+        # per market, row k first holds the item of arrival k
+        assignment = np.full((n_left, len(markets)), -1, dtype=np.intp)
+        for k, buyers in enumerate(order.T if per_market else order):
+            if per_market:  # buyers: market t's k-th arrival in column t
+                neighbors = adjacency[markets, buyers].T  # [D, T]
+                gathered = scores[neighbors, markets]
+            else:  # buyers: the k-th arrival of every market
+                neighbors = np.asarray(adjacency[buyers], dtype=np.intp)
+                if len(neighbors) == 0:
+                    continue
+                gathered = scores[neighbors]
             pick = gathered.argmin(axis=0)
-            items = neighbors[pick]
-            np.copyto(assignment[b], items, where=gathered[pick, markets] < _INF)
+            items = neighbors[pick, markets] if per_market else neighbors[pick]
+            np.copyto(assignment[k if per_market else buyers], items,
+                      where=gathered[pick, markets] < _INF)
             # an unserved market's neighbors all score inf already
             scores[items, markets] = _INF
+        if per_market:
+            assignment[order.T, markets] = assignment.copy()
         return assignment.T
     n_right = len(score)
     available = [True] * n_right

@@ -1,9 +1,11 @@
-"""Per-trial weight streams for a block of trials at once, bit-exact.
+"""Per-trial random streams for a block of trials at once, bit-exact.
 
-Trial t draws its weights as ``np.random.default_rng((seed, t)).random(n)``
+Trial t draws from ``np.random.default_rng((seed, t))``
 (``analysis.trial_rng``). Building one Generator per trial costs as much as
-the rest of a trial, so ``_trial_weights`` computes the same doubles for
-trials t0..t1-1 with numpy arrays over the trials. It retraces numpy's three
+the rest of a trial, so ``_trial_weights`` computes the doubles of
+``random(n)`` for trials t0..t1-1 with numpy arrays over the trials, and
+``_trial_generators`` sets one reused Generator to each trial's starting
+state (steps 1 and 2) for draws of other kinds. It retraces numpy's three
 steps:
 
 1. SeedSequence: the entropy is the 32-bit words of the seed, then those of
@@ -185,20 +187,17 @@ def _pcg64_random(state: np.ndarray, table) -> np.ndarray:
     return x * 2.0**-53
 
 
-def _trial_weights(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
-    """[t1 - t0, n] float64 whose row r is trial_rng(seed, t0 + r).random(n)
-    to the bit, computed for all rows at once: numpy's SeedSequence hashing,
-    PCG64 seeding and random() as array operations over the rows (the steps
-    are in the module docstring; PCG64 is O'Neill 2014's XSL-RR 128/64).
+def _seed_states(seed: int, t0: int, t1: int) -> np.ndarray:
+    """[4, t1 - t0] uint64: column r is SeedSequence((seed, t0 + r))
+    .generate_state(4, np.uint64), the words that seed trial t0 + r's PCG64.
 
     The entropy of (seed, t) is the seed's words followed by t's, so rows
-    whose t has a different number of words are seeded apart: the range is
+    whose t has a different number of words are hashed apart: the range is
     cut at every multiple of 2**32, below which t's words above the lowest
     are the same for every row.
     """
     seed_words = _uint32_words(seed)
     _uint32_words(t0)  # a negative trial index raises as trial_rng does
-    table = _lcg_table(n)
     parts = []
     t = t0
     while t < t1:
@@ -206,8 +205,38 @@ def _trial_weights(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
         end = min(t1, (high + 1) << 32)
         low = np.arange(end - t, dtype=np.uint32) + np.uint32(t & _MASK32)
         words = seed_words + [low] + (_uint32_words(high) if high else [])
-        parts.append(_pcg64_random(_generate_state(words, end - t), table))
+        parts.append(_generate_state(words, end - t))
         t = end
     if len(parts) == 1:
         return parts[0]
-    return np.concatenate(parts) if parts else np.empty((0, n))
+    return np.concatenate(parts, axis=1) if parts else np.empty((4, 0), dtype=np.uint64)
+
+
+def _trial_weights(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
+    """[t1 - t0, n] float64 whose row r is trial_rng(seed, t0 + r).random(n)
+    to the bit, computed for all rows at once: numpy's SeedSequence hashing,
+    PCG64 seeding and random() as array operations over the rows (the steps
+    are in the module docstring; PCG64 is O'Neill 2014's XSL-RR 128/64)."""
+    return _pcg64_random(_seed_states(seed, t0, t1), _lcg_table(n))
+
+
+def _trial_generators(seed: int, t0: int, t1: int):
+    """Yield, for t = t0..t1-1, a Generator in the state trial_rng(seed, t)
+    starts in, for draws that _trial_weights does not batch (integers,
+    permutation, ...). One Generator is reused: each step sets its PCG64
+    state, ``(s0:s1 + inc)·M + inc`` with ``inc = (s2:s3 << 1) | 1`` from
+    the trial's _seed_states column, through the public ``state`` setter,
+    so the draws of trial t must be made before the next one is yielded.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for s0, s1, s2, s3 in _seed_states(seed, t0, t1).T.tolist():
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng

@@ -237,6 +237,7 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(analysis, "trial_rng", no_work)
     monkeypatch.setattr(analysis, "_trial_weights", no_work)
+    monkeypatch.setattr(analysis, "_trial_generators", no_work)
     monkeypatch.setattr(analysis, "maximum_matching", no_work)
 
 
@@ -271,6 +272,18 @@ def test_invalid_level_is_rejected_before_any_trial(monkeypatch, level):
             call()
 
 
+@pytest.mark.parametrize("max_side", [0, -3, 2000])
+def test_max_side_outside_the_edge_bound_is_rejected(monkeypatch, max_side):
+    # 2000**2 potential edges exceed MAX_EDGES, and so would a block padded to them
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match="max_side"):
+        property_sweep(40, 1, max_side=max_side)
+
+
+def test_max_side_at_the_edge_bound_is_accepted():
+    assert property_sweep(1, 1, max_side=math.isqrt(analysis.MAX_EDGES)).passed
+
+
 def test_trial_rng_streams():
     assert np.array_equal(trial_rng(5, 9).random(4), trial_rng(5, 9).random(4))
     assert not np.array_equal(trial_rng(5, 9).random(4), trial_rng(5, 10).random(4))
@@ -294,6 +307,22 @@ def test_trial_weights_equal_trial_rng_bit_for_bit(n):
             assert batched.shape == (t1 - t0, n) and batched.dtype == np.float64
             for r, t in enumerate(range(t0, t1)):
                 assert np.array_equal(batched[r], trial_rng(seed, t).random(n)), (seed, t, n)
+
+
+def mixed_draws(rng: np.random.Generator) -> list:
+    """A run of draws of every kind, whose length varies with the stream."""
+    n = int(rng.integers(1, 9))
+    return [n, rng.uniform(0.2, 0.9), rng.random((n, 3)), rng.permutation(n),
+            rng.integers(n), rng.random(5), rng.integers(0, 2**40, size=3)]
+
+
+@pytest.mark.parametrize("seed", [23, 2**64 + 7])  # 1 and 3 entropy words
+def test_trial_generators_start_where_trial_rng_starts(seed):
+    # a span straddling t = 2**32, where t gains an entropy word
+    t0, t1 = 2**32 - 200, 2**32 + 200
+    for t, rng in zip(range(t0, t1), analysis._trial_generators(seed, t0, t1), strict=True):
+        got, expected = mixed_draws(rng), mixed_draws(np.random.default_rng((seed, t)))
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (seed, t)
 
 
 def test_trial_weights_reject_a_negative_seed_like_trial_rng():

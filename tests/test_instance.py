@@ -1,3 +1,7 @@
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from ranking_market import (
     serialize,
     without_right_vertex,
 )
+from ranking_market import cli
 from ranking_market import instance as instance_module
 from ranking_market.instance import MAX_EDGES, MAX_SIDE
 
@@ -191,3 +196,47 @@ def test_generator_outputs_satisfy_invariants():
         )
         for row in inst.adjacency:
             assert list(row) == sorted(set(row))
+
+
+# Tokens a malformed instance file may hold: small and negative integers,
+# sides past MAX_SIDE, numbers int() rejects or takes (unicode digits,
+# underscores, a sign), an int too long for int(), comment marks and noise.
+_TOKENS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(
+        [str(MAX_SIDE + 1), "1.5", "0x1", "1e3", "nan", "#", "--", "٣", "1_0", "+2",
+         "9" * 5000, "\x00"]
+    ),
+    st.text(max_size=3),
+)
+_LINES = st.one_of(st.lists(_TOKENS, max_size=4).map(" ".join), st.text(max_size=6))
+_TEXTS = st.lists(_LINES, max_size=8).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TEXTS)
+def test_parse_fails_only_with_a_line_numbered_value_error(text):
+    try:
+        inst = parse(text)
+    except ValueError as exc:
+        assert re.match(r"line \d+: ", str(exc)), exc
+    else:
+        assert parse(serialize(inst)) == inst
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_TEXTS)
+def test_a_malformed_instance_file_exits_2(tmp_path_factory, text):
+    try:
+        parse(text)
+    except ValueError:
+        pass
+    else:
+        return  # well-formed: not this test's case
+    path = tmp_path_factory.mktemp("fuzz") / "instance.txt"
+    path.write_text(text, encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["properties", "--file", str(path), "--sweep", "5", "--seed", "1"])
+    assert code == 2, stderr.getvalue()
+    assert stderr.getvalue().startswith("error: "), stderr.getvalue()

@@ -1,0 +1,209 @@
+"""The batched property sweep against the one-tuple-at-a-time reference.
+
+Each tuple of the reference loop draws from ``trial_rng(seed, t)`` and is
+checked with the single-tuple functions behind ``counterfactual`` and the
+``check_*`` functions: ``_markets``, ``_property_check`` and
+``_nested_availability``. The batch must draw the same tuples and reach the
+same three verdicts, tuple by tuple. The mutant tests show that each
+property can fail inside the batch, which the all-zero counts of a working
+sweep cannot show.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from ranking_market import (
+    ArrivalOrder,
+    PriceScheme,
+    analysis,
+    kvv_hard_instance,
+    make_instance,
+    prices_from_weights,
+    property_sweep,
+    random_bipartite,
+    trial_rng,
+)
+from ranking_market.analysis import (
+    _BLOCK_TRIALS,
+    _counterfactual,
+    _draw_fixed_tuple,
+    _draw_random_tuple,
+    _fixed_block,
+    _instance_rows,
+    _markets,
+    _nested_availability,
+    _property_block,
+    _property_check,
+    _random_block,
+    _trial_generators,
+)
+
+
+def reference_tuple(instance, max_side: int, seed: int, t: int):
+    """Tuple t as the per-tuple loop draws and checks it: the instance, the
+    arrival order, the prices, the edge and the three verdicts."""
+    rng = trial_rng(seed, t)
+    if instance is None:
+        while True:
+            n_left = int(rng.integers(1, max_side + 1))
+            n_right = int(rng.integers(1, max_side + 1))
+            inst = random_bipartite(n_left, n_right, float(rng.uniform(0.2, 0.9)), rng)
+            if inst.edge_count:
+                break
+    else:
+        inst = instance
+    sigma = ArrivalOrder.random(inst.n_left, rng)
+    pa = prices_from_weights(rng.random(inst.n_right), PriceScheme.EXPONENTIAL)
+    buyer, item = inst.edges[int(rng.integers(inst.edge_count))]
+    full, reduced = _markets(inst, pa, sigma, item)
+    check = _property_check(pa, item, _counterfactual(pa, full, reduced, buyer, item))
+    nested = _nested_availability(full, reduced, sigma.order, item)
+    return inst, sigma, pa, (buyer, item), (check.sold_if_cheaper, check.utility_floor, nested)
+
+
+def batched_verdicts(draws: list, make_block) -> np.ndarray:
+    """[3, T] verdicts of the draws, checked in blocks of _BLOCK_TRIALS."""
+    return np.concatenate([
+        _property_block(*make_block(draws[b0 : b0 + _BLOCK_TRIALS]))
+        for b0 in range(0, len(draws), _BLOCK_TRIALS)
+    ], axis=1)
+
+
+def test_random_tuples_match_the_reference_loop():
+    seed, max_side, count = 17, 10, 10_000
+    draws = [_draw_random_tuple(max_side, rng) for rng in _trial_generators(seed, 0, count)]
+    verdicts = batched_verdicts(draws, _random_block).T.tolist()
+    totals = np.zeros(3, dtype=int)
+    for t, (coins, order, weights, edge) in enumerate(draws):
+        inst, sigma, pa, chosen, expected = reference_tuple(None, max_side, seed, t)
+        assert coins.shape == (inst.n_left, inst.n_right), t
+        assert list(map(tuple, np.argwhere(coins).tolist())) == list(inst.edges), t
+        assert tuple(order.tolist()) == sigma.order, t
+        assert tuple(weights.tolist()) == pa.weights, t
+        assert divmod(int(edge), inst.n_right) == chosen, t
+        assert tuple(verdicts[t]) == expected, t
+        totals += np.logical_not(expected)
+    sweep = property_sweep(count, seed, max_side=max_side)
+    assert totals.tolist() == [0, 0, 0]
+    assert [sweep.sold_if_cheaper_violations, sweep.utility_floor_violations,
+            sweep.monotone_violations] == totals.tolist()
+
+
+def test_fixed_instance_tuples_match_the_reference_loop():
+    inst = kvv_hard_instance(7)
+    seed, count = 29, 1500
+    rows, edge_buyers, edge_items = _instance_rows(inst)
+    assert list(zip(edge_buyers.tolist(), edge_items.tolist())) == list(inst.edges)
+    draws = [_draw_fixed_tuple(inst.n_left, inst.n_right, inst.edge_count, rng)
+             for rng in _trial_generators(seed, 0, count)]
+    verdicts = batched_verdicts(
+        draws, lambda block: _fixed_block(rows, edge_buyers, edge_items, block)
+    )
+    for t, (order, weights, pick) in enumerate(draws):
+        _, sigma, pa, chosen, expected = reference_tuple(inst, 0, seed, t)
+        assert tuple(order.tolist()) == sigma.order, t
+        assert tuple(weights.tolist()) == pa.weights, t
+        assert inst.edges[pick] == chosen, t
+        assert tuple(verdicts[:, t].tolist()) == expected, t
+
+
+def test_blocks_are_sized_by_their_working_set(monkeypatch):
+    sizes = []
+    block = analysis._property_block
+
+    def recording(rows, orders, weights, buyers, items):
+        sizes.append(len(items))
+        return block(rows, orders, weights, buyers, items)
+
+    monkeypatch.setattr(analysis, "_property_block", recording)
+    property_sweep(300, seed=3)
+    assert sizes == [128, 128, 44]
+    # kvv30: 8 * (30 + 30 + 30) cells a tuple
+    for cells, expected in [(2000, [2, 2, 1]), (719, [1] * 5)]:
+        sizes.clear()
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        property_sweep(5, seed=3, instance=kvv_hard_instance(30))
+        assert sizes == expected
+
+
+def test_the_padded_neighbor_rows_are_shared_not_copied(monkeypatch):
+    # a fixed instance's rows are broadcast to every market of a block
+    seen = []
+    kernel = analysis._assign_min_score
+
+    def recording(adjacency, score, order):
+        seen.append(adjacency)
+        return kernel(adjacency, score, order)
+
+    monkeypatch.setattr(analysis, "_assign_min_score", recording)
+    property_sweep(200, seed=3, instance=kvv_hard_instance(30))
+    assert [a.shape for a in seen] == [(256, 30, 30), (144, 30, 30)]
+    assert all(a.strides[0] == 0 for a in seen)
+
+
+# ---------------------------------------------------------------------------
+# mutants: each property must be able to fail inside the batch
+# ---------------------------------------------------------------------------
+
+
+def _counts(sweep) -> tuple[int, int, int]:
+    return (sweep.sold_if_cheaper_violations, sweep.utility_floor_violations,
+            sweep.monotone_violations)
+
+
+@pytest.mark.parametrize("instance", [None, kvv_hard_instance(6)], ids=["random", "kvv6"])
+def test_removing_the_next_item_breaks_monotone_availability(monkeypatch, instance):
+    removal_scores = analysis._removal_scores
+
+    def next_item(prices, items):
+        return removal_scores(prices, items + 1)
+
+    monkeypatch.setattr(analysis, "_removal_scores", next_item)
+    assert property_sweep(2000, seed=5, instance=instance).monotone_violations > 0
+
+
+def test_the_full_market_read_from_the_reduced_one_breaks_sold_if_cheaper(monkeypatch):
+    # the item never sells without itself, so "sold" fails whenever the item
+    # is cheaper than the fallback; the buyer's utility is then 1 - fallback
+    # price exactly, so the floor still holds
+    counterfactual_block = analysis._counterfactual_block
+
+    def reduced_only(prices, full, reduced, buyers, items):
+        return counterfactual_block(prices, reduced, reduced, buyers, items)
+
+    monkeypatch.setattr(analysis, "_counterfactual_block", reduced_only)
+    p1, p2, mono = _counts(property_sweep(2000, seed=5))
+    assert p1 > 0 and p2 == 0 and mono == 0
+
+
+def test_settling_at_the_reduced_scores_breaks_utility_floor(monkeypatch):
+    # the accounting of the full market reads the removed item's price as
+    # inf, so a buyer who bought it has utility -inf
+    counterfactual_block = analysis._counterfactual_block
+
+    def reduced_prices(prices, full, reduced, buyers, items):
+        scores = prices.copy()
+        scores[np.arange(len(items)), items] = math.inf
+        return counterfactual_block(scores, full, reduced, buyers, items)
+
+    monkeypatch.setattr(analysis, "_counterfactual_block", reduced_prices)
+    p1, p2, mono = _counts(property_sweep(2000, seed=5))
+    assert p1 == 0 and p2 > 0 and mono == 0
+
+
+def test_an_instance_too_skewed_to_pad_is_rejected_before_any_tuple(monkeypatch):
+    # one buyer adjacent to every item, every other buyer to one: few edges,
+    # but n_left x the largest degree padded cells
+    n = math.isqrt(analysis._MAX_ROW_CELLS) + 1
+    star = make_instance(n, n, [(0, j) for j in range(n)] + [(i, 0) for i in range(1, n)])
+
+    def no_work(*args):
+        raise AssertionError("a tuple was drawn")
+
+    monkeypatch.setattr(analysis, "_trial_generators", no_work)
+    with pytest.raises(ValueError, match="largest degree"):
+        property_sweep(10, seed=1, instance=star)
