@@ -45,7 +45,7 @@ from .market import (
     _settle,
     _settle_block,
 )
-from .streams import _trial_generators, _trial_weights
+from .streams import _random_tuples, _trial_generators, _trial_weights, _tuple_outputs
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -624,7 +624,7 @@ class PropertySweep:
 # _tuple_cells), so its working set stays small whatever the sides are: a
 # block of tiny random graphs takes _BLOCK_TRIALS tuples, a large instance
 # as few as one.
-_BLOCK_CELLS = 1 << 18
+_BLOCK_CELLS = 1 << 20
 
 # Most cells of a fixed instance's padded neighbor rows, n_left times the
 # largest degree: every kvv_hard_instance and random_bipartite instance fits
@@ -635,56 +635,13 @@ _MAX_ROW_CELLS = 4 * MAX_EDGES
 
 def _tuple_cells(n_left: int, n_right: int, width: int, own_rows: bool) -> int:
     """Array cells one tuple adds to a block: the scores, assignments and
-    per-arrival arrays of its two markets, plus both markets' copies of its
-    padded neighbor rows when its graph is its own."""
-    return 8 * (n_left + n_right + width) + (2 * n_left * width if own_rows else 0)
-
-
-def _draw_random_tuple(max_side: int, rng: np.random.Generator):
-    """One tuple of a random sweep: the graph (redrawn until it has an edge),
-    the arrival order, the weights and the index of the edge in row-major
-    order, drawn as random_bipartite, ArrivalOrder.random, random() and a
-    pick from the instance's edges draw them."""
-    while True:
-        n_left = int(rng.integers(1, max_side + 1))
-        n_right = int(rng.integers(1, max_side + 1))
-        edge_prob = float(rng.uniform(0.2, 0.9))
-        coins = rng.random((n_left, n_right)) < edge_prob
-        n_edges = np.count_nonzero(coins)
-        if n_edges:
-            break
-    order = rng.permutation(n_left)
-    weights = rng.random(n_right)
-    edge = np.flatnonzero(coins)[rng.integers(n_edges)]
-    return coins, order, weights, edge
-
-
-def _random_block(draws: list):
-    """A block of random tuples padded to its largest graph, L x R: the
-    neighbor rows [B, L, R] (buyer b's row holds item r where (b, r) is an
-    edge and the padding item R elsewhere), the arrival orders [B, L] (the
-    padding buyers, who have no neighbors, arrive last), the weights
-    [B, R], the buyers and the items."""
-    n_left = max(len(order) for _, order, _, _ in draws)
-    n_right = max(len(weights) for _, _, weights, _ in draws)
-    edges = np.zeros((len(draws), n_left, n_right), dtype=bool)
-    orders = np.tile(np.arange(n_left), (len(draws), 1))
-    padded_weights = np.zeros((len(draws), n_right))
-    buyers = np.empty(len(draws), dtype=np.intp)
-    items = np.empty(len(draws), dtype=np.intp)
-    for t, (coins, order, weights, edge) in enumerate(draws):
-        edges[t, : len(order), : len(weights)] = coins
-        orders[t, : len(order)] = order
-        padded_weights[t, : len(weights)] = weights
-        buyers[t], items[t] = divmod(edge, len(weights))
-    rows = np.where(edges, np.arange(n_right), n_right)
-    return rows, orders, padded_weights, buyers, items
-
-
-def _draw_fixed_tuple(n_left: int, n_right: int, n_edges: int, rng: np.random.Generator):
-    """One tuple of a sweep on a fixed instance: the arrival order, the
-    weights and the index of the edge in row-major order."""
-    return rng.permutation(n_left), rng.random(n_right), rng.integers(n_edges)
+    per-arrival arrays of its two markets, plus, when its graph is its own
+    (a random tuple), both markets' copies of its padded neighbor rows and
+    the K raw outputs it is decoded from (streams._tuple_outputs)."""
+    cells = 8 * (n_left + n_right + width)
+    if own_rows:
+        cells += 2 * n_left * width + _tuple_outputs(max(n_left, n_right))
+    return cells
 
 
 def _instance_rows(instance: BipartiteInstance):
@@ -702,8 +659,16 @@ def _instance_rows(instance: BipartiteInstance):
     return rows, buyers, items
 
 
-def _fixed_block(rows, edge_buyers, edge_items, draws: list):
-    """A block of tuples on a fixed instance, in _random_block's form."""
+def _fixed_tuples(rows, edge_buyers, edge_items, n_right: int, seed: int, t0: int, t1: int):
+    """Tuples t0..t1-1 of a sweep on a fixed instance, in _random_tuples'
+    block form. Tuple t draws, from a Generator in trial_rng(seed, t)'s
+    starting state, order = permutation(n_left), weights = random(n_right)
+    and the index of its edge, integers(n_edges), in row-major order."""
+    n_left, n_edges = rows.shape[1], len(edge_items)
+    draws = [
+        (rng.permutation(n_left), rng.random(n_right), rng.integers(n_edges))
+        for rng in _trial_generators(seed, t0, t1)
+    ]
     orders, weights, picks = (np.array(column) for column in zip(*draws))
     return rows, orders, weights, edge_buyers[picks], edge_items[picks]
 
@@ -788,25 +753,24 @@ def _property_chunk(
     """The violation counts of tuples t0..t1-1. Tuple t makes exactly the
     draws, in the same order, that one tuple of the reference loop makes
     from trial_rng(seed, t): a random graph with sides up to max_side (or
-    the fixed instance), the arrival order, the weights and the edge. They
-    come from one Generator that _trial_generators sets to each tuple's
-    starting state. Tuples are checked in blocks (_property_block), sized
-    by _tuple_cells to about _BLOCK_CELLS cells.
+    the fixed instance), the arrival order, the weights and the edge. A
+    random block's tuples are decoded from raw PCG64 outputs
+    (_random_tuples); a fixed instance's come from one Generator that
+    _trial_generators sets to each tuple's starting state (_fixed_tuples).
+    Tuples are checked in blocks (_property_block), sized by _tuple_cells to
+    about _BLOCK_CELLS cells.
     """
     if instance is None:
-        draw = partial(_draw_random_tuple, max_side)
-        make_block = _random_block
+        tuples = partial(_random_tuples, max_side)
         cells = _tuple_cells(max_side, max_side, max_side, own_rows=True)
     else:
         rows, edge_buyers, edge_items = _instance_rows(instance)
-        draw = partial(_draw_fixed_tuple, instance.n_left, instance.n_right, len(edge_items))
-        make_block = partial(_fixed_block, rows, edge_buyers, edge_items)
+        tuples = partial(_fixed_tuples, rows, edge_buyers, edge_items, instance.n_right)
         cells = _tuple_cells(instance.n_left, instance.n_right, rows.shape[2], own_rows=False)
     block = min(_BLOCK_TRIALS, max(1, _BLOCK_CELLS // cells))
     counts = np.zeros(3, dtype=np.int64)
     for b0 in range(t0, t1, block):
-        draws = [draw(rng) for rng in _trial_generators(seed, b0, min(b0 + block, t1))]
-        counts += np.count_nonzero(~_property_block(*make_block(draws)), axis=1)
+        counts += np.count_nonzero(~_property_block(*tuples(seed, b0, min(b0 + block, t1))), axis=1)
     p1, p2, mono = counts.tolist()
     return p1, p2, mono
 

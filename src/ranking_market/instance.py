@@ -152,20 +152,6 @@ def random_bipartite(n_left: int, n_right: int, edge_prob: float, seed) -> Bipar
     return BipartiteInstance(n_left=n_left, n_right=n_right, adjacency=adjacency)
 
 
-def without_right_vertex(instance: BipartiteInstance, j: int) -> BipartiteInstance:
-    """Copy of the instance with every edge into right vertex j removed.
-
-    The right side keeps its size so item indices (and price vectors) stay
-    aligned with the original instance.
-    """
-    if not 0 <= j < instance.n_right:
-        raise ValueError(f"right vertex {j} out of range")
-    adjacency = tuple(
-        tuple(k for k in neighbors if k != j) for neighbors in instance.adjacency
-    )
-    return BipartiteInstance(instance.n_left, instance.n_right, adjacency)
-
-
 def serialize(instance: BipartiteInstance) -> str:
     """Render an instance in the interchange format.
 

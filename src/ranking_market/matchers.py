@@ -1,5 +1,6 @@
 """Matching algorithms: online (RANKING and greedy), the offline
-maximum-matching solver, and exact brute-force oracles for small instances."""
+maximum-matching solver, and the exact expected RANKING size of a small
+instance."""
 
 from __future__ import annotations
 
@@ -33,22 +34,6 @@ class Matching:
         return tuple((i, j) for i, j in enumerate(self.assignment) if j is not None)
 
 
-def validate_matching(matching: Matching, instance: BipartiteInstance) -> None:
-    """Raise ValueError unless the matching is injective and feasible for the
-    given instance."""
-    if len(matching.assignment) != instance.n_left:
-        raise ValueError("matching size does not match the instance's left side")
-    seen: set[int] = set()
-    for i, j in enumerate(matching.assignment):
-        if j is None:
-            continue
-        if j in seen:
-            raise ValueError(f"right vertex {j} is matched twice")
-        seen.add(j)
-        if j not in instance.adjacency[i]:
-            raise ValueError(f"pair ({i}, {j}) is not an edge of the instance")
-
-
 def _assign_min_score(adjacency, score, order):
     """Sequentially assign each arriving left vertex to its available
     neighbor with the minimum score, ties going to the lowest index.
@@ -74,30 +59,9 @@ def _assign_min_score(adjacency, score, order):
     score is inf in every market.
     """
     if isinstance(score, np.ndarray):
-        scores = score.T.copy()  # [n_right, T]: one neighbor's scores are contiguous
-        markets = np.arange(scores.shape[1])
-        per_market = isinstance(order, np.ndarray) and order.ndim == 2
-        n_left = order.shape[1] if per_market else len(adjacency)
-        # per market, row k first holds the item of arrival k
-        assignment = np.full((n_left, len(markets)), -1, dtype=np.intp)
-        for k, buyers in enumerate(order.T if per_market else order):
-            if per_market:  # buyers: market t's k-th arrival in column t
-                neighbors = adjacency[markets, buyers].T  # [D, T]
-                gathered = scores[neighbors, markets]
-            else:  # buyers: the k-th arrival of every market
-                neighbors = np.asarray(adjacency[buyers], dtype=np.intp)
-                if len(neighbors) == 0:
-                    continue
-                gathered = scores[neighbors]
-            pick = gathered.argmin(axis=0)
-            items = neighbors[pick, markets] if per_market else neighbors[pick]
-            np.copyto(assignment[k if per_market else buyers], items,
-                      where=gathered[pick, markets] < _INF)
-            # an unserved market's neighbors all score inf already
-            scores[items, markets] = _INF
-        if per_market:
-            assignment[order.T, markets] = assignment.copy()
-        return assignment.T
+        if isinstance(order, np.ndarray) and order.ndim == 2:
+            return _assign_per_market(adjacency, score, order)
+        return _assign_shared(adjacency, score, order)
     n_right = len(score)
     available = [True] * n_right
     assignment: list[int | None] = [None] * len(adjacency)
@@ -112,6 +76,44 @@ def _assign_min_score(adjacency, score, order):
             available[best_j] = False
             assignment[b] = best_j
     return assignment
+
+
+def _assign_shared(adjacency, score: np.ndarray, order) -> np.ndarray:
+    """_assign_min_score's T markets on one graph and one arrival order."""
+    scores = score.copy()  # [T, n_right]: taken items become inf
+    markets = np.arange(len(scores))
+    assignment = np.full((len(adjacency), len(scores)), -1, dtype=np.intp)
+    for b in order:
+        neighbors = np.asarray(adjacency[b], dtype=np.intp)
+        if len(neighbors) == 0:
+            continue
+        gathered = scores.take(neighbors, axis=1)  # [T, degree]
+        pick = gathered.argmin(axis=1)
+        items = neighbors[pick]
+        np.copyto(assignment[b], items, where=gathered[markets, pick] < _INF)
+        # an unserved market's neighbors all score inf already
+        scores[markets, items] = _INF
+    return assignment.T
+
+
+def _assign_per_market(adjacency: np.ndarray, score: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """_assign_min_score's T markets, each with its own padded neighbor rows
+    and arrival order. Scores are kept transposed, [n_right, T]: gathering a
+    [T, D] block of neighbor scores and taking its argmin along the markets
+    was slower on property blocks than the shared path's layout."""
+    scores = score.T.copy()
+    markets = np.arange(scores.shape[1])
+    # per market, row k first holds the item of arrival k
+    assignment = np.full((order.shape[1], len(markets)), -1, dtype=np.intp)
+    for k, buyers in enumerate(order.T):  # market t's k-th arrival in column t
+        neighbors = adjacency[markets, buyers].T  # [D, T]
+        gathered = scores[neighbors, markets]
+        pick = gathered.argmin(axis=0)
+        items = neighbors[pick, markets]
+        np.copyto(assignment[k], items, where=gathered[pick, markets] < _INF)
+        scores[items, markets] = _INF
+    assignment[order.T, markets] = assignment.copy()
+    return assignment.T
 
 
 def _check_sigma(instance: BipartiteInstance, sigma: ArrivalOrder) -> None:
@@ -174,33 +176,6 @@ def maximum_matching(instance: BipartiteInstance) -> Matching:
             path.append(match_right[v])
             cursor.append(0)
     return Matching(tuple(match_left))
-
-
-def brute_force_max_size(instance: BipartiteInstance) -> int:
-    """Exact maximum matching size by exhaustive search over assignments.
-
-    Independent of maximum_matching by construction; guarded to n_left <= 10.
-    """
-    if instance.n_left > 10:
-        raise ValueError("brute force oracle is limited to n_left <= 10")
-    adjacency = instance.adjacency
-    n = instance.n_left
-    best = 0
-
-    def explore(i: int, used: int, matched: int) -> None:
-        nonlocal best
-        if matched + (n - i) <= best:
-            return
-        if i == n:
-            best = matched
-            return
-        for j in adjacency[i]:
-            if not used >> j & 1:
-                explore(i + 1, used | 1 << j, matched + 1)
-        explore(i + 1, used, matched)
-
-    explore(0, 0, 0)
-    return best
 
 
 def exact_ranking_expectation(instance: BipartiteInstance, sigma: ArrivalOrder) -> Fraction:

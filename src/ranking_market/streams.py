@@ -240,3 +240,298 @@ def _trial_generators(seed: int, t0: int, t1: int):
             "uinteger": 0,
         }
         yield rng
+
+
+# ---------------------------------------------------------------------------
+# Random property-sweep tuples, decoded from raw PCG64 outputs
+# ---------------------------------------------------------------------------
+
+# a random tuple's graph has edge probability uniform(0.2, 0.9)
+_PROB_LOW, _PROB_HIGH = 0.2, 0.9
+
+
+def _tuple_outputs(max_side: int) -> int:
+    """K, the raw outputs fetched per random tuple up front: one for both
+    sides, one for the edge probability, the largest graph's coins, the
+    weights and two 32-bit draws per shuffle step. A row that needs more (a
+    redraw, a run of rejections) is extended."""
+    return 2 + max_side * max_side + 3 * max_side
+
+
+def _halves_of(raw: np.ndarray) -> np.ndarray:
+    """[B, 2K] uint32: each output's 32-bit halves, the low half first, the
+    order in which next_uint32 hands them out."""
+    return raw.astype("<u8", copy=False).view("<u4")
+
+
+def _doubles(raw: np.ndarray) -> np.ndarray:
+    """random()'s doubles of raw outputs: their top 53 bits."""
+    return (raw >> _S11) * 2.0**-53
+
+
+def _double_limits(prob: np.ndarray) -> np.ndarray:
+    """The raw outputs x with _doubles(x) < prob are those below the
+    returned uint64: (x >> 11) < prob·2**53 holds for the integer x >> 11
+    exactly when it is below the ceiling (prob < 1)."""
+    return np.ceil(prob * 2.0**53).astype(np.uint64) << _S11
+
+
+def _rejection_threshold(span: np.ndarray) -> np.ndarray:
+    """Lemire's rejection threshold for integers(0, span): a 32-bit draw u
+    is redrawn while the low word of u·span is below (2**32 - span) % span."""
+    return (np.uint64(1 << 32) - span) % span
+
+
+class _Outputs:
+    """A block's raw PCG64 outputs, one row per Generator, and each row's
+    read state as the Generator keeps it: pos, the next unread output, and
+    buf, the index into the row's halves of a buffered 32-bit half, or -1.
+    ``more(row, start, count)`` returns outputs start..start+count-1 of a
+    row, for reads past those held."""
+
+    def __init__(self, raw: np.ndarray, more):
+        self.raw = raw
+        self.halves = _halves_of(raw)
+        self.have = np.full(len(raw), raw.shape[1])
+        self.more = more
+        self.pos = np.zeros(len(raw), dtype=np.intp)
+        self.buf = np.full(len(raw), -1, dtype=np.intp)
+
+    def ensure(self, rows: np.ndarray, need: np.ndarray) -> None:
+        """Hold at least need[k] outputs of row rows[k]."""
+        short = need > self.have[rows]
+        if not short.any():
+            return
+        width = self.raw.shape[1]
+        if need.max() > width:
+            width = max(2 * width, int(need.max()))
+            grown = np.zeros((len(self.raw), width), dtype=np.uint64)
+            grown[:, : self.raw.shape[1]] = self.raw
+            self.raw = grown
+        for row in rows[short].tolist():
+            have = int(self.have[row])
+            self.raw[row, have:] = self.more(row, have, width - have)
+            self.have[row] = width
+        self.halves = _halves_of(self.raw)
+
+    def take_outputs(self, rows: np.ndarray, counts) -> np.ndarray:
+        """Consume counts whole outputs of each row, as random() does (a
+        buffered half stays buffered), and return where each run starts."""
+        start = self.pos[rows]
+        self.pos[rows] = end = start + counts
+        self.ensure(rows, end)
+        return start
+
+    def peek_halves(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """[len(rows), width] uint32: the next `width` next_uint32 draws of
+        each row, not consumed: the buffered half, if any, then the halves
+        of the unread outputs."""
+        buffered = self.buf[rows] >= 0
+        first = 2 * self.pos[rows] - buffered
+        self.ensure(rows, (first + width + 1) // 2)
+        cols = first[:, None] + np.arange(width)
+        cols[:, 0] = np.where(buffered, self.buf[rows], cols[:, 0])
+        return self.halves[rows[:, None], cols]
+
+    def take_halves(self, rows: np.ndarray, counts) -> None:
+        """Consume counts next_uint32 draws of each row: the buffered half
+        first, then fresh outputs, the low half and then the high half,
+        which stays buffered when the low half is the last one taken."""
+        buf = self.buf[rows]
+        pos = self.pos[rows]
+        fresh = np.maximum(counts - (buf >= 0), 0)
+        self.buf[rows] = np.where(fresh % 2 == 1, 2 * pos + fresh, np.where(counts > 0, -1, buf))
+        self.pos[rows] = pos + (fresh + 1) // 2
+
+
+def _integers(out: _Outputs, rows: np.ndarray, span, count: int) -> np.ndarray:
+    """[len(rows), count]: `count` draws of integers(0, span) per row, span
+    > 1 a scalar or one per row: Lemire's method on next_uint32, the high
+    word of u·span unless the draw is rejected (_rejection_threshold)."""
+    span = np.broadcast_to(np.asarray(span, dtype=np.uint64), rows.shape)[:, None]
+    threshold = _rejection_threshold(span)
+    scaled = out.peek_halves(rows, count) * span
+    if not ((scaled & _LOW32) < threshold).any():
+        out.take_halves(rows, count)
+        return (scaled >> _S32).astype(np.intp)
+    values = np.empty((len(rows), count), dtype=np.intp)
+    for k in range(count):  # a rejection: one draw at a time
+        todo = np.arange(len(rows))
+        while len(todo):
+            scaled = out.peek_halves(rows[todo], 1) * span[todo]
+            out.take_halves(rows[todo], 1)
+            values[todo, k] = (scaled >> _S32)[:, 0]
+            todo = todo[((scaled & _LOW32) < threshold[todo])[:, 0]]
+    return values
+
+
+def _graphs(out: _Outputs, max_side: int):
+    """Each row's graph, redrawn until it has an edge: n_left and n_right =
+    integers(1, max_side + 1), p = uniform(0.2, 0.9), coins =
+    random((n_left, n_right)) < p. Returns n_left, n_right, the edge counts
+    and the coins [B, L, R], padded with False to the largest graph."""
+    n_rows = len(out.raw)
+    n_left = np.ones(n_rows, dtype=np.intp)
+    n_right = np.ones(n_rows, dtype=np.intp)
+    n_edges = np.zeros(n_rows, dtype=np.intp)
+    drawn = []
+    todo = np.arange(n_rows)
+    while len(todo):
+        if max_side > 1:
+            left, right = (_integers(out, todo, max_side, 2) + 1).T
+        else:  # integers(1, 2) draws nothing
+            left = right = np.ones(len(todo), dtype=np.intp)
+        at = out.take_outputs(todo, 1)
+        u = _doubles(out.raw[todo, at])
+        limit = _double_limits(_PROB_LOW + (_PROB_HIGH - _PROB_LOW) * u)
+        start = out.take_outputs(todo, left * right)
+        size_l, size_r = int(left.max()), int(right.max())
+        # coin (l, r) is output start + l·right + r; past a row's graph the
+        # limit is 0 (no output is below it) or the column is masked
+        first = (todo * out.raw.shape[1] + start)[:, None] + np.arange(size_l) * right[:, None]
+        limit = np.where(np.arange(size_l) < left[:, None], limit[:, None], 0)
+        coins = np.take(out.raw, first[:, :, None] + np.arange(size_r), mode="clip")
+        coins = (coins < limit[:, :, None]) & (np.arange(size_r) < right[:, None])[:, None, :]
+        n_left[todo], n_right[todo] = left, right
+        n_edges[todo] = np.count_nonzero(coins.reshape(len(todo), -1), axis=1)
+        drawn.append((todo, coins))
+        todo = todo[n_edges[todo] == 0]
+    size_l, size_r = int(n_left.max()), int(n_right.max())
+    if len(drawn) == 1:
+        return n_left, n_right, n_edges, drawn[0][1]
+    # an edgeless attempt's coins are all False
+    padded = np.zeros((n_rows, size_l, size_r), dtype=bool)
+    for todo, coins in drawn:
+        coins = coins[:, :size_l, :size_r]
+        padded[todo, : coins.shape[1], : coins.shape[2]] = coins
+    return n_left, n_right, n_edges, padded
+
+
+@lru_cache(maxsize=8)
+def _shuffle_masks(n: int) -> np.ndarray:
+    """[n] uint32: for i < n, the smallest all-ones mask >= i."""
+    return _frozen(np.array([(1 << i.bit_length()) - 1 for i in range(n)], dtype=np.uint32))
+
+
+def _permutations(out: _Outputs, sizes: np.ndarray) -> np.ndarray:
+    """permutation(n) for each row's size n, padded: [B, max n], positions
+    >= n hold their index. Generator.permutation runs Fisher-Yates on
+    arange(n): for i = n-1 down to 1 it draws j in [0, i] by masked
+    rejection (the first next_uint32 draw whose low bits under the smallest
+    all-ones mask >= i are at most i) and swaps positions i and j.
+
+    The draws are read as a window of candidate halves and tried one
+    candidate at a time for all rows at once; the swaps are then resolved
+    by _fisher_yates."""
+    n_rows, n_max = len(sizes), int(sizes.max())
+    if n_max == 1:
+        return np.zeros((n_rows, 1), dtype=np.intp)
+    rows = np.arange(n_rows)
+    masks = _shuffle_masks(n_max)
+    width = 2 * n_max + 8
+    while True:
+        cands = np.ascontiguousarray(out.peek_halves(rows, width).T)  # [W, B]
+        i = sizes - 1  # the step each row is at; 0 once done
+        tried = np.zeros((width, n_rows), dtype=np.intp)  # the step candidate k was tried for
+        accept = np.zeros((width, n_rows), dtype=bool)
+        for k in range(width):
+            tried[k] = i
+            np.less_equal(cands[k] & masks.take(i), i, out=accept[k])
+            accept[k] &= i > 0
+            i -= accept[k]
+            if not i.any():
+                break
+        else:
+            width *= 2  # a row ran out of candidates
+            continue
+        break
+    out.take_halves(rows, np.count_nonzero(tried > 0, axis=0))
+    # j[i]: the position step i swaps with; i itself for a step not taken
+    j = np.tile(np.arange(n_max), (n_rows, 1))
+    k, r = np.nonzero(accept)
+    steps = tried[k, r]
+    j[r, steps] = cands[k, r] & masks[steps]
+    return _fisher_yates(j)
+
+
+def _fisher_yates(j: np.ndarray) -> np.ndarray:
+    """[B, n] arange(n) after the swaps (i, j[:, i]) for i = n-1 down to 1,
+    without a loop over i.
+
+    Position i is final after its step and holds what position j[i] held
+    then: j[i] itself, unless an earlier step i' wrote into j[i], and then
+    what position i' held at its own step. The last earlier writer is the
+    next step after i in the list of steps with the same j, sorted by i. So
+    the value at position x at step x follows "last writer" links upwards
+    to a step nobody wrote into before, and pointer jumping follows all the
+    links at once in log2(n) rounds. Step 0 stands for the end: j[0] = 0.
+    """
+    n_rows, n = j.shape
+    rows = np.arange(n_rows)[:, None]
+    steps = np.arange(n)
+    by_target = np.argsort(j, axis=1, kind="stable")
+    target = np.take_along_axis(j, by_target, axis=1)
+    same = target[:, 1:] == target[:, :-1]
+    # later[i]: the next larger step with the same j as step i, or -1
+    later = np.full((n_rows, n), -1)
+    later[rows, by_target[:, :-1]] = np.where(same, by_target[:, 1:], -1)
+    # first[p]: the smallest step whose j is p, or -1
+    first = np.full((n_rows, n), -1)
+    r, k = np.nonzero(np.concatenate([np.ones((n_rows, 1), dtype=bool), ~same], axis=1))
+    first[r, target[r, k]] = by_target[r, k]
+    # the last writer into position x before step x, or x itself if none
+    link = np.where(j == steps, later, first)
+    link = np.where(link >= 0, link, steps)
+    for _ in range((n - 1).bit_length()):
+        link = np.take_along_axis(link, link, axis=1)
+    return np.where(later >= 0, np.take_along_axis(link, np.maximum(later, 0), axis=1), j)
+
+
+def _decode_tuples(raw: np.ndarray, max_side: int, more):
+    """Decode random property tuples from raw PCG64 outputs, one row per
+    tuple: [B, K] raw holds each Generator's first K outputs and
+    ``more(row, start, count)`` returns its later ones. Each row makes the
+    draws of one tuple, in order: the graph (_graphs), order =
+    permutation(n_left), weights = random(n_right) and the edge, the
+    integers(n_edges)-th coin set in row-major order.
+
+    Returns the block padded to its largest graph, L x R: the neighbor rows
+    [B, L, R] (buyer b's row holds item r where (b, r) is an edge and the
+    padding item R elsewhere), the arrival orders [B, L] (padding buyers
+    arrive last), the weights [B, R] (0 past n_right), the buyers and the
+    items.
+    """
+    out = _Outputs(raw, more)
+    n_left, n_right, n_edges, coins = _graphs(out, max_side)
+    n_rows, size_l, size_r = coins.shape
+    every = np.arange(n_rows)
+    orders = _permutations(out, n_left)
+    cols = out.take_outputs(every, n_right)[:, None] + np.arange(size_r)
+    weights = _doubles(np.take(out.raw, every[:, None] * out.raw.shape[1] + cols, mode="clip"))
+    weights[np.arange(size_r) >= n_right[:, None]] = 0.0
+    pick = np.zeros(n_rows, dtype=np.intp)
+    several = np.flatnonzero(n_edges > 1)
+    if len(several):
+        pick[several] = _integers(out, several, n_edges[several], 1)[:, 0]
+    # the picked coin among all set coins of the block, row-major
+    edge = np.flatnonzero(coins)[np.cumsum(n_edges) - n_edges + pick] - every * (size_l * size_r)
+    buyers, items = np.divmod(edge, size_r)
+    return np.where(coins, np.arange(size_r), size_r), orders, weights, buyers, items
+
+
+def _random_tuples(max_side: int, seed: int, t0: int, t1: int, outputs: int | None = None):
+    """Random property tuples t0..t1-1 in _decode_tuples' block form, each
+    drawn exactly as trial_rng(seed, t) would draw it: one random_raw call
+    of K = _tuple_outputs(max_side) outputs (or `outputs`) per tuple on the
+    Generator _trial_generators sets to its starting state, decoded for the
+    whole block at once. A row that needs more outputs is extended from a
+    Generator set to its state and advanced past those held."""
+    count = _tuple_outputs(max_side) if outputs is None else outputs
+    raw = np.array([rng.bit_generator.random_raw(count) for rng in _trial_generators(seed, t0, t1)])
+
+    def more(row: int, start: int, count: int) -> np.ndarray:
+        bit_generator = next(_trial_generators(seed, t0 + row, t0 + row + 1)).bit_generator
+        bit_generator.advance(start)
+        return bit_generator.random_raw(count)
+
+    return _decode_tuples(raw.reshape(t1 - t0, count), max_side, more)

@@ -1,4 +1,5 @@
-"""Shared oracle-style verifiers used across the test modules."""
+"""Shared oracles and verifiers used across the test modules: the package
+itself needs none of them."""
 
 from __future__ import annotations
 
@@ -8,10 +9,68 @@ from ranking_market import (
     ArrivalOrder,
     BipartiteInstance,
     MarketOutcome,
+    Matching,
     PriceAssignment,
     make_instance,
-    validate_matching,
 )
+
+
+def without_right_vertex(instance: BipartiteInstance, j: int) -> BipartiteInstance:
+    """Copy of the instance with every edge into right vertex j removed.
+
+    The right side keeps its size so item indices (and price vectors) stay
+    aligned with the original instance. The oracle for the reduced market,
+    which the package runs as the full graph with item j's score at inf.
+    """
+    if not 0 <= j < instance.n_right:
+        raise ValueError(f"right vertex {j} out of range")
+    adjacency = tuple(
+        tuple(k for k in neighbors if k != j) for neighbors in instance.adjacency
+    )
+    return BipartiteInstance(instance.n_left, instance.n_right, adjacency)
+
+
+def validate_matching(matching: Matching, instance: BipartiteInstance) -> None:
+    """Raise ValueError unless the matching is injective and feasible for the
+    given instance."""
+    if len(matching.assignment) != instance.n_left:
+        raise ValueError("matching size does not match the instance's left side")
+    seen: set[int] = set()
+    for i, j in enumerate(matching.assignment):
+        if j is None:
+            continue
+        if j in seen:
+            raise ValueError(f"right vertex {j} is matched twice")
+        seen.add(j)
+        if j not in instance.adjacency[i]:
+            raise ValueError(f"pair ({i}, {j}) is not an edge of the instance")
+
+
+def brute_force_max_size(instance: BipartiteInstance) -> int:
+    """Exact maximum matching size by exhaustive search over assignments.
+
+    Independent of maximum_matching by construction; guarded to n_left <= 10.
+    """
+    if instance.n_left > 10:
+        raise ValueError("brute force oracle is limited to n_left <= 10")
+    adjacency = instance.adjacency
+    n = instance.n_left
+    best = 0
+
+    def explore(i: int, used: int, matched: int) -> None:
+        nonlocal best
+        if matched + (n - i) <= best:
+            return
+        if i == n:
+            best = matched
+            return
+        for j in adjacency[i]:
+            if not used >> j & 1:
+                explore(i + 1, used | 1 << j, matched + 1)
+        explore(i + 1, used, matched)
+
+    explore(0, 0, 0)
+    return best
 
 
 def random_instance(rng: np.random.Generator, max_side: int = 10) -> BipartiteInstance:

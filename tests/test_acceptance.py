@@ -21,7 +21,6 @@ from ranking_market import (
     GUARANTEE,
     ArrivalOrder,
     PriceScheme,
-    brute_force_max_size,
     check_counterfactual_properties,
     check_monotone_availability,
     edge_guarantee_sweep,
@@ -40,7 +39,7 @@ from ranking_market import (
     run_market,
     welfare_decomposition,
 )
-from helpers import random_instance
+from helpers import brute_force_max_size, random_instance
 
 EXP = PriceScheme.EXPONENTIAL
 UNI = PriceScheme.UNIFORM

@@ -30,9 +30,15 @@ from ranking_market import (
     RightPermutation,
     trial_rng,
 )
-from ranking_market import analysis, cli, run_market, without_right_vertex
+from ranking_market import analysis, cli, run_market
 from ranking_market.analysis import _markets, _nested_availability
-from helpers import NoPool, availability_sets, random_instance, reference_assignment
+from helpers import (
+    NoPool,
+    availability_sets,
+    random_instance,
+    reference_assignment,
+    without_right_vertex,
+)
 
 EXP = PriceScheme.EXPONENTIAL
 UNI = PriceScheme.UNIFORM
@@ -237,6 +243,7 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(analysis, "trial_rng", no_work)
     monkeypatch.setattr(analysis, "_trial_weights", no_work)
+    monkeypatch.setattr(analysis, "_random_tuples", no_work)
     monkeypatch.setattr(analysis, "_trial_generators", no_work)
     monkeypatch.setattr(analysis, "maximum_matching", no_work)
 

@@ -15,11 +15,11 @@ from ranking_market import (
     parse,
     random_bipartite,
     serialize,
-    without_right_vertex,
 )
 from ranking_market import cli
 from ranking_market import instance as instance_module
 from ranking_market.instance import MAX_EDGES, MAX_SIDE
+from helpers import without_right_vertex
 
 
 def test_make_instance_single_edge():

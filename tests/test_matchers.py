@@ -7,7 +7,6 @@ from ranking_market import (
     GUARANTEE,
     ArrivalOrder,
     RightPermutation,
-    brute_force_max_size,
     exact_ranking_expectation,
     estimate_matching_size,
     greedy,
@@ -15,10 +14,9 @@ from ranking_market import (
     make_instance,
     maximum_matching,
     ranking,
-    validate_matching,
 )
 from ranking_market.matchers import _assign_min_score
-from helpers import random_instance
+from helpers import brute_force_max_size, random_instance, validate_matching
 
 IDENTITY2 = ArrivalOrder.identity(2)
 

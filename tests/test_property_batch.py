@@ -12,6 +12,7 @@ sweep cannot show.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,16 +31,13 @@ from ranking_market import (
 from ranking_market.analysis import (
     _BLOCK_TRIALS,
     _counterfactual,
-    _draw_fixed_tuple,
-    _draw_random_tuple,
-    _fixed_block,
+    _fixed_tuples,
     _instance_rows,
     _markets,
     _nested_availability,
     _property_block,
     _property_check,
-    _random_block,
-    _trial_generators,
+    _random_tuples,
 )
 
 
@@ -65,28 +63,32 @@ def reference_tuple(instance, max_side: int, seed: int, t: int):
     return inst, sigma, pa, (buyer, item), (check.sold_if_cheaper, check.utility_floor, nested)
 
 
-def batched_verdicts(draws: list, make_block) -> np.ndarray:
-    """[3, T] verdicts of the draws, checked in blocks of _BLOCK_TRIALS."""
-    return np.concatenate([
-        _property_block(*make_block(draws[b0 : b0 + _BLOCK_TRIALS]))
-        for b0 in range(0, len(draws), _BLOCK_TRIALS)
-    ], axis=1)
+def blocks(tuples, count: int):
+    """Tuples 0..count-1 of a sweep in blocks of _BLOCK_TRIALS: (first
+    tuple, block arrays) pairs."""
+    for b0 in range(0, count, _BLOCK_TRIALS):
+        yield b0, tuples(b0, min(b0 + _BLOCK_TRIALS, count))
 
 
 def test_random_tuples_match_the_reference_loop():
     seed, max_side, count = 17, 10, 10_000
-    draws = [_draw_random_tuple(max_side, rng) for rng in _trial_generators(seed, 0, count)]
-    verdicts = batched_verdicts(draws, _random_block).T.tolist()
     totals = np.zeros(3, dtype=int)
-    for t, (coins, order, weights, edge) in enumerate(draws):
-        inst, sigma, pa, chosen, expected = reference_tuple(None, max_side, seed, t)
-        assert coins.shape == (inst.n_left, inst.n_right), t
-        assert list(map(tuple, np.argwhere(coins).tolist())) == list(inst.edges), t
-        assert tuple(order.tolist()) == sigma.order, t
-        assert tuple(weights.tolist()) == pa.weights, t
-        assert divmod(int(edge), inst.n_right) == chosen, t
-        assert tuple(verdicts[t]) == expected, t
-        totals += np.logical_not(expected)
+    for b0, block in blocks(partial(_random_tuples, max_side, seed), count):
+        rows, orders, weights, buyers, items = block
+        verdicts = _property_block(*block).T.tolist()
+        for r, t in enumerate(range(b0, b0 + len(items))):
+            inst, sigma, pa, chosen, expected = reference_tuple(None, max_side, seed, t)
+            n_left, n_right = inst.n_left, inst.n_right
+            # the padding item marks a non-edge; nothing outside the graph is an edge
+            edges = np.argwhere(rows[r] < weights.shape[1])
+            assert list(map(tuple, edges.tolist())) == list(inst.edges), t
+            assert tuple(orders[r, :n_left].tolist()) == sigma.order, t
+            assert orders[r, n_left:].tolist() == list(range(n_left, orders.shape[1])), t
+            assert tuple(weights[r, :n_right].tolist()) == pa.weights, t
+            assert not weights[r, n_right:].any(), t
+            assert (int(buyers[r]), int(items[r])) == chosen, t
+            assert tuple(verdicts[r]) == expected, t
+            totals += np.logical_not(expected)
     sweep = property_sweep(count, seed, max_side=max_side)
     assert totals.tolist() == [0, 0, 0]
     assert [sweep.sold_if_cheaper_violations, sweep.utility_floor_violations,
@@ -98,17 +100,16 @@ def test_fixed_instance_tuples_match_the_reference_loop():
     seed, count = 29, 1500
     rows, edge_buyers, edge_items = _instance_rows(inst)
     assert list(zip(edge_buyers.tolist(), edge_items.tolist())) == list(inst.edges)
-    draws = [_draw_fixed_tuple(inst.n_left, inst.n_right, inst.edge_count, rng)
-             for rng in _trial_generators(seed, 0, count)]
-    verdicts = batched_verdicts(
-        draws, lambda block: _fixed_block(rows, edge_buyers, edge_items, block)
-    )
-    for t, (order, weights, pick) in enumerate(draws):
-        _, sigma, pa, chosen, expected = reference_tuple(inst, 0, seed, t)
-        assert tuple(order.tolist()) == sigma.order, t
-        assert tuple(weights.tolist()) == pa.weights, t
-        assert inst.edges[pick] == chosen, t
-        assert tuple(verdicts[:, t].tolist()) == expected, t
+    tuples = partial(_fixed_tuples, rows, edge_buyers, edge_items, inst.n_right, seed)
+    for b0, block in blocks(tuples, count):
+        _, orders, weights, buyers, items = block
+        verdicts = _property_block(*block).T.tolist()
+        for r, t in enumerate(range(b0, b0 + len(items))):
+            _, sigma, pa, chosen, expected = reference_tuple(inst, 0, seed, t)
+            assert tuple(orders[r].tolist()) == sigma.order, t
+            assert tuple(weights[r].tolist()) == pa.weights, t
+            assert (int(buyers[r]), int(items[r])) == chosen, t
+            assert tuple(verdicts[r]) == expected, t
 
 
 def test_blocks_are_sized_by_their_working_set(monkeypatch):
