@@ -640,7 +640,7 @@ def _tuple_cells(n_left: int, n_right: int, width: int, own_rows: bool) -> int:
     the K raw outputs it is decoded from (streams._tuple_outputs)."""
     cells = 8 * (n_left + n_right + width)
     if own_rows:
-        cells += 2 * n_left * width + _tuple_outputs(max(n_left, n_right))
+        cells += 2 * n_left * width + _tuple_outputs(n_left, n_right, max(n_left, n_right))
     return cells
 
 

@@ -164,9 +164,9 @@ def _mul128(hi: np.ndarray, lo: np.ndarray, limbs) -> tuple[np.ndarray, np.ndarr
     return out_hi, lo * c_lo
 
 
-def _pcg64_random(state: np.ndarray, table) -> np.ndarray:
+def _pcg64_outputs(state: np.ndarray, table) -> np.ndarray:
     """PCG64 seeded with each column of state (generate_state's four words)
-    and then random(n), for n the length of table: [rows, n] doubles."""
+    and then n raw outputs, for n the length of table: [rows, n] uint64."""
     s0, s1, s2, s3 = state[:, :, None]
     inc_hi = (s2 << _ONE) | (s3 >> _S63)
     inc_lo = (s3 << _ONE) | _ONE
@@ -183,8 +183,14 @@ def _pcg64_random(state: np.ndarray, table) -> np.ndarray:
     hi >>= _S58
     x = lo >> hi
     x |= lo << ((_S64 - hi) & _S63)
-    x >>= _S11
-    return x * 2.0**-53
+    return x
+
+
+def _doubles(raw: np.ndarray) -> np.ndarray:
+    """random()'s doubles of raw outputs, their top 53 bits (raw is shifted
+    in place)."""
+    raw >>= _S11
+    return raw * 2.0**-53
 
 
 def _seed_states(seed: int, t0: int, t1: int) -> np.ndarray:
@@ -217,28 +223,39 @@ def _trial_weights(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
     to the bit, computed for all rows at once: numpy's SeedSequence hashing,
     PCG64 seeding and random() as array operations over the rows (the steps
     are in the module docstring; PCG64 is O'Neill 2014's XSL-RR 128/64)."""
-    return _pcg64_random(_seed_states(seed, t0, t1), _lcg_table(n))
+    return _doubles(_pcg64_outputs(_seed_states(seed, t0, t1), _lcg_table(n)))
 
 
 def _trial_generators(seed: int, t0: int, t1: int):
     """Yield, for t = t0..t1-1, a Generator in the state trial_rng(seed, t)
     starts in, for draws that _trial_weights does not batch (integers,
-    permutation, ...). One Generator is reused: each step sets its PCG64
-    state, ``(s0:s1 + inc)·M + inc`` with ``inc = (s2:s3 << 1) | 1`` from
-    the trial's _seed_states column, through the public ``state`` setter,
-    so the draws of trial t must be made before the next one is yielded.
-    """
+    permutation, ...). See _generators."""
+    return _generators(_seed_states(seed, t0, t1))
+
+
+def _start_state(s0: int, s1: int, s2: int, s3: int) -> dict:
+    """The state, for PCG64's ``state`` setter, of a PCG64 seeded with
+    generate_state's four words: ``(s0:s1 + inc)·M + inc`` with ``inc =
+    (s2:s3 << 1) | 1``."""
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _generators(states: np.ndarray):
+    """Yield, for each column of states (_seed_states' words), a Generator
+    in the state a PCG64 seeded with them starts in. One Generator is
+    reused, so the draws of one column must be made before the next one is
+    yielded."""
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for s0, s1, s2, s3 in _seed_states(seed, t0, t1).T.tolist():
-        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for words in states.T.tolist():
+        bit_generator.state = _start_state(*words)
         yield rng
 
 
@@ -250,23 +267,19 @@ def _trial_generators(seed: int, t0: int, t1: int):
 _PROB_LOW, _PROB_HIGH = 0.2, 0.9
 
 
-def _tuple_outputs(max_side: int) -> int:
-    """K, the raw outputs fetched per random tuple up front: one for both
-    sides, one for the edge probability, the largest graph's coins, the
-    weights and two 32-bit draws per shuffle step. A row that needs more (a
-    redraw, a run of rejections) is extended."""
-    return 2 + max_side * max_side + 3 * max_side
+def _tuple_outputs(n_left, n_right, max_side: int):
+    """The raw outputs fetched up front for a random tuple with these sides:
+    one for both sides, one for the edge probability, the coins, two 32-bit
+    draws per shuffle step, the weights and the edge pick, and max_side + 8
+    to spare for rejections. A row that needs more (a redraw, a long run of
+    rejections) is extended."""
+    return 2 + n_left * n_right + n_left + n_right + max_side + 8
 
 
 def _halves_of(raw: np.ndarray) -> np.ndarray:
-    """[B, 2K] uint32: each output's 32-bit halves, the low half first, the
-    order in which next_uint32 hands them out."""
+    """Each output's 32-bit halves, the low half first, the order in which
+    next_uint32 hands them out: [2N] uint32."""
     return raw.astype("<u8", copy=False).view("<u4")
-
-
-def _doubles(raw: np.ndarray) -> np.ndarray:
-    """random()'s doubles of raw outputs: their top 53 bits."""
-    return (raw >> _S11) * 2.0**-53
 
 
 def _double_limits(prob: np.ndarray) -> np.ndarray:
@@ -283,19 +296,25 @@ def _rejection_threshold(span: np.ndarray) -> np.ndarray:
 
 
 class _Outputs:
-    """A block's raw PCG64 outputs, one row per Generator, and each row's
-    read state as the Generator keeps it: pos, the next unread output, and
-    buf, the index into the row's halves of a buffered 32-bit half, or -1.
-    ``more(row, start, count)`` returns outputs start..start+count-1 of a
-    row, for reads past those held."""
+    """The raw PCG64 outputs of a block of Generators, row b's first have[b]
+    outputs in raw[b] (past them, unread filler), and each
+    row's read state as the Generator keeps it: pos, the next unread
+    output, and buf, the index into the row's halves of a buffered 32-bit
+    half, or -1. ``start(row)`` returns a Generator in a row's starting
+    state, for reads past the outputs held."""
 
-    def __init__(self, raw: np.ndarray, more):
-        self.raw = raw
-        self.halves = _halves_of(raw)
-        self.have = np.full(len(raw), raw.shape[1])
-        self.more = more
-        self.pos = np.zeros(len(raw), dtype=np.intp)
-        self.buf = np.full(len(raw), -1, dtype=np.intp)
+    def __init__(self, segments: list, start):
+        self.have = np.fromiter(map(len, segments), dtype=np.intp, count=len(segments))
+        if (self.have == self.have[0]).all():
+            self.raw = np.array(segments)
+        else:
+            self.raw = np.empty((len(segments), self.have.max()), dtype=np.uint64)
+            for row, segment in zip(self.raw, segments):
+                row[: len(segment)] = segment
+        self.halves = _halves_of(self.raw)
+        self.start = start
+        self.pos = np.zeros(len(segments), dtype=np.intp)
+        self.buf = np.full(len(segments), -1, dtype=np.intp)
 
     def ensure(self, rows: np.ndarray, need: np.ndarray) -> None:
         """Hold at least need[k] outputs of row rows[k]."""
@@ -305,22 +324,37 @@ class _Outputs:
         width = self.raw.shape[1]
         if need.max() > width:
             width = max(2 * width, int(need.max()))
-            grown = np.zeros((len(self.raw), width), dtype=np.uint64)
+            grown = np.empty((len(self.raw), width), dtype=np.uint64)
             grown[:, : self.raw.shape[1]] = self.raw
             self.raw = grown
         for row in rows[short].tolist():
             have = int(self.have[row])
-            self.raw[row, have:] = self.more(row, have, width - have)
+            bit_generator = self.start(row).bit_generator
+            bit_generator.advance(have)
+            self.raw[row, have:] = bit_generator.random_raw(width - have)
             self.have[row] = width
         self.halves = _halves_of(self.raw)
 
+    def generator(self, row: int) -> np.random.Generator:
+        """A Generator in the row's read state: its starting state advanced
+        past the outputs read, holding the buffered half (advance() drops
+        it)."""
+        rng = self.start(row)
+        rng.bit_generator.advance(int(self.pos[row]))
+        if self.buf[row] >= 0:
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, int(self.halves[row, self.buf[row]])
+            rng.bit_generator.state = state
+        return rng
+
     def take_outputs(self, rows: np.ndarray, counts) -> np.ndarray:
         """Consume counts whole outputs of each row, as random() does (a
-        buffered half stays buffered), and return where each run starts."""
-        start = self.pos[rows]
-        self.pos[rows] = end = start + counts
+        buffered half stays buffered), and return the flat index into raw
+        of each run's first output."""
+        first = self.pos[rows]
+        self.pos[rows] = end = first + counts
         self.ensure(rows, end)
-        return start
+        return rows * self.raw.shape[1] + first
 
     def peek_halves(self, rows: np.ndarray, width: int) -> np.ndarray:
         """[len(rows), width] uint32: the next `width` next_uint32 draws of
@@ -368,13 +402,18 @@ def _integers(out: _Outputs, rows: np.ndarray, span, count: int) -> np.ndarray:
 def _graphs(out: _Outputs, max_side: int):
     """Each row's graph, redrawn until it has an edge: n_left and n_right =
     integers(1, max_side + 1), p = uniform(0.2, 0.9), coins =
-    random((n_left, n_right)) < p. Returns n_left, n_right, the edge counts
-    and the coins [B, L, R], padded with False to the largest graph."""
-    n_rows = len(out.raw)
+    random((n_left, n_right)) < p, read as the raw outputs below the limit
+    of p (_double_limits). Only each graph's own coins are read, as one
+    ragged run over the rows. Returns n_left, n_right, the edge counts, and
+    each set coin's row and index in its row's graph (row-major), grouped
+    by row in increasing index, with the place of each row's first."""
+    n_rows = len(out.have)
     n_left = np.ones(n_rows, dtype=np.intp)
     n_right = np.ones(n_rows, dtype=np.intp)
     n_edges = np.zeros(n_rows, dtype=np.intp)
-    drawn = []
+    first = np.zeros(n_rows, dtype=np.intp)
+    owners, places = [], []
+    found = 0
     todo = np.arange(n_rows)
     while len(todo):
         if max_side > 1:
@@ -382,35 +421,33 @@ def _graphs(out: _Outputs, max_side: int):
         else:  # integers(1, 2) draws nothing
             left = right = np.ones(len(todo), dtype=np.intp)
         at = out.take_outputs(todo, 1)
-        u = _doubles(out.raw[todo, at])
+        u = _doubles(np.take(out.raw, at))
         limit = _double_limits(_PROB_LOW + (_PROB_HIGH - _PROB_LOW) * u)
-        start = out.take_outputs(todo, left * right)
-        size_l, size_r = int(left.max()), int(right.max())
-        # coin (l, r) is output start + l·right + r; past a row's graph the
-        # limit is 0 (no output is below it) or the column is masked
-        first = (todo * out.raw.shape[1] + start)[:, None] + np.arange(size_l) * right[:, None]
-        limit = np.where(np.arange(size_l) < left[:, None], limit[:, None], 0)
-        coins = np.take(out.raw, first[:, :, None] + np.arange(size_r), mode="clip")
-        coins = (coins < limit[:, :, None]) & (np.arange(size_r) < right[:, None])[:, None, :]
-        n_left[todo], n_right[todo] = left, right
-        n_edges[todo] = np.count_nonzero(coins.reshape(len(todo), -1), axis=1)
-        drawn.append((todo, coins))
-        todo = todo[n_edges[todo] == 0]
-    size_l, size_r = int(n_left.max()), int(n_right.max())
-    if len(drawn) == 1:
-        return n_left, n_right, n_edges, drawn[0][1]
-    # an edgeless attempt's coins are all False
-    padded = np.zeros((n_rows, size_l, size_r), dtype=bool)
-    for todo, coins in drawn:
-        coins = coins[:, :size_l, :size_r]
-        padded[todo, : coins.shape[1], : coins.shape[2]] = coins
-    return n_left, n_right, n_edges, padded
+        cells = left * right
+        begin = out.take_outputs(todo, cells)
+        offsets = np.cumsum(cells) - cells
+        coins = np.repeat(begin - offsets, cells)
+        coins += np.arange(len(coins))
+        coins = np.take(out.raw, coins) < np.repeat(limit, cells)
+        count = np.add.reduceat(coins, offsets, dtype=np.intp)
+        n_left[todo], n_right[todo], n_edges[todo] = left, right, count
+        first[todo] = found + np.cumsum(count) - count
+        owner = np.repeat(np.arange(len(todo)), count)
+        owners.append(todo[owner])
+        places.append(np.flatnonzero(coins) - offsets[owner])
+        found += len(owner)
+        todo = todo[count == 0]
+    return n_left, n_right, n_edges, np.concatenate(owners), np.concatenate(places), first
 
 
 @lru_cache(maxsize=8)
-def _shuffle_masks(n: int) -> np.ndarray:
-    """[n] uint32: for i < n, the smallest all-ones mask >= i."""
-    return _frozen(np.array([(1 << i.bit_length()) - 1 for i in range(n)], dtype=np.uint32))
+def _shuffle_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the step i < n of a shuffle: the smallest all-ones mask >= i,
+    and the bound the masked draw must stay below, i + 1 (0 once i is 0:
+    the shuffle is over and takes nothing), as [n] uint32 tables."""
+    masks = [(1 << i.bit_length()) - 1 for i in range(n)]
+    bounds = [i + 1 if i else 0 for i in range(n)]
+    return tuple(_frozen(np.array(table, dtype=np.uint32)) for table in (masks, bounds))
 
 
 def _permutations(out: _Outputs, sizes: np.ndarray) -> np.ndarray:
@@ -421,79 +458,88 @@ def _permutations(out: _Outputs, sizes: np.ndarray) -> np.ndarray:
     all-ones mask >= i are at most i) and swaps positions i and j.
 
     The draws are read as a window of candidate halves and tried one
-    candidate at a time for all rows at once; the swaps are then resolved
-    by _fisher_yates."""
+    candidate at a time for all rows at once, then the swaps are made one
+    step at a time for all rows at once."""
     n_rows, n_max = len(sizes), int(sizes.max())
     if n_max == 1:
         return np.zeros((n_rows, 1), dtype=np.intp)
     rows = np.arange(n_rows)
-    masks = _shuffle_masks(n_max)
+    masks, bounds = _shuffle_tables(n_max)
     width = 2 * n_max + 8
     while True:
         cands = np.ascontiguousarray(out.peek_halves(rows, width).T)  # [W, B]
         i = sizes - 1  # the step each row is at; 0 once done
-        tried = np.zeros((width, n_rows), dtype=np.intp)  # the step candidate k was tried for
         accept = np.zeros((width, n_rows), dtype=bool)
         for k in range(width):
-            tried[k] = i
-            np.less_equal(cands[k] & masks.take(i), i, out=accept[k])
-            accept[k] &= i > 0
-            i -= accept[k]
             if not i.any():
                 break
+            np.less(cands[k] & masks.take(i), bounds.take(i), out=accept[k])
+            i -= accept[k]
         else:
-            width *= 2  # a row ran out of candidates
-            continue
+            if i.any():  # a row ran out of candidates
+                width *= 2
+                continue
         break
+    # the step each candidate was tried for, 0 past a row's last step
+    tried = sizes - 1 - np.cumsum(accept, axis=0) + accept
     out.take_halves(rows, np.count_nonzero(tried > 0, axis=0))
     # j[i]: the position step i swaps with; i itself for a step not taken
-    j = np.tile(np.arange(n_max), (n_rows, 1))
+    j = np.tile(np.arange(n_max)[:, None], (1, n_rows))
     k, r = np.nonzero(accept)
     steps = tried[k, r]
-    j[r, steps] = cands[k, r] & masks[steps]
-    return _fisher_yates(j)
+    j[steps, r] = cands[k, r] & masks[steps]
+    orders = np.tile(np.arange(n_max)[:, None], (1, n_rows))  # [max n, B]
+    cells = orders.ravel()
+    for step in range(n_max - 1, 0, -1):
+        swapped = j[step] * n_rows + rows
+        taken = cells[swapped]
+        cells[swapped] = orders[step]
+        orders[step] = taken
+    return orders.T
 
 
-def _fisher_yates(j: np.ndarray) -> np.ndarray:
-    """[B, n] arange(n) after the swaps (i, j[:, i]) for i = n-1 down to 1,
-    without a loop over i.
-
-    Position i is final after its step and holds what position j[i] held
-    then: j[i] itself, unless an earlier step i' wrote into j[i], and then
-    what position i' held at its own step. The last earlier writer is the
-    next step after i in the list of steps with the same j, sorted by i. So
-    the value at position x at step x follows "last writer" links upwards
-    to a step nobody wrote into before, and pointer jumping follows all the
-    links at once in log2(n) rounds. Step 0 stands for the end: j[0] = 0.
-    """
-    n_rows, n = j.shape
-    rows = np.arange(n_rows)[:, None]
-    steps = np.arange(n)
-    by_target = np.argsort(j, axis=1, kind="stable")
-    target = np.take_along_axis(j, by_target, axis=1)
-    same = target[:, 1:] == target[:, :-1]
-    # later[i]: the next larger step with the same j as step i, or -1
-    later = np.full((n_rows, n), -1)
-    later[rows, by_target[:, :-1]] = np.where(same, by_target[:, 1:], -1)
-    # first[p]: the smallest step whose j is p, or -1
-    first = np.full((n_rows, n), -1)
-    r, k = np.nonzero(np.concatenate([np.ones((n_rows, 1), dtype=bool), ~same], axis=1))
-    first[r, target[r, k]] = by_target[r, k]
-    # the last writer into position x before step x, or x itself if none
-    link = np.where(j == steps, later, first)
-    link = np.where(link >= 0, link, steps)
-    for _ in range((n - 1).bit_length()):
-        link = np.take_along_axis(link, link, axis=1)
-    return np.where(later >= 0, np.take_along_axis(link, np.maximum(later, 0), axis=1), j)
+def _tails(out: _Outputs, n_left, n_right, n_edges):
+    """The draws after each row's graph, for the whole block at once: the
+    arrival orders [B, L] (_permutations), the weights [B, R] = random(
+    n_right), 0 past it, and the edge picks, integers(n_edges)."""
+    n_rows, size_r = len(n_left), int(n_right.max())
+    orders = _permutations(out, n_left)
+    cols = out.take_outputs(np.arange(n_rows), n_right)[:, None] + np.arange(size_r)
+    weights = _doubles(np.take(out.raw, cols, mode="clip"))
+    weights[np.arange(size_r) >= n_right[:, None]] = 0.0
+    pick = np.zeros(n_rows, dtype=np.intp)
+    several = np.flatnonzero(n_edges > 1)
+    if len(several):
+        pick[several] = _integers(out, several, n_edges[several], 1)[:, 0]
+    return orders, weights, pick
 
 
-def _decode_tuples(raw: np.ndarray, max_side: int, more):
+def _numpy_tails(out: _Outputs, n_left, n_right, n_edges):
+    """_tails made by numpy itself, one row at a time, on a Generator set to
+    the row's read state."""
+    orders = np.tile(np.arange(n_left.max()), (len(n_left), 1))
+    weights = np.zeros((len(n_left), n_right.max()))
+    pick = np.zeros(len(n_left), dtype=np.intp)
+    for row, (left, right, edges) in enumerate(zip(n_left.tolist(), n_right.tolist(), n_edges.tolist())):
+        rng = out.generator(row)
+        orders[row, :left] = rng.permutation(left)
+        weights[row, :right] = rng.random(right)
+        pick[row] = rng.integers(edges)
+    return orders, weights, pick
+
+
+def _decode_tuples(raw, max_side: int, start):
     """Decode random property tuples from raw PCG64 outputs, one row per
-    tuple: [B, K] raw holds each Generator's first K outputs and
-    ``more(row, start, count)`` returns its later ones. Each row makes the
-    draws of one tuple, in order: the graph (_graphs), order =
+    tuple: raw[b] holds the first outputs of tuple b's Generator and
+    ``start(b)`` returns a Generator in its starting state. Each row makes
+    the draws of one tuple, in order: the graph (_graphs), order =
     permutation(n_left), weights = random(n_right) and the edge, the
-    integers(n_edges)-th coin set in row-major order.
+    integers(n_edges)-th set coin in row-major order.
+
+    The shuffle's candidate loop costs a few array operations per draw for
+    the whole block, so when the orders are longer than the block has rows
+    numpy's own loop is cheaper: the draws after the graphs are then made
+    by numpy, row by row (_numpy_tails).
 
     Returns the block padded to its largest graph, L x R: the neighbor rows
     [B, L, R] (buyer b's row holds item r where (b, r) is an edge and the
@@ -501,37 +547,46 @@ def _decode_tuples(raw: np.ndarray, max_side: int, more):
     arrive last), the weights [B, R] (0 past n_right), the buyers and the
     items.
     """
-    out = _Outputs(raw, more)
-    n_left, n_right, n_edges, coins = _graphs(out, max_side)
-    n_rows, size_l, size_r = coins.shape
-    every = np.arange(n_rows)
-    orders = _permutations(out, n_left)
-    cols = out.take_outputs(every, n_right)[:, None] + np.arange(size_r)
-    weights = _doubles(np.take(out.raw, every[:, None] * out.raw.shape[1] + cols, mode="clip"))
-    weights[np.arange(size_r) >= n_right[:, None]] = 0.0
-    pick = np.zeros(n_rows, dtype=np.intp)
-    several = np.flatnonzero(n_edges > 1)
-    if len(several):
-        pick[several] = _integers(out, several, n_edges[several], 1)[:, 0]
-    # the picked coin among all set coins of the block, row-major
-    edge = np.flatnonzero(coins)[np.cumsum(n_edges) - n_edges + pick] - every * (size_l * size_r)
-    buyers, items = np.divmod(edge, size_r)
-    return np.where(coins, np.arange(size_r), size_r), orders, weights, buyers, items
+    out = _Outputs(raw, start)
+    n_left, n_right, n_edges, owners, places, first = _graphs(out, max_side)
+    tails = _numpy_tails if n_left.max() > len(n_left) else _tails
+    orders, weights, pick = tails(out, n_left, n_right, n_edges)
+    n_rows, size_l, size_r = len(n_left), orders.shape[1], weights.shape[1]
+    buyers, items = np.divmod(places[first + pick], n_right)
+    rows = np.full((n_rows, size_l, size_r), size_r)
+    left, right = np.divmod(places, n_right[owners])
+    rows.ravel()[(owners * size_l + left) * size_r + right] = right
+    return rows, orders, weights, buyers, items
+
+
+# Up to this many outputs a tuple, every row of a block fetches the largest
+# tuple's; above, each row fetches for the sides its first output gives.
+# Computing the first outputs costs about as much as generating 170 more.
+_SIZED_ABOVE = 256
 
 
 def _random_tuples(max_side: int, seed: int, t0: int, t1: int, outputs: int | None = None):
     """Random property tuples t0..t1-1 in _decode_tuples' block form, each
-    drawn exactly as trial_rng(seed, t) would draw it: one random_raw call
-    of K = _tuple_outputs(max_side) outputs (or `outputs`) per tuple on the
-    Generator _trial_generators sets to its starting state, decoded for the
-    whole block at once. A row that needs more outputs is extended from a
-    Generator set to its state and advanced past those held."""
-    count = _tuple_outputs(max_side) if outputs is None else outputs
-    raw = np.array([rng.bit_generator.random_raw(count) for rng in _trial_generators(seed, t0, t1)])
+    drawn exactly as trial_rng(seed, t) would draw it, decoded for the whole
+    block at once. Each tuple makes one random_raw call on the Generator
+    _generators sets to its starting state, of _tuple_outputs for sides of
+    max_side or, past _SIZED_ABOVE, for the sides its first output gives
+    (computed from the block's seed states; a rejected side only misjudges
+    the count), or of `outputs`. A row that needs more is extended from a
+    Generator set to its starting state and advanced past those held."""
+    states = _seed_states(seed, t0, t1)
+    count = _tuple_outputs(max_side, max_side, max_side) if outputs is None else outputs
+    if count > _SIZED_ABOVE and outputs is None:
+        halves = _halves_of(_pcg64_outputs(states, _lcg_table(1))[:, 0]).reshape(-1, 2)
+        left, right = (halves * np.uint64(max_side) >> _S32).astype(np.intp).T + 1
+        counts = _tuple_outputs(left, right, max_side).tolist()
+    else:
+        counts = [count] * (t1 - t0)
+    raw = [rng.bit_generator.random_raw(n) for rng, n in zip(_generators(states), counts)]
+    spare = np.random.Generator(np.random.PCG64(0))
 
-    def more(row: int, start: int, count: int) -> np.ndarray:
-        bit_generator = next(_trial_generators(seed, t0 + row, t0 + row + 1)).bit_generator
-        bit_generator.advance(start)
-        return bit_generator.random_raw(count)
+    def start(row: int) -> np.random.Generator:
+        spare.bit_generator.state = _start_state(*states[:, row].tolist())
+        return spare
 
-    return _decode_tuples(raw.reshape(t1 - t0, count), max_side, more)
+    return _decode_tuples(raw, max_side, start)

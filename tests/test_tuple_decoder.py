@@ -73,10 +73,11 @@ def assert_same_block(got, expected, where) -> None:
         assert a.shape == b.shape and np.array_equal(a, b), (where, name)
 
 
-def check_seeded(max_side: int, seed: int, t0: int, t1: int, outputs: int | None = None) -> None:
+def check_seeded(max_side: int, seed: int, t0: int, t1: int, outputs: int | None = None,
+                 block: int = BLOCK) -> None:
     """_random_tuples against trial_rng's Generators, block by block."""
-    for b0 in range(t0, t1, BLOCK):
-        b1 = min(b0 + BLOCK, t1)
+    for b0 in range(t0, t1, block):
+        b1 = min(b0 + block, t1)
         got = _random_tuples(max_side, seed, b0, b1, outputs)
         rngs = (np.random.default_rng((seed, t)) for t in range(b0, b1))
         assert_same_block(got, reference_block(max_side, rngs), (max_side, seed, b0))
@@ -91,20 +92,18 @@ def generator(state: dict) -> np.random.Generator:
 def decode(max_side: int, states: list, outputs: int, extended: list | None = None):
     """_decode_tuples on the first `outputs` raw outputs of Generators in
     the given states, reading later outputs from fresh copies."""
-    raw = np.array([generator(s).bit_generator.random_raw(outputs) for s in states])
+    raw = [generator(s).bit_generator.random_raw(outputs) for s in states]
 
-    def more(row: int, start: int, count: int) -> np.ndarray:
+    def start(row: int) -> np.random.Generator:
         if extended is not None:
             extended.append(row)
-        bit_generator = generator(states[row]).bit_generator
-        bit_generator.advance(start)
-        return bit_generator.random_raw(count)
+        return generator(states[row])
 
-    return _decode_tuples(raw.reshape(len(states), outputs), max_side, more)
+    return _decode_tuples(raw, max_side, start)
 
 
 def check_states(max_side: int, states: list, outputs: int | None = None) -> None:
-    outputs = _tuple_outputs(max_side) if outputs is None else outputs
+    outputs = _tuple_outputs(max_side, max_side, max_side) if outputs is None else outputs
     expected = reference_block(max_side, [generator(s) for s in states])
     assert_same_block(decode(max_side, states, outputs), expected, (max_side, states))
 
@@ -192,9 +191,29 @@ def rejecting_states() -> list[tuple[int, list]]:
     return [(10, first), (10, second), (3, redrawn), (2, picked)]
 
 
-def test_crafted_rejections_decode_exactly():
+def tails_used(monkeypatch) -> list:
+    """Record which way each decoded block's draws after the graphs go."""
+    used = []
+    for name in ("_tails", "_numpy_tails"):
+        tails = getattr(streams, name)
+
+        def recording(*args, name=name, tails=tails):
+            used.append(name)
+            return tails(*args)
+
+        monkeypatch.setattr(streams, name, recording)
+    return used
+
+
+def test_crafted_rejections_decode_exactly(monkeypatch):
+    # alone, a block of three takes numpy's tails when an order is longer;
+    # among 60 more rows, the block's own
+    used = tails_used(monkeypatch)
     for max_side, states in rejecting_states():
         check_states(max_side, states)
+        more = [random_state(np.random.default_rng(k)) for k in range(60)]
+        check_states(max_side, states + more)
+    assert set(used) == {"_tails", "_numpy_tails"}
 
 
 @pytest.mark.parametrize("max_side", [1, 2, 3, 10, 37])
@@ -203,6 +222,14 @@ def test_decoded_tuples_equal_the_generator_calls(max_side):
     for seed in SEEDS:
         for t0, t1 in SPANS:
             check_seeded(max_side, seed, t0, t1)
+
+
+@pytest.mark.parametrize("max_side", [10, 37, 100])
+def test_orders_longer_than_the_block_is_wide_are_drawn_by_numpy(monkeypatch, max_side):
+    used = tails_used(monkeypatch)
+    for seed in SEEDS:
+        check_seeded(max_side, seed, 2**32 - 64, 2**32 + 64, block=4)
+    assert "_numpy_tails" in used
 
 
 @pytest.mark.parametrize("max_side", [1, 3, 10, 37])
@@ -218,8 +245,8 @@ def test_rows_read_past_their_first_outputs_are_extended(max_side):
 
 
 def test_the_block_size_counts_the_raw_outputs():
-    k = _tuple_outputs(10)
-    assert k == 2 + 10 * 10 + 3 * 10
+    k = _tuple_outputs(10, 10, 10)
+    assert k == 2 + 10 * 10 + 10 + 10 + 10 + 8
     assert analysis._tuple_cells(10, 10, 10, own_rows=True) == 8 * 30 + 2 * 100 + k
     assert analysis._tuple_cells(10, 10, 10, own_rows=False) == 8 * 30
 
@@ -229,9 +256,9 @@ def test_the_block_size_counts_the_raw_outputs():
 # ---------------------------------------------------------------------------
 
 
-def fails_the_checks() -> bool:
+def fails_the_checks(monkeypatch) -> bool:
     """Whether any exactness check above fails, quickest first."""
-    checks = [test_crafted_rejections_decode_exactly]
+    checks = [lambda: test_crafted_rejections_decode_exactly(monkeypatch)]
     checks += [lambda m=m: test_decoded_tuples_equal_the_generator_calls(m) for m in (10, 37, 3)]
     for check in checks:
         try:
@@ -244,8 +271,7 @@ def fails_the_checks() -> bool:
 def stale_buffer(self, rows, width):
     """peek_halves taking the buffered half to be the high half of the
     last output read, which random() breaks."""
-    buffered = self.buf[rows] >= 0
-    first = 2 * self.pos[rows] - buffered
+    first = 2 * self.pos[rows] - (self.buf[rows] >= 0)
     self.ensure(rows, (first + width + 1) // 2)
     return self.halves[rows[:, None], first[:, None] + np.arange(width)]
 
@@ -276,4 +302,4 @@ def shuffle_from_second_to_last(permutations):
 def test_each_generator_trap_is_caught(monkeypatch, name, mutant):
     owner, _, attr = name.rpartition(".")
     monkeypatch.setattr(getattr(streams, owner) if owner else streams, attr, mutant)
-    assert fails_the_checks()
+    assert fails_the_checks(monkeypatch)
