@@ -10,10 +10,13 @@ estimator returns bit-identical results for any ``jobs`` setting. No
 estimator builds those Generators one by one; each reproduces their draws
 to the bit. The Monte Carlo estimators draw a block of trials' weights at
 once with ``streams._trial_weights``: row r is
-``trial_rng(seed, t0 + r).random(n)``. The property sweep, whose tuples
-draw graphs, orders and edges of varying sizes, takes tuple t's draws from
-a Generator that ``streams._trial_generators`` sets to the state
-``trial_rng(seed, t)`` starts in.
+``trial_rng(seed, t0 + r).random(n)``. The property sweep's random tuples,
+which draw graphs, orders and edges of varying sizes, are decoded from the
+raw PCG64 outputs of a Generator in the state ``trial_rng(seed, t)``
+starts in (``streams._random_tuples``: one ``random_raw`` call per tuple,
+the draws reproduced for the whole block with array operations). On a
+fixed instance, tuple t's draws are made by such a Generator itself
+(``streams._trial_generators``).
 """
 
 from __future__ import annotations

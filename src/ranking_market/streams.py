@@ -21,8 +21,27 @@ steps:
    ``rotr64(hi ^ lo, hi >> 58)`` and keeps its top 53 bits,
    ``(x >> 11) * 2**-53``.
 
-Reference: M. E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient
-Statistically Good Algorithms for Random Number Generation", 2014.
+The property sweep's random tuples (``_random_tuples``) draw integers,
+uniforms, doubles and a permutation whose counts vary per tuple. Each
+tuple fetches its raw outputs with one ``random_raw`` call, and
+``_decode_tuples`` reproduces the Generator's draws from them for the
+whole block with array operations:
+
+- ``next_uint32`` returns the low half of a fresh output and buffers the
+  high half; the next call returns the buffered half.
+- ``random()`` consumes whole outputs and leaves the buffer alone, so a
+  half buffered before doubles is returned after them: it is not the high
+  half of the output read last.
+- ``integers(lo, hi)`` is Lemire's method on ``next_uint32``: with span
+  ``hi - lo``, the high word of ``u·span``, redrawing while the low word is
+  below ``(2**32 - span) % span``. A span of 1 draws nothing.
+- ``permutation(n)`` is Fisher-Yates on ``arange(n)``, for i = n-1 down to 1,
+  each j in [0, i] drawn by masked rejection on ``next_uint32``.
+- ``uniform(0.2, 0.9)`` is ``0.2 + (0.9 - 0.2)·d`` for the next double d.
+
+References: M. E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation", 2014; D.
+Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS, 2019.
 
 128-bit numbers are held as two uint64 limbs (hi, lo); the high half of a
 64x64-bit product is assembled from 32-bit halves. All uint arithmetic wraps,
@@ -565,18 +584,18 @@ def _decode_tuples(raw, max_side: int, start):
 _SIZED_ABOVE = 256
 
 
-def _random_tuples(max_side: int, seed: int, t0: int, t1: int, outputs: int | None = None):
+def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
     """Random property tuples t0..t1-1 in _decode_tuples' block form, each
     drawn exactly as trial_rng(seed, t) would draw it, decoded for the whole
     block at once. Each tuple makes one random_raw call on the Generator
     _generators sets to its starting state, of _tuple_outputs for sides of
     max_side or, past _SIZED_ABOVE, for the sides its first output gives
     (computed from the block's seed states; a rejected side only misjudges
-    the count), or of `outputs`. A row that needs more is extended from a
-    Generator set to its starting state and advanced past those held."""
+    the count). A row that needs more is extended from a Generator set to
+    its starting state and advanced past those held."""
     states = _seed_states(seed, t0, t1)
-    count = _tuple_outputs(max_side, max_side, max_side) if outputs is None else outputs
-    if count > _SIZED_ABOVE and outputs is None:
+    count = _tuple_outputs(max_side, max_side, max_side)
+    if count > _SIZED_ABOVE:
         halves = _halves_of(_pcg64_outputs(states, _lcg_table(1))[:, 0]).reshape(-1, 2)
         left, right = (halves * np.uint64(max_side) >> _S32).astype(np.intp).T + 1
         counts = _tuple_outputs(left, right, max_side).tolist()

@@ -73,12 +73,11 @@ def assert_same_block(got, expected, where) -> None:
         assert a.shape == b.shape and np.array_equal(a, b), (where, name)
 
 
-def check_seeded(max_side: int, seed: int, t0: int, t1: int, outputs: int | None = None,
-                 block: int = BLOCK) -> None:
+def check_seeded(max_side: int, seed: int, t0: int, t1: int, block: int = BLOCK) -> None:
     """_random_tuples against trial_rng's Generators, block by block."""
     for b0 in range(t0, t1, block):
         b1 = min(b0 + block, t1)
-        got = _random_tuples(max_side, seed, b0, b1, outputs)
+        got = _random_tuples(max_side, seed, b0, b1)
         rngs = (np.random.default_rng((seed, t)) for t in range(b0, b1))
         assert_same_block(got, reference_block(max_side, rngs), (max_side, seed, b0))
 
@@ -102,8 +101,8 @@ def decode(max_side: int, states: list, outputs: int, extended: list | None = No
     return _decode_tuples(raw, max_side, start)
 
 
-def check_states(max_side: int, states: list, outputs: int | None = None) -> None:
-    outputs = _tuple_outputs(max_side, max_side, max_side) if outputs is None else outputs
+def check_states(max_side: int, states: list) -> None:
+    outputs = _tuple_outputs(max_side, max_side, max_side)
     expected = reference_block(max_side, [generator(s) for s in states])
     assert_same_block(decode(max_side, states, outputs), expected, (max_side, states))
 
@@ -233,9 +232,10 @@ def test_orders_longer_than_the_block_is_wide_are_drawn_by_numpy(monkeypatch, ma
 
 
 @pytest.mark.parametrize("max_side", [1, 3, 10, 37])
-def test_rows_read_past_their_first_outputs_are_extended(max_side):
-    # K = 3 outputs: every tuple but an edge-first 1 x 1 one reads past them
-    check_seeded(max_side, 23, 2**32 - 300, 2**32 + 300, outputs=3)
+def test_rows_read_past_their_first_outputs_are_extended(monkeypatch, max_side):
+    # 3 outputs up front: every tuple but an edge-first 1 x 1 one reads past them
+    monkeypatch.setattr(streams, "_tuple_outputs", lambda *sides: 3)
+    check_seeded(max_side, 23, 2**32 - 300, 2**32 + 300)
     rng = np.random.default_rng(max_side)
     states = [random_state(rng) for _ in range(300)]
     extended = []
