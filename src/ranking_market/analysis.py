@@ -626,7 +626,10 @@ class PropertySweep:
 # A block of property tuples holds about this many array cells (see
 # _tuple_cells), so its working set stays small whatever the sides are: a
 # block of tiny random graphs takes _BLOCK_TRIALS tuples, a large instance
-# as few as one.
+# as few as one. Per arrival the kernel makes a few array operations for
+# the whole block, so blocks of a few tuples pay them almost per tuple: at
+# max_side 100 a block of 32 tuples (2**20 cells) checked a tuple in about
+# 160 µs against 285 at 11 (2**18), on a 2-vCPU VM.
 _BLOCK_CELLS = 1 << 20
 
 # Most cells of a fixed instance's padded neighbor rows, n_left times the

@@ -514,7 +514,7 @@ def _permutations(out: _Outputs, sizes: np.ndarray) -> np.ndarray:
         taken = cells[swapped]
         cells[swapped] = orders[step]
         orders[step] = taken
-    return orders.T
+    return np.ascontiguousarray(orders.T)
 
 
 def _tails(out: _Outputs, n_left, n_right, n_edges):
@@ -578,29 +578,19 @@ def _decode_tuples(raw, max_side: int, start):
     return rows, orders, weights, buyers, items
 
 
-# Up to this many outputs a tuple, every row of a block fetches the largest
-# tuple's; above, each row fetches for the sides its first output gives.
-# Computing the first outputs costs about as much as generating 170 more.
-_SIZED_ABOVE = 256
-
-
 def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
     """Random property tuples t0..t1-1 in _decode_tuples' block form, each
     drawn exactly as trial_rng(seed, t) would draw it, decoded for the whole
     block at once. Each tuple makes one random_raw call on the Generator
-    _generators sets to its starting state, of _tuple_outputs for sides of
-    max_side or, past _SIZED_ABOVE, for the sides its first output gives
-    (computed from the block's seed states; a rejected side only misjudges
-    the count). A row that needs more is extended from a Generator set to
-    its starting state and advanced past those held."""
+    _generators sets to its starting state, of _tuple_outputs for the sides
+    its first output gives, computed from the block's seed states (a
+    rejected side only misjudges the count). A row that needs more is
+    extended from a Generator set to its starting state and advanced past
+    those held."""
     states = _seed_states(seed, t0, t1)
-    count = _tuple_outputs(max_side, max_side, max_side)
-    if count > _SIZED_ABOVE:
-        halves = _halves_of(_pcg64_outputs(states, _lcg_table(1))[:, 0]).reshape(-1, 2)
-        left, right = (halves * np.uint64(max_side) >> _S32).astype(np.intp).T + 1
-        counts = _tuple_outputs(left, right, max_side).tolist()
-    else:
-        counts = [count] * (t1 - t0)
+    halves = _halves_of(_pcg64_outputs(states, _lcg_table(1))[:, 0]).reshape(-1, 2)
+    left, right = (halves * np.uint64(max_side) >> _S32).astype(np.intp).T + 1
+    counts = _tuple_outputs(left, right, max_side).tolist()
     raw = [rng.bit_generator.random_raw(n) for rng, n in zip(_generators(states), counts)]
     spare = np.random.Generator(np.random.PCG64(0))
 

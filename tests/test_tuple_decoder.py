@@ -234,7 +234,7 @@ def test_orders_longer_than_the_block_is_wide_are_drawn_by_numpy(monkeypatch, ma
 @pytest.mark.parametrize("max_side", [1, 3, 10, 37])
 def test_rows_read_past_their_first_outputs_are_extended(monkeypatch, max_side):
     # 3 outputs up front: every tuple but an edge-first 1 x 1 one reads past them
-    monkeypatch.setattr(streams, "_tuple_outputs", lambda *sides: 3)
+    monkeypatch.setattr(streams, "_tuple_outputs", lambda left, *rest: np.full_like(left, 3))
     check_seeded(max_side, 23, 2**32 - 300, 2**32 + 300)
     rng = np.random.default_rng(max_side)
     states = [random_state(rng) for _ in range(300)]
