@@ -322,18 +322,13 @@ class _Outputs:
     half, or -1. ``start(row)`` returns a Generator in a row's starting
     state, for reads past the outputs held."""
 
-    def __init__(self, segments: list, start):
-        self.have = np.fromiter(map(len, segments), dtype=np.intp, count=len(segments))
-        if (self.have == self.have[0]).all():
-            self.raw = np.array(segments)
-        else:
-            self.raw = np.empty((len(segments), self.have.max()), dtype=np.uint64)
-            for row, segment in zip(self.raw, segments):
-                row[: len(segment)] = segment
-        self.halves = _halves_of(self.raw)
+    def __init__(self, raw: np.ndarray, have: np.ndarray, start):
+        self.raw = raw
+        self.halves = _halves_of(raw)
+        self.have = np.array(have, dtype=np.intp)
         self.start = start
-        self.pos = np.zeros(len(segments), dtype=np.intp)
-        self.buf = np.full(len(segments), -1, dtype=np.intp)
+        self.pos = np.zeros(len(raw), dtype=np.intp)
+        self.buf = np.full(len(raw), -1, dtype=np.intp)
 
     def ensure(self, rows: np.ndarray, need: np.ndarray) -> None:
         """Hold at least need[k] outputs of row rows[k]."""
@@ -447,7 +442,8 @@ def _graphs(out: _Outputs, max_side: int):
         offsets = np.cumsum(cells) - cells
         coins = np.repeat(begin - offsets, cells)
         coins += np.arange(len(coins))
-        coins = np.take(out.raw, coins) < np.repeat(limit, cells)
+        coins = np.take(out.raw, coins)  # frees the index before the limits
+        coins = coins < np.repeat(limit, cells)
         count = np.add.reduceat(coins, offsets, dtype=np.intp)
         n_left[todo], n_right[todo], n_edges[todo] = left, right, count
         first[todo] = found + np.cumsum(count) - count
@@ -547,10 +543,10 @@ def _numpy_tails(out: _Outputs, n_left, n_right, n_edges):
     return orders, weights, pick
 
 
-def _decode_tuples(raw, max_side: int, start):
+def _decode_tuples(raw: np.ndarray, have: np.ndarray, max_side: int, start):
     """Decode random property tuples from raw PCG64 outputs, one row per
-    tuple: raw[b] holds the first outputs of tuple b's Generator and
-    ``start(b)`` returns a Generator in its starting state. Each row makes
+    tuple: raw[b, :have[b]] holds the first outputs of tuple b's Generator
+    and ``start(b)`` returns a Generator in its starting state. Each row makes
     the draws of one tuple, in order: the graph (_graphs), order =
     permutation(n_left), weights = random(n_right) and the edge, the
     integers(n_edges)-th set coin in row-major order.
@@ -566,7 +562,7 @@ def _decode_tuples(raw, max_side: int, start):
     arrive last), the weights [B, R] (0 past n_right), the buyers and the
     items.
     """
-    out = _Outputs(raw, start)
+    out = _Outputs(raw, have, start)
     n_left, n_right, n_edges, owners, places, first = _graphs(out, max_side)
     tails = _numpy_tails if n_left.max() > len(n_left) else _tails
     orders, weights, pick = tails(out, n_left, n_right, n_edges)
@@ -574,7 +570,11 @@ def _decode_tuples(raw, max_side: int, start):
     buyers, items = np.divmod(places[first + pick], n_right)
     rows = np.full((n_rows, size_l, size_r), size_r)
     left, right = np.divmod(places, n_right[owners])
-    rows.ravel()[(owners * size_l + left) * size_r + right] = right
+    cells = owners * size_l
+    cells += left
+    cells *= size_r
+    cells += right
+    rows.ravel()[cells] = right
     return rows, orders, weights, buyers, items
 
 
@@ -590,12 +590,14 @@ def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
     states = _seed_states(seed, t0, t1)
     halves = _halves_of(_pcg64_outputs(states, _lcg_table(1))[:, 0]).reshape(-1, 2)
     left, right = (halves * np.uint64(max_side) >> _S32).astype(np.intp).T + 1
-    counts = _tuple_outputs(left, right, max_side).tolist()
-    raw = [rng.bit_generator.random_raw(n) for rng, n in zip(_generators(states), counts)]
+    counts = _tuple_outputs(left, right, max_side)
+    raw = np.empty((len(counts), counts.max()), dtype=np.uint64)
+    for row, rng, count in zip(raw, _generators(states), counts.tolist()):
+        row[:count] = rng.bit_generator.random_raw(count)
     spare = np.random.Generator(np.random.PCG64(0))
 
     def start(row: int) -> np.random.Generator:
         spare.bit_generator.state = _start_state(*states[:, row].tolist())
         return spare
 
-    return _decode_tuples(raw, max_side, start)
+    return _decode_tuples(raw, counts, max_side, start)

@@ -91,14 +91,14 @@ def generator(state: dict) -> np.random.Generator:
 def decode(max_side: int, states: list, outputs: int, extended: list | None = None):
     """_decode_tuples on the first `outputs` raw outputs of Generators in
     the given states, reading later outputs from fresh copies."""
-    raw = [generator(s).bit_generator.random_raw(outputs) for s in states]
+    raw = np.array([generator(s).bit_generator.random_raw(outputs) for s in states])
 
     def start(row: int) -> np.random.Generator:
         if extended is not None:
             extended.append(row)
         return generator(states[row])
 
-    return _decode_tuples(raw, max_side, start)
+    return _decode_tuples(raw, np.full(len(states), outputs), max_side, start)
 
 
 def check_states(max_side: int, states: list) -> None:
