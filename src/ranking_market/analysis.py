@@ -626,11 +626,8 @@ class PropertySweep:
 # A block of property tuples holds about this many array cells (see
 # _tuple_cells), so its working set stays small whatever the sides are: a
 # block of tiny random graphs takes _BLOCK_TRIALS tuples, a large instance
-# as few as one. Per arrival the kernel makes a few array operations for
-# the whole block, so blocks of a few tuples pay them almost per tuple: at
-# max_side 100 a block of 32 tuples (2**20 cells) checked a tuple in about
-# 160 µs against 285 at 11 (2**18), on a 2-vCPU VM.
-_BLOCK_CELLS = 1 << 20
+# as few as one.
+_BLOCK_CELLS = 1 << 18
 
 # Most cells of a fixed instance's padded neighbor rows, n_left times the
 # largest degree: every kvv_hard_instance and random_bipartite instance fits
@@ -641,13 +638,16 @@ _MAX_ROW_CELLS = 4 * MAX_EDGES
 
 def _tuple_cells(n_left: int, n_right: int, width: int, own_rows: bool) -> int:
     """Array cells one tuple adds to a block: the scores, assignments and
-    per-arrival arrays of its two markets, plus, when its graph is its own
-    (a random tuple), both markets' copies of its padded neighbor rows and
-    the K raw outputs it is decoded from (streams._tuple_outputs)."""
+    per-arrival arrays of its two markets, plus both markets' copies of its
+    padded neighbor rows when its graph is its own (a random tuple). A
+    random tuple is first decoded from its K raw outputs
+    (streams._tuple_outputs), which are let go before the rows are built,
+    so it counts the larger of the two."""
     cells = 8 * (n_left + n_right + width)
-    if own_rows:
-        cells += 2 * n_left * width + _tuple_outputs(n_left, n_right, max(n_left, n_right))
-    return cells
+    if not own_rows:
+        return cells
+    raw = _tuple_outputs(n_left, n_right, max(n_left, n_right))
+    return max(cells + 2 * n_left * width, raw)
 
 
 def _instance_rows(instance: BipartiteInstance):
@@ -730,15 +730,14 @@ def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
     availability hold for each of a block of B tuples under exponential
     prices, given the neighbor rows [B or 1, L, D] padded with the item R,
     the arrival orders [B, L], the weights [B, R] and the tuples' buyers
-    and items. Both markets of every tuple go through one kernel call; the
-    checks are _property_check and _nested_availability as array
+    and items. Both markets of every tuple go through one kernel call,
+    sharing the tuple's rows; the checks are _property_check and _nested_availability as array
     operations."""
     n_tuples, n_right = weights.shape
     prices = np.full((n_tuples, n_right + 1), math.inf)  # the padding item scores inf
     prices[:, :n_right] = _price_array(weights, PriceScheme.EXPONENTIAL)
-    adjacency = np.broadcast_to(rows, (2, n_tuples) + rows.shape[1:]).reshape(-1, *rows.shape[1:])
     assignment = _assign_min_score(
-        adjacency, _removal_scores(prices, items), np.concatenate([orders, orders])
+        rows, _removal_scores(prices, items), np.concatenate([orders, orders])
     )
     full, reduced = assignment[:n_tuples], assignment[n_tuples:]
     cf_price, item_sold, utility = _counterfactual_block(prices, full, reduced, buyers, items)

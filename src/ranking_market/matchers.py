@@ -53,10 +53,10 @@ def _assign_min_score(adjacency, score, order):
     list form on score[t]. The T markets either share one graph and one
     arrival order (adjacency[b] a list or intp array, order a sequence of
     left vertices) or each have their own: order a [T, n_left] array,
-    row t market t's arrival order, and adjacency a [T, n_left, D] intp
-    array of padded neighbor rows, adjacency[t, b] buyer b's neighbors in
-    market t in ascending order with gaps and tail filled by an item whose
-    score is inf in every market.
+    row t market t's arrival order, and adjacency a [T', n_left, D] intp
+    array of padded neighbor rows for T a multiple of T', adjacency[t % T',
+    b] buyer b's neighbors in market t in ascending order with gaps and
+    tail filled by an item whose score is inf in every market.
     """
     if isinstance(score, np.ndarray):
         if isinstance(order, np.ndarray) and order.ndim == 2:
@@ -98,22 +98,28 @@ def _assign_shared(adjacency, score: np.ndarray, order) -> np.ndarray:
 
 def _assign_per_market(adjacency: np.ndarray, score: np.ndarray, order: np.ndarray) -> np.ndarray:
     """_assign_min_score's T markets, each with its own padded neighbor rows
-    and arrival order. Scores are kept transposed, [n_right, T]: gathering a
-    [T, D] block of neighbor scores and taking its argmin along the markets
-    was slower on property blocks than the shared path's layout."""
-    scores = score.T.copy()
-    markets = np.arange(scores.shape[1])
+    and arrival order. The scores are one flat array, market t's from
+    t·n_items on, so that each arrival's [T, D] neighbors, offset into it,
+    are gathered with one take."""
+    n_markets, n_items = score.shape
+    scores = score.ravel().copy()  # taken items become inf
+    markets = np.arange(n_markets)
+    offsets = markets * n_items
+    sources = markets % len(adjacency)
     # per market, row k first holds the item of arrival k
-    assignment = np.full((order.shape[1], len(markets)), -1, dtype=np.intp)
-    for k, buyers in enumerate(order.T):  # market t's k-th arrival in column t
-        neighbors = adjacency[markets, buyers].T  # [D, T]
-        gathered = scores[neighbors, markets]
-        pick = gathered.argmin(axis=0)
-        items = neighbors[pick, markets]
-        np.copyto(assignment[k], items, where=gathered[pick, markets] < _INF)
-        scores[items, markets] = _INF
-    assignment[order.T, markets] = assignment.copy()
-    return assignment.T
+    assignment = np.full((order.shape[1], n_markets), -1, dtype=np.intp)
+    for arrival, buyers in zip(assignment, order.T):  # market t's arrival in column t
+        neighbors = adjacency[sources, buyers]
+        neighbors += offsets[:, None]
+        gathered = scores.take(neighbors)
+        pick = gathered.argmin(axis=1)
+        items = neighbors[markets, pick]
+        # an unserved market's neighbors all score inf already
+        np.subtract(items, offsets, out=arrival, where=gathered[markets, pick] < _INF)
+        scores[items] = _INF
+    unpermuted = np.empty_like(assignment)
+    unpermuted[order.T, markets] = assignment
+    return unpermuted.T
 
 
 def _check_sigma(instance: BipartiteInstance, sigma: ArrivalOrder) -> None:

@@ -349,18 +349,6 @@ class _Outputs:
             self.have[row] = width
         self.halves = _halves_of(self.raw)
 
-    def generator(self, row: int) -> np.random.Generator:
-        """A Generator in the row's read state: its starting state advanced
-        past the outputs read, holding the buffered half (advance() drops
-        it)."""
-        rng = self.start(row)
-        rng.bit_generator.advance(int(self.pos[row]))
-        if self.buf[row] >= 0:
-            state = rng.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, int(self.halves[row, self.buf[row]])
-            rng.bit_generator.state = state
-        return rng
-
     def take_outputs(self, rows: np.ndarray, counts) -> np.ndarray:
         """Consume counts whole outputs of each row, as random() does (a
         buffered half stays buffered), and return the flat index into raw
@@ -396,12 +384,13 @@ def _integers(out: _Outputs, rows: np.ndarray, span, count: int) -> np.ndarray:
     """[len(rows), count]: `count` draws of integers(0, span) per row, span
     > 1 a scalar or one per row: Lemire's method on next_uint32, the high
     word of u·span unless the draw is rejected (_rejection_threshold)."""
-    span = np.broadcast_to(np.asarray(span, dtype=np.uint64), rows.shape)[:, None]
+    span = np.asarray(span, dtype=np.uint64)[..., None]  # [1] or [len(rows), 1]
     threshold = _rejection_threshold(span)
     scaled = out.peek_halves(rows, count) * span
     if not ((scaled & _LOW32) < threshold).any():
         out.take_halves(rows, count)
         return (scaled >> _S32).astype(np.intp)
+    span, threshold = (np.broadcast_to(a, (len(rows), 1)) for a in (span, threshold))
     values = np.empty((len(rows), count), dtype=np.intp)
     for k in range(count):  # a rejection: one draw at a time
         todo = np.arange(len(rows))
@@ -413,21 +402,40 @@ def _integers(out: _Outputs, rows: np.ndarray, span, count: int) -> np.ndarray:
     return values
 
 
+# the most cells of a ragged run that are indexed at once, so that the
+# index arrays stay small however large one graph is
+_CHUNK = 1 << 14
+
+
+def _pieces(cells: np.ndarray):
+    """Cut a ragged run, row k of cells[k] cells and the rows one after
+    another, into pieces of at most _CHUNK cells. Yield, for each piece, its
+    first cell's place in the run and each of its cells' row and index
+    within that row."""
+    ends = np.cumsum(cells)
+    starts = ends - cells
+    total = int(ends[-1])
+    for c0 in range(0, total, _CHUNK):
+        c1 = min(c0 + _CHUNK, total)
+        k0, k1 = np.searchsorted(ends, (c0, c1 - 1), side="right")
+        part = np.minimum(ends[k0 : k1 + 1], c1) - np.maximum(starts[k0 : k1 + 1], c0)
+        owner = np.repeat(np.arange(k0, k1 + 1), part)
+        yield c0, owner, np.arange(c0, c1) - starts[owner]
+
+
 def _graphs(out: _Outputs, max_side: int):
     """Each row's graph, redrawn until it has an edge: n_left and n_right =
     integers(1, max_side + 1), p = uniform(0.2, 0.9), coins =
     random((n_left, n_right)) < p, read as the raw outputs below the limit
     of p (_double_limits). Only each graph's own coins are read, as one
-    ragged run over the rows. Returns n_left, n_right, the edge counts, and
-    each set coin's row and index in its row's graph (row-major), grouped
-    by row in increasing index, with the place of each row's first."""
+    ragged run over the rows, a piece at a time (_pieces). Returns n_left,
+    n_right, the edge counts and the edges [B, L, R] bool, each row's graph
+    in its top left n_left x n_right corner, padded to the largest graph.
+    """
     n_rows = len(out.have)
     n_left = np.ones(n_rows, dtype=np.intp)
     n_right = np.ones(n_rows, dtype=np.intp)
-    n_edges = np.zeros(n_rows, dtype=np.intp)
-    first = np.zeros(n_rows, dtype=np.intp)
-    owners, places = [], []
-    found = 0
+    rounds = []  # each round's rows, their sides and their coins
     todo = np.arange(n_rows)
     while len(todo):
         if max_side > 1:
@@ -439,30 +447,32 @@ def _graphs(out: _Outputs, max_side: int):
         limit = _double_limits(_PROB_LOW + (_PROB_HIGH - _PROB_LOW) * u)
         cells = left * right
         begin = out.take_outputs(todo, cells)
-        offsets = np.cumsum(cells) - cells
-        coins = np.repeat(begin - offsets, cells)
-        coins += np.arange(len(coins))
-        coins = np.take(out.raw, coins)  # frees the index before the limits
-        coins = coins < np.repeat(limit, cells)
-        count = np.add.reduceat(coins, offsets, dtype=np.intp)
-        n_left[todo], n_right[todo], n_edges[todo] = left, right, count
-        first[todo] = found + np.cumsum(count) - count
-        owner = np.repeat(np.arange(len(todo)), count)
-        owners.append(todo[owner])
-        places.append(np.flatnonzero(coins) - offsets[owner])
-        found += len(owner)
-        todo = todo[count == 0]
-    return n_left, n_right, n_edges, np.concatenate(owners), np.concatenate(places), first
+        run = np.empty(int(cells.sum()), dtype=bool)
+        for c0, owner, index in _pieces(cells):
+            np.less(np.take(out.raw, begin[owner] + index), limit[owner], out=run[c0 : c0 + len(owner)])
+        n_left[todo], n_right[todo] = left, right
+        rounds.append((todo, left, right, run))
+        todo = todo[~np.logical_or.reduceat(run, np.cumsum(cells) - cells)]
+    # the frame holds every round's graphs; a redrawn row's next graph
+    # overwrites its edgeless one
+    size_l = max(int(left.max()) for _, left, _, _ in rounds)
+    size_r = max(int(right.max()) for _, _, right, _ in rounds)
+    edges = np.empty((n_rows, size_l, size_r), dtype=bool)
+    for todo, left, right, run in rounds:
+        corner = (np.arange(size_l) < left[:, None])[:, :, None]
+        corner = corner & (np.arange(size_r) < right[:, None])[:, None, :]
+        drawn = np.zeros_like(corner)
+        drawn[corner] = run  # row by row, each row-major
+        edges[todo] = drawn
+    edges = edges[:, : n_left.max(), : n_right.max()]
+    return n_left, n_right, np.count_nonzero(edges, axis=(1, 2)), edges
 
 
 @lru_cache(maxsize=8)
-def _shuffle_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the step i < n of a shuffle: the smallest all-ones mask >= i,
-    and the bound the masked draw must stay below, i + 1 (0 once i is 0:
-    the shuffle is over and takes nothing), as [n] uint32 tables."""
-    masks = [(1 << i.bit_length()) - 1 for i in range(n)]
-    bounds = [i + 1 if i else 0 for i in range(n)]
-    return tuple(_frozen(np.array(table, dtype=np.uint32)) for table in (masks, bounds))
+def _shuffle_masks(n: int) -> np.ndarray:
+    """[n] uint32: for the step i < n of a shuffle, the smallest all-ones
+    mask >= i."""
+    return _frozen(np.array([(1 << i.bit_length()) - 1 for i in range(n)], dtype=np.uint32))
 
 
 def _permutations(out: _Outputs, sizes: np.ndarray) -> np.ndarray:
@@ -479,28 +489,31 @@ def _permutations(out: _Outputs, sizes: np.ndarray) -> np.ndarray:
     if n_max == 1:
         return np.zeros((n_rows, 1), dtype=np.intp)
     rows = np.arange(n_rows)
-    masks, bounds = _shuffle_tables(n_max)
+    masks = _shuffle_masks(n_max)
     width = 2 * n_max + 8
     while True:
         cands = np.ascontiguousarray(out.peek_halves(rows, width).T)  # [W, B]
-        i = sizes - 1  # the step each row is at; 0 once done
+        # the step each row is at: a row at step 0 takes its next candidate
+        # (a masked draw of 0 is at most 0) and then stays at -1, where
+        # none is at most i
+        i = sizes - 1
         accept = np.zeros((width, n_rows), dtype=bool)
         for k in range(width):
-            if not i.any():
-                break
-            np.less(cands[k] & masks.take(i), bounds.take(i), out=accept[k])
+            np.less_equal(cands[k] & masks.take(i), i, out=accept[k])
             i -= accept[k]
-        else:
-            if i.any():  # a row ran out of candidates
-                width *= 2
-                continue
+            if k >= n_max - 2 and i.max() <= 0:
+                break
+        else:  # a row ran out of candidates
+            width *= 2
+            continue
         break
-    # the step each candidate was tried for, 0 past a row's last step
+    # the step each candidate was tried for, below 1 past a row's last step
     tried = sizes - 1 - np.cumsum(accept, axis=0) + accept
-    out.take_halves(rows, np.count_nonzero(tried > 0, axis=0))
+    taken = tried > 0
+    out.take_halves(rows, np.count_nonzero(taken, axis=0))
     # j[i]: the position step i swaps with; i itself for a step not taken
     j = np.tile(np.arange(n_max)[:, None], (1, n_rows))
-    k, r = np.nonzero(accept)
+    k, r = np.nonzero(accept & taken)
     steps = tried[k, r]
     j[steps, r] = cands[k, r] & masks[steps]
     orders = np.tile(np.arange(n_max)[:, None], (1, n_rows))  # [max n, B]
@@ -529,53 +542,43 @@ def _tails(out: _Outputs, n_left, n_right, n_edges):
     return orders, weights, pick
 
 
-def _numpy_tails(out: _Outputs, n_left, n_right, n_edges):
-    """_tails made by numpy itself, one row at a time, on a Generator set to
-    the row's read state."""
-    orders = np.tile(np.arange(n_left.max()), (len(n_left), 1))
-    weights = np.zeros((len(n_left), n_right.max()))
-    pick = np.zeros(len(n_left), dtype=np.intp)
-    for row, (left, right, edges) in enumerate(zip(n_left.tolist(), n_right.tolist(), n_edges.tolist())):
-        rng = out.generator(row)
-        orders[row, :left] = rng.permutation(left)
-        weights[row, :right] = rng.random(right)
-        pick[row] = rng.integers(edges)
-    return orders, weights, pick
-
-
 def _decode_tuples(raw: np.ndarray, have: np.ndarray, max_side: int, start):
     """Decode random property tuples from raw PCG64 outputs, one row per
     tuple: raw[b, :have[b]] holds the first outputs of tuple b's Generator
     and ``start(b)`` returns a Generator in its starting state. Each row makes
     the draws of one tuple, in order: the graph (_graphs), order =
     permutation(n_left), weights = random(n_right) and the edge, the
-    integers(n_edges)-th set coin in row-major order.
-
-    The shuffle's candidate loop costs a few array operations per draw for
-    the whole block, so when the orders are longer than the block has rows
-    numpy's own loop is cheaper: the draws after the graphs are then made
-    by numpy, row by row (_numpy_tails).
+    integers(n_edges)-th set coin in row-major order (_tails).
 
     Returns the block padded to its largest graph, L x R: the neighbor rows
     [B, L, R] (buyer b's row holds item r where (b, r) is an edge and the
     padding item R elsewhere), the arrival orders [B, L] (padding buyers
     arrive last), the weights [B, R] (0 past n_right), the buyers and the
-    items.
+    items. The raw outputs are let go before the rows are built, when the
+    caller holds no other reference to them.
     """
     out = _Outputs(raw, have, start)
-    n_left, n_right, n_edges, owners, places, first = _graphs(out, max_side)
-    tails = _numpy_tails if n_left.max() > len(n_left) else _tails
-    orders, weights, pick = tails(out, n_left, n_right, n_edges)
-    n_rows, size_l, size_r = len(n_left), orders.shape[1], weights.shape[1]
-    buyers, items = np.divmod(places[first + pick], n_right)
-    rows = np.full((n_rows, size_l, size_r), size_r)
-    left, right = np.divmod(places, n_right[owners])
-    cells = owners * size_l
-    cells += left
-    cells *= size_r
-    cells += right
-    rows.ravel()[cells] = right
-    return rows, orders, weights, buyers, items
+    del raw
+    n_left, n_right, n_edges, edges = _graphs(out, max_side)
+    orders, weights, pick = _tails(out, n_left, n_right, n_edges)
+    del out
+    n_rows, size_l, size_r = edges.shape
+    # the picked edge: the set cells are in row-major order, row by row
+    found = np.flatnonzero(edges)
+    picked = found[np.cumsum(n_edges) - n_edges + pick] - np.arange(n_rows) * (size_l * size_r)
+    del found
+    buyers, items = np.divmod(picked, size_r)
+    return np.where(edges, np.arange(size_r), size_r), orders, weights, buyers, items
+
+
+def _raw_outputs(states: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """[B, max count] uint64: row b's first counts[b] entries are the first
+    raw outputs of a PCG64 seeded with column b of states, one random_raw
+    call each; the rest is unread filler."""
+    raw = np.empty((len(counts), counts.max()), dtype=np.uint64)
+    for row, rng, count in zip(raw, _generators(states), counts.tolist()):
+        row[:count] = rng.bit_generator.random_raw(count)
+    return raw
 
 
 def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
@@ -591,13 +594,10 @@ def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
     halves = _halves_of(_pcg64_outputs(states, _lcg_table(1))[:, 0]).reshape(-1, 2)
     left, right = (halves * np.uint64(max_side) >> _S32).astype(np.intp).T + 1
     counts = _tuple_outputs(left, right, max_side)
-    raw = np.empty((len(counts), counts.max()), dtype=np.uint64)
-    for row, rng, count in zip(raw, _generators(states), counts.tolist()):
-        row[:count] = rng.bit_generator.random_raw(count)
     spare = np.random.Generator(np.random.PCG64(0))
 
     def start(row: int) -> np.random.Generator:
         spare.bit_generator.state = _start_state(*states[:, row].tolist())
         return spare
 
-    return _decode_tuples(raw, counts, max_side, start)
+    return _decode_tuples(_raw_outputs(states, counts), counts, max_side, start)

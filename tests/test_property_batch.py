@@ -132,18 +132,18 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
 
 
 def test_the_padded_neighbor_rows_are_shared_not_copied(monkeypatch):
-    # a fixed instance's rows are broadcast to every market of a block
+    # a fixed instance's rows [1, L, D] serve every market of every block
     seen = []
     kernel = analysis._assign_min_score
 
     def recording(adjacency, score, order):
-        seen.append(adjacency)
+        seen.append((adjacency, order.shape))
         return kernel(adjacency, score, order)
 
     monkeypatch.setattr(analysis, "_assign_min_score", recording)
     property_sweep(200, seed=3, instance=kvv_hard_instance(30))
-    assert [a.shape for a in seen] == [(256, 30, 30), (144, 30, 30)]
-    assert all(a.strides[0] == 0 for a in seen)
+    assert [shape for _, shape in seen] == [(256, 30), (144, 30)]
+    assert all(a.shape == (1, 30, 30) and a is seen[0][0] for a, _ in seen)
 
 
 # ---------------------------------------------------------------------------
