@@ -247,25 +247,31 @@ def test_block_kernel_equals_the_scalar_loop_row_by_row(rows):
 def test_per_market_block_kernel_equals_the_scalar_loop_market_by_market(gaps):
     # every market has its own graph and arrival order, padded to the
     # block's largest: missing buyers arrive last with no neighbors, and a
-    # row's missing neighbors are the padding item R, which scores inf
+    # row's missing neighbors are the padding item R, which scores inf;
+    # with copies > 1, market t runs on the rows of graph t % len(cases)
+    # with its own scores and arrival order
     rng = np.random.default_rng(44)
     cases = list(_block_cases(rng))
     n_left = max(inst.n_left for inst, _ in cases)
     n_right = max(inst.n_right for inst, _ in cases)
     adjacency = np.full((len(cases), n_left, n_right), n_right, dtype=np.intp)
-    orders = np.tile(np.arange(n_left), (len(cases), 1))
-    score = np.full((len(cases), n_right + 1), np.inf)
-    for t, (inst, sigma) in enumerate(cases):
+    for t, (inst, _) in enumerate(cases):
         for b, neighbors in enumerate(inst.adjacency):
             adjacency[t, b, list(neighbors) if gaps else slice(len(neighbors))] = neighbors
-        orders[t, : inst.n_left] = sigma.order
-        score[t, : inst.n_right] = np.round(rng.random(inst.n_right), 1)  # ties
-    before = score.copy()
-    block = _assign_min_score(adjacency, score, orders)
-    assert block.shape == (len(cases), n_left) and block.dtype == np.intp
-    assert np.array_equal(score, before)
-    for t, (inst, sigma) in enumerate(cases):
-        scalar = _assign_min_score(inst.adjacency, score[t, : inst.n_right].tolist(), sigma.order)
-        assert block[t].tolist() == [-1 if j is None else j for j in scalar] + [-1] * (
-            n_left - inst.n_left
-        ), t
+    for copies in (1, 3):
+        markets = [(inst, sigma if c == 0 else ArrivalOrder.random(inst.n_left, rng))
+                   for c in range(copies) for inst, sigma in cases]
+        orders = np.tile(np.arange(n_left), (len(markets), 1))
+        score = np.full((len(markets), n_right + 1), np.inf)
+        for t, (inst, sigma) in enumerate(markets):
+            orders[t, : inst.n_left] = sigma.order
+            score[t, : inst.n_right] = np.round(rng.random(inst.n_right), 1)  # ties
+        before = score.copy()
+        block = _assign_min_score(adjacency, score, orders)
+        assert block.shape == (len(markets), n_left) and block.dtype == np.intp
+        assert np.array_equal(score, before)
+        for t, (inst, sigma) in enumerate(markets):
+            scalar = _assign_min_score(inst.adjacency, score[t, : inst.n_right].tolist(), sigma.order)
+            assert block[t].tolist() == [-1 if j is None else j for j in scalar] + [-1] * (
+                n_left - inst.n_left
+            ), (copies, t)
