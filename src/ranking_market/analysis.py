@@ -638,11 +638,10 @@ _MAX_ROW_CELLS = 4 * MAX_EDGES
 
 def _tuple_cells(n_left: int, n_right: int, width: int, own_rows: bool) -> int:
     """Array cells one tuple adds to a block: the scores, assignments and
-    per-arrival arrays of its two markets, plus both markets' copies of its
-    padded neighbor rows when its graph is its own (a random tuple). A
-    random tuple is first decoded from its K raw outputs
-    (streams._tuple_outputs), which are let go before the rows are built,
-    so it counts the larger of the two."""
+    per-arrival arrays of its two markets, plus, when its graph is its own
+    (a random tuple), two per cell of its padded neighbor rows, for the rows
+    and for the decoding that builds them, or its K raw outputs
+    (streams._tuple_outputs) if they are more."""
     cells = 8 * (n_left + n_right + width)
     if not own_rows:
         return cells
@@ -731,8 +730,8 @@ def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
     prices, given the neighbor rows [B or 1, L, D] padded with the item R,
     the arrival orders [B, L], the weights [B, R] and the tuples' buyers
     and items. Both markets of every tuple go through one kernel call,
-    sharing the tuple's rows; the checks are _property_check and _nested_availability as array
-    operations."""
+    sharing the tuple's rows; the checks are _property_check and
+    _nested_availability as array operations."""
     n_tuples, n_right = weights.shape
     prices = np.full((n_tuples, n_right + 1), math.inf)  # the padding item scores inf
     prices[:, :n_right] = _price_array(weights, PriceScheme.EXPONENTIAL)

@@ -449,7 +449,8 @@ def _graphs(out: _Outputs, max_side: int):
         begin = out.take_outputs(todo, cells)
         run = np.empty(int(cells.sum()), dtype=bool)
         for c0, owner, index in _pieces(cells):
-            np.less(np.take(out.raw, begin[owner] + index), limit[owner], out=run[c0 : c0 + len(owner)])
+            coins = np.take(out.raw, begin[owner] + index)
+            np.less(coins, limit[owner], out=run[c0 : c0 + len(coins)])
         n_left[todo], n_right[todo] = left, right
         rounds.append((todo, left, right, run))
         todo = todo[~np.logical_or.reduceat(run, np.cumsum(cells) - cells)]

@@ -271,7 +271,8 @@ def test_per_market_block_kernel_equals_the_scalar_loop_market_by_market(gaps):
         assert block.shape == (len(markets), n_left) and block.dtype == np.intp
         assert np.array_equal(score, before)
         for t, (inst, sigma) in enumerate(markets):
-            scalar = _assign_min_score(inst.adjacency, score[t, : inst.n_right].tolist(), sigma.order)
+            scores = score[t, : inst.n_right].tolist()
+            scalar = _assign_min_score(inst.adjacency, scores, sigma.order)
             assert block[t].tolist() == [-1 if j is None else j for j in scalar] + [-1] * (
                 n_left - inst.n_left
             ), (copies, t)
