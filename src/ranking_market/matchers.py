@@ -5,7 +5,6 @@ instance."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +13,10 @@ import numpy as np
 from .instance import ArrivalOrder, BipartiteInstance, RightPermutation
 
 _INF = float("inf")
+
+# The exact oracle's blocks of rankings hold at most about this many
+# assignment cells (rankings times buyers).
+_ORACLE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,21 @@ def _assign_min_score(adjacency, score, order):
 
     A list or tuple of n_right scores runs one market and returns a list
     with the item of each left vertex, or None. A [T, n_right] float array
-    runs T markets at once and returns a [T, n_left] intp array with -1 for
-    an unserved arrival: per arrival, argmin over the gathered neighbor
-    scores takes the first minimum (the lowest index), a minimum below inf
-    is a purchase, and the taken item's score becomes inf. Row t equals the
-    list form on score[t]. The T markets either share one graph and one
-    arrival order (adjacency[b] a list or intp array, order a sequence of
-    left vertices) or each have their own: order a [T, n_left] array,
-    row t market t's arrival order, and adjacency a [T', n_left, D] intp
-    array of padded neighbor rows for T a multiple of T', adjacency[t % T',
-    b] buyer b's neighbors in market t in ascending order with gaps and
-    tail filled by an item whose score is inf in every market.
+    of scores, each finite or +inf, runs T markets at once and returns a
+    [T, n_left] intp array with -1 for an unserved arrival; row t equals the
+    list form on score[t], and the caller's scores are left as they are.
+    The T markets either share one graph and one arrival order
+    (adjacency[b] a list or intp array, order a sequence of left vertices)
+    or each have their own: order a [T, n_left] array, row t market t's
+    arrival order, and adjacency a [T', n_left, D] intp array of padded
+    neighbor rows for T a multiple of T', adjacency[t % T', b] buyer b's
+    neighbors in market t in ascending order with gaps and tail filled by
+    an item whose score is inf in every market. On a shared graph only the
+    order of each market's scores matters: the markets run in rank space,
+    one integer min over the arrival's neighbor rows per arrival (see
+    _assign_shared). With their own graphs, per arrival, argmin over the
+    gathered neighbor scores takes the first minimum (the lowest index), a
+    minimum below inf is a purchase, and the taken item's score becomes inf.
     """
     if isinstance(score, np.ndarray):
         if isinstance(order, np.ndarray) and order.ndim == 2:
@@ -79,20 +86,40 @@ def _assign_min_score(adjacency, score, order):
 
 
 def _assign_shared(adjacency, score: np.ndarray, order) -> np.ndarray:
-    """_assign_min_score's T markets on one graph and one arrival order."""
-    scores = score.copy()  # [T, n_right]: taken items become inf
-    markets = np.arange(len(scores))
-    assignment = np.full((len(adjacency), len(scores)), -1, dtype=np.intp)
+    """_assign_min_score's T markets on one graph and one arrival order, in
+    rank space. With R = n_right, item j of market t has the id t·(R+1) + k,
+    k its rank in score[t] (ties by index), until it is taken; an item taken
+    or scoring inf has market t's sentinel id t·(R+1) + R instead. ids[j, t]
+    holds them in the narrowest unsigned dtype, with a row R of sentinels,
+    so an arrival's cheapest available neighbor in every market is one min
+    over its neighbors' contiguous rows. cell_of maps each id to its cell
+    j·T + t (a sentinel to row R): that cell is the arrival's purchase and
+    gets the sentinel. At the end cell // T is the item, R an unserved
+    arrival."""
+    n_markets, n_right = score.shape
+    by_rank = np.argsort(score, axis=1)
+    # the SIMD sort is not stable: rows with ties are sorted again, so that
+    # equal scores rank by index
+    ranked = np.take_along_axis(score, by_rank, axis=1)
+    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    if tied.any():
+        by_rank[tied] = np.argsort(score[tied], axis=1, kind="stable")
+    items = np.hstack([by_rank, np.full((n_markets, 1), n_right)])
+    cell_of = (items * n_markets + np.arange(n_markets)[:, None]).ravel()
+    ids = np.empty((n_right + 1, n_markets), dtype=np.min_scalar_type(cell_of.size))
+    flat = ids.reshape(-1)
+    flat[cell_of] = np.arange(cell_of.size)
+    sentinel = ids[n_right].copy()
+    np.copyto(ids[:n_right], sentinel, where=(score == _INF).T)
+    assignment = np.full((len(adjacency), n_markets), -1, dtype=np.intp)
     for b in order:
-        neighbors = np.asarray(adjacency[b], dtype=np.intp)
-        if len(neighbors) == 0:
-            continue
-        gathered = scores.take(neighbors, axis=1)  # [T, degree]
-        pick = gathered.argmin(axis=1)
-        items = neighbors[pick]
-        np.copyto(assignment[b], items, where=gathered[markets, pick] < _INF)
-        # an unserved market's neighbors all score inf already
-        scores[markets, items] = _INF
+        neighbors = adjacency[b]
+        if len(neighbors):
+            cells = assignment[b]
+            cell_of.take(ids.take(neighbors, axis=0).min(axis=0), out=cells, mode="clip")
+            flat[cells] = sentinel
+    np.floor_divide(assignment, n_markets, out=assignment)
+    assignment[assignment == n_right] = -1
     return assignment.T
 
 
@@ -191,14 +218,11 @@ def exact_ranking_expectation(instance: BipartiteInstance, sigma: ArrivalOrder) 
     _check_sigma(instance, sigma)
     if instance.n_right > 8:
         raise ValueError("exact enumeration is limited to n_right <= 8")
-    n_right = instance.n_right
-    adjacency = instance.adjacency
-    order = sigma.order
-    rank = [0] * n_right
-    total = 0
-    for perm in itertools.permutations(range(n_right)):
-        for pos, item in enumerate(perm):
-            rank[item] = pos
-        assignment = _assign_min_score(adjacency, rank, order)
-        total += instance.n_left - assignment.count(None)
-    return Fraction(total, math.factorial(n_right))
+    # one market per ranking: row p ranks the items as the p-th permutation
+    ranks = np.array(list(itertools.permutations(range(instance.n_right))), dtype=float)
+    rows = max(1, _ORACLE_CELLS // max(instance.n_left, 1))
+    served = sum(
+        np.count_nonzero(_assign_min_score(instance.adjacency, block, sigma.order) >= 0)
+        for block in np.split(ranks, range(rows, len(ranks), rows))
+    )
+    return Fraction(int(served), len(ranks))

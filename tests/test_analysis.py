@@ -185,6 +185,21 @@ def test_estimators_are_reproducible_and_jobs_invariant():
     assert s1 == s2
 
 
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    # totals accumulate row by row, so the blocks trials run in do not show
+    inst = random_bipartite(9, 7, 0.5, np.random.default_rng(12))
+    sigma = ArrivalOrder.random(9, np.random.default_rng(13))
+    reprs = []
+    for block in (32, 128, 512):
+        monkeypatch.setattr(analysis, "_BLOCK_TRIALS", block)
+        reprs.append(repr([
+            edge_guarantee_sweep(inst, EXP, sigma, 2500, 5),
+            estimate_matching_size(kvv_hard_instance(20), ArrivalOrder.reversed(20), 2500, 6),
+            last_buyer_report(30, 2500, 7),
+        ]))
+    assert reprs[0] == reprs[1] == reprs[2]
+
+
 # sha256 over the reprs of golden_results(), captured from the estimators at
 # these inputs. Any change to a random stream, to a tie-break or to the order
 # in which trials and chunks are added changes it.

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +15,10 @@ from ranking_market import (
     kvv_hard_instance,
     make_instance,
     maximum_matching,
+    random_bipartite,
     ranking,
 )
+from ranking_market import matchers
 from ranking_market.matchers import _assign_min_score
 from helpers import brute_force_max_size, random_instance, validate_matching
 
@@ -125,6 +129,20 @@ def test_exact_expectation_guard():
         exact_ranking_expectation(kvv_hard_instance(9), ArrivalOrder.identity(9))
 
 
+def test_exact_expectation_equals_the_scalar_loop_over_every_ranking(monkeypatch):
+    rng = np.random.default_rng(46)
+    cases = [case for case in _block_cases(rng) if case[0].n_right <= 5]
+    for cells in (matchers._ORACLE_CELLS, 7):  # one block of rankings, or many
+        monkeypatch.setattr(matchers, "_ORACLE_CELLS", cells)
+        for inst, sigma in cases:
+            served = 0
+            for ranks in itertools.permutations(range(inst.n_right)):
+                assignment = _assign_min_score(inst.adjacency, list(ranks), sigma.order)
+                served += inst.n_left - assignment.count(None)
+            exact = exact_ranking_expectation(inst, sigma)
+            assert exact == Fraction(served, math.factorial(inst.n_right)), (cells, inst)
+
+
 def test_exact_expectation_trend_toward_guarantee():
     ratios = [
         exact_ranking_expectation(kvv_hard_instance(n), ArrivalOrder.identity(n)) / n
@@ -224,23 +242,60 @@ def _block_cases(rng):
     yield make_instance(3, 2, [(0, 0), (1, 0), (1, 1), (2, 0)]), ArrivalOrder.random(3, rng)
 
 
-@pytest.mark.parametrize("rows", [1, 128])
+def assert_rows_equal_the_scalar_loop(adjacency, score, order, n_left):
+    """Run a [T, n_right] score block through the shared-graph kernel and
+    check each row against the list form on its own scores."""
+    before = score.copy()
+    block = _assign_min_score(adjacency, score, order)
+    assert block.shape == (len(score), n_left) and block.dtype == np.intp
+    assert np.array_equal(score, before)  # the caller's scores are not consumed
+    for t in range(len(score)):
+        scalar = _assign_min_score(adjacency, score[t].tolist(), order)
+        assert block[t].tolist() == [-1 if j is None else j for j in scalar], t
+    return block
+
+
+@pytest.mark.parametrize("rows", [1, 3, 128])
 def test_block_kernel_equals_the_scalar_loop_row_by_row(rows):
     rng = np.random.default_rng(40 + rows)
     for inst, sigma in _block_cases(rng):
         score = rng.random((rows, inst.n_right))
         score[rows // 3 :] = np.round(score[rows // 3 :], 1)  # forced ties
         score[rng.random(score.shape) < 0.15] = np.inf
-        before = score.copy()
-        block = _assign_min_score(inst.adjacency, score, sigma.order)
+        score[rng.random(rows) < 0.1] = np.inf  # markets with nothing to sell
+        block = assert_rows_equal_the_scalar_loop(inst.adjacency, score, sigma.order, inst.n_left)
         # the estimators pass the neighbor lists as intp arrays
         arrays = tuple(np.array(a, dtype=np.intp) for a in inst.adjacency)
         assert np.array_equal(_assign_min_score(arrays, score, sigma.order), block)
-        assert block.shape == (rows, inst.n_left) and block.dtype == np.intp
-        assert np.array_equal(score, before)  # the caller's scores are not consumed
-        for t in range(rows):
-            scalar = _assign_min_score(inst.adjacency, score[t].tolist(), sigma.order)
-            assert block[t].tolist() == [-1 if j is None else j for j in scalar]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 128])
+@pytest.mark.parametrize("n_right", [64, 150, 300])
+def test_block_kernel_ranks_long_runs_of_equal_scores_by_index(rows, n_right):
+    # three distinct scores over up to 300 items: an unstable sort of a row
+    # this long misorders the ties
+    rng = np.random.default_rng(n_right + rows)
+    inst = random_bipartite(30, n_right, 0.5, rng)
+    score = rng.choice([0.25, 0.5, 1.0], size=(rows, n_right))
+    sigma = ArrivalOrder.random(30, rng)
+    assert_rows_equal_the_scalar_loop(inst.adjacency, score, sigma.order, 30)
+
+
+@pytest.mark.parametrize(
+    "rows, n_right, width",
+    [(3, 20, np.uint8), (128, 100, np.uint16), (128, 600, np.uint32)],
+)
+def test_block_kernel_ids_of_every_width(rows, n_right, width):
+    # the kernel numbers market t's items t·(n_right+1) + rank: these blocks
+    # need one, two and four bytes for that
+    assert np.min_scalar_type(rows * (n_right + 1)) == width
+    rng = np.random.default_rng(n_right)
+    inst = random_bipartite(40, n_right, 8 / n_right, rng)
+    score = rng.random((rows, n_right))
+    score[rng.random(score.shape) < 0.1] = np.inf
+    sigma = ArrivalOrder.random(40, rng)
+    block = assert_rows_equal_the_scalar_loop(inst.adjacency, score, sigma.order, 40)
+    assert (block >= 0).any()
 
 
 @pytest.mark.parametrize("gaps", [False, True], ids=["tail", "gaps"])
