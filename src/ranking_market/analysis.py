@@ -40,7 +40,7 @@ from .instance import (
     kvv_hard_instance,
     random_bipartite,  # unused here; perfbench's tracer wraps it as analysis.random_bipartite
 )
-from .matchers import _assign_min_score, maximum_matching
+from .matchers import _assign_min_score, _block_size, maximum_matching
 from .market import (
     PriceAssignment,
     PriceScheme,
@@ -58,10 +58,6 @@ _IDENTITY_TOL = 1e-9
 # in block order, so parallel and sequential execution produce identical
 # floating-point results.
 _CHUNK_TRIALS = 2048
-
-# Within a chunk, trials run through the kernel in blocks of this many
-# markets. It divides _CHUNK_TRIALS, so blocks never straddle chunks.
-_BLOCK_TRIALS = 128
 
 # Auxiliary streams (instance generation, arrival orders) live far above any
 # realistic trial index so they never collide with trial_rng streams.
@@ -281,11 +277,23 @@ def check_monotone_availability(
 # ---------------------------------------------------------------------------
 
 
+def _row_sum(x: np.ndarray, total):
+    """total + x[0] + x[1] + ..., row after row as a trial-by-trial loop
+    adds them; total goes into row 0 of x. numpy reduces a C-ordered [B, k]
+    over its rows in order but sums one column pairwise ([B, 1] merges into
+    one), so a 1-D or one-column x is accumulated instead."""
+    x[0] += total
+    if x.ndim == 1 or x.shape[1] == 1:
+        return np.add.accumulate(x, axis=0)[-1].copy()
+    return np.add.reduce(np.ascontiguousarray(x), axis=0)
+
+
 def _trial_chunk(
     instance: BipartiteInstance,
     sigma: ArrivalOrder,
     scheme: PriceScheme,
     observe,
+    block: int,
     seed: int,
     t0: int,
     t1: int,
@@ -294,29 +302,26 @@ def _trial_chunk(
     x = observe(weights, prices, assignments) and of x * x, added in trial
     order.
 
-    Trials run in blocks of B <= _BLOCK_TRIALS. A block's weights
-    W [B, n_right] come from one _trial_weights call (row r is
-    trial_rng(seed, t).random(n_right) for its trial t, to the bit); the one
-    price rule gives the prices P [B, n_right], and one kernel call gives
-    the assignments A [B, n_left], -1 for an unserved buyer. The neighbor
-    lists are converted to index arrays once per chunk. x is [B] (one value
-    per trial) or [B, k] (k values per trial). The running totals are added
-    into the block's first row and then accumulated row by row, so the sums
-    equal those of a trial-by-trial loop to the bit.
+    Trials run in blocks of up to `block`. A block's weights W [B, n_right]
+    come from one _trial_weights call (row r is
+    trial_rng(seed, t).random(n_right) for its trial t, to the bit), its
+    prices P [B, n_right] from the one price rule and its assignments
+    A [B, n_left] (-1: unserved) from one kernel call. x is [B] or [B, k].
+    _row_sum adds its rows, then those of x * x (squared in place), to the
+    running totals one after another, so the sums equal those of a
+    trial-by-trial loop to the bit, whatever the block size.
     """
     adjacency = tuple(np.array(neighbors, dtype=np.intp) for neighbors in instance.adjacency)
     order, n_right = sigma.order, instance.n_right
     total = total_sq = 0.0
-    for b0 in range(t0, t1, _BLOCK_TRIALS):
-        w = _trial_weights(seed, b0, min(b0 + _BLOCK_TRIALS, t1), n_right)
+    for b0 in range(t0, t1, block):
+        w = _trial_weights(seed, b0, min(b0 + block, t1), n_right)
         prices = _price_array(w, scheme)
         x = observe(w, prices, _assign_min_score(adjacency, prices, order))
-        x_sq = x * x
-        x[0] += total
-        x_sq[0] += total_sq
-        # copy the last rows, so that a block's arrays are freed with it
-        total = np.add.accumulate(x, axis=0, out=x)[-1].copy()
-        total_sq = np.add.accumulate(x_sq, axis=0, out=x_sq)[-1].copy()
+        first = x[:1].copy()
+        total = _row_sum(x, total)
+        x[:1] = first
+        total_sq = _row_sum(np.multiply(x, x, out=x), total_sq)
     return total, total_sq
 
 
@@ -325,12 +330,18 @@ def _estimate(
     sigma: ArrivalOrder,
     scheme: PriceScheme,
     observe,
+    width: int,
     trials: int,
     seed: int,
     jobs: int,
 ):
-    """The totals of _trial_chunk over trials 0..trials-1, for any jobs."""
-    worker = partial(_trial_chunk, instance, sigma, scheme, observe, seed)
+    """The totals of _trial_chunk over trials 0..trials-1, for any jobs, for
+    an observer of `width` values a trial. A trial holds about 8 cells per
+    item (the stream's temporaries), 2 per buyer (assignment and utility)
+    and 2 per value (the observer's output and the temporary it is built
+    with)."""
+    cells = 8 * instance.n_right + 2 * instance.n_left + 2 * width
+    worker = partial(_trial_chunk, instance, sigma, scheme, observe, _block_size(cells), seed)
     return _combine(_run_chunks(worker, trials, jobs))
 
 
@@ -344,8 +355,9 @@ def _estimate(
 def _edge_values(buyers: np.ndarray, items: np.ndarray, w, prices, assignment) -> np.ndarray:
     """[B, k]: util_i + rev_j for each edge (buyers[k], items[k])."""
     utils, revs = _settle_block(prices, assignment)
-    values = utils[:, buyers]
-    values += revs[:, items]
+    # take gives C-ordered [B, k] arrays, whose rows _row_sum adds in order
+    values = utils.take(buyers, axis=1)
+    values += revs.take(items, axis=1)
     return values
 
 
@@ -358,7 +370,9 @@ def _welfare(buyers: np.ndarray, items: np.ndarray, w, prices, assignment) -> np
     """[B, 3]: |M|, the sum of util + rev over the given edges, and whether
     |M| fell below that sum."""
     size = _matching_size(w, prices, assignment)
-    edge_sum = _edge_values(buyers, items, w, prices, assignment).sum(axis=1)
+    values = _edge_values(buyers, items, w, prices, assignment)
+    # in edge order: sum(axis=1) would add a C-ordered row pairwise
+    edge_sum = reduce(operator.add, values.T, np.zeros(len(size)))
     return np.stack([size, edge_sum, size < edge_sum - _IDENTITY_TOL], axis=1)
 
 
@@ -378,10 +392,9 @@ def _last_buyer(adjacency, w, exp_prices, assignment) -> np.ndarray:
     if tied.any():
         uni_assignment = assignment.copy()
         uni_assignment[tied] = _assign_min_score(adjacency, uni_prices[tied], range(last + 1))
-    values = []
-    for prices, chosen in ((exp_prices, assignment), (uni_prices, uni_assignment)):
-        utils, revs = _settle_block(prices, chosen)
-        values.append(utils[:, last] + revs[:, last])
+    edge = np.array([last])  # the last buyer's one edge
+    values = [_edge_values(edge, edge, w, exp_prices, assignment)[:, 0],
+              _edge_values(edge, edge, w, uni_prices, uni_assignment)[:, 0]]
     served = assignment[:, last] >= 0
     priciest = w.argmax(axis=1) == last
     return np.stack([*values, served, priciest, served & ~priciest], axis=1).astype(float)
@@ -436,7 +449,7 @@ def edge_guarantee_sweep(
         raise ValueError("instance has no edges to sweep")
     observe = partial(_edge_values, *_edge_arrays(edges))
     sum_x, sumsq_x = _estimate(
-        instance, sigma, PriceScheme(scheme), observe, trials, seed, jobs
+        instance, sigma, PriceScheme(scheme), observe, len(edges), trials, seed, jobs
     )
     return {
         edge: _finish(float(sum_x[k]), float(sumsq_x[k]), trials, seed, level)
@@ -457,7 +470,7 @@ def estimate_matching_size(
     exponential-price market with fresh weights per trial."""
     _check_run(trials, jobs, level)
     total, total_sq = _estimate(
-        instance, sigma, PriceScheme.EXPONENTIAL, _matching_size, trials, seed, jobs
+        instance, sigma, PriceScheme.EXPONENTIAL, _matching_size, 1, trials, seed, jobs
     )
     return _finish(float(total), float(total_sq), trials, seed, level)
 
@@ -518,8 +531,9 @@ def check_welfare_bound(
     _check_run(trials, jobs, level)
     optimum_pairs = maximum_matching(instance).pairs
     observe = partial(_welfare, *_edge_arrays(optimum_pairs))
+    width = 3 + len(optimum_pairs)  # it holds M*'s edge values until it sums them
     total, total_sq = _estimate(
-        instance, sigma, PriceScheme.EXPONENTIAL, observe, trials, seed, jobs
+        instance, sigma, PriceScheme.EXPONENTIAL, observe, width, trials, seed, jobs
     )
     return WelfareBound(
         matching_size=_finish(float(total[0]), float(total_sq[0]), trials, seed, level),
@@ -578,7 +592,7 @@ def last_buyer_report(
     instance = kvv_hard_instance(n)
     observe = partial(_last_buyer, instance.adjacency)
     total, total_sq = _estimate(
-        instance, ArrivalOrder.identity(n), PriceScheme.EXPONENTIAL, observe,
+        instance, ArrivalOrder.identity(n), PriceScheme.EXPONENTIAL, observe, 5,
         trials, seed, jobs,
     )
     served, priciest, bad = (int(c) for c in total[2:])
@@ -622,12 +636,6 @@ class PropertySweep:
     def passed(self) -> bool:
         return self.violations == 0
 
-
-# A block of property tuples holds about this many array cells (see
-# _tuple_cells), so its working set stays small whatever the sides are: a
-# block of tiny random graphs takes _BLOCK_TRIALS tuples, a large instance
-# as few as one.
-_BLOCK_CELLS = 1 << 18
 
 # Most cells of a fixed instance's padded neighbor rows, n_left times the
 # largest degree: every kvv_hard_instance and random_bipartite instance fits
@@ -761,8 +769,9 @@ def _property_chunk(
     random block's tuples are decoded from raw PCG64 outputs
     (_random_tuples); a fixed instance's come from one Generator that
     _trial_generators sets to each tuple's starting state (_fixed_tuples).
-    Tuples are checked in blocks (_property_block), sized by _tuple_cells to
-    about _BLOCK_CELLS cells.
+    Tuples are checked in blocks (_property_block) that _block_size sizes
+    from _tuple_cells: hundreds of tiny random graphs, or as few as one
+    tuple of a large instance.
     """
     if instance is None:
         tuples = partial(_random_tuples, max_side)
@@ -771,7 +780,7 @@ def _property_chunk(
         rows, edge_buyers, edge_items = _instance_rows(instance)
         tuples = partial(_fixed_tuples, rows, edge_buyers, edge_items, instance.n_right)
         cells = _tuple_cells(instance.n_left, instance.n_right, rows.shape[2], own_rows=False)
-    block = min(_BLOCK_TRIALS, max(1, _BLOCK_CELLS // cells))
+    block = _block_size(cells)
     counts = np.zeros(3, dtype=np.int64)
     for b0 in range(t0, t1, block):
         counts += np.count_nonzero(~_property_block(*tuples(seed, b0, min(b0 + block, t1))), axis=1)

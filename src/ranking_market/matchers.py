@@ -4,7 +4,6 @@ instance."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,9 +13,10 @@ from .instance import ArrivalOrder, BipartiteInstance, RightPermutation
 
 _INF = float("inf")
 
-# The exact oracle's blocks of rankings hold at most about this many
-# assignment cells (rankings times buyers).
-_ORACLE_CELLS = 1 << 20
+# A block of markets (estimator trials, property tuples, the oracle's
+# rankings) holds about this many 8-byte array cells, 2 MiB, whatever the
+# instance: see _block_size.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,12 @@ class Matching:
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i, j in enumerate(self.assignment) if j is not None)
+
+
+def _block_size(cells: int) -> int:
+    """Markets a block takes when each holds `cells` array cells at its
+    peak: as many as fit _BLOCK_CELLS, and at least one."""
+    return max(1, _BLOCK_CELLS // max(cells, 1))
 
 
 def _assign_min_score(adjacency, score, order):
@@ -211,6 +217,17 @@ def maximum_matching(instance: BipartiteInstance) -> Matching:
     return Matching(tuple(match_left))
 
 
+def _permutations(n: int) -> np.ndarray:
+    """The permutations of range(n), in itertools.permutations' order: for
+    each first value f, those of range(n - 1) with the values >= f raised."""
+    perms = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, n + 1):
+        first = np.repeat(np.arange(k), len(perms))[:, None]
+        rest = np.tile(perms, (k, 1))
+        perms = np.hstack([first, rest + (rest >= first)])
+    return perms
+
+
 def exact_ranking_expectation(instance: BipartiteInstance, sigma: ArrivalOrder) -> Fraction:
     """Exact expected RANKING matching size over all n_right! permutations,
     as a rational number. Oracle for the Monte Carlo estimators; guarded to
@@ -219,8 +236,9 @@ def exact_ranking_expectation(instance: BipartiteInstance, sigma: ArrivalOrder) 
     if instance.n_right > 8:
         raise ValueError("exact enumeration is limited to n_right <= 8")
     # one market per ranking: row p ranks the items as the p-th permutation
-    ranks = np.array(list(itertools.permutations(range(instance.n_right))), dtype=float)
-    rows = max(1, _ORACLE_CELLS // max(instance.n_left, 1))
+    ranks = _permutations(instance.n_right).astype(float)
+    # the kernel holds about 6 cells per item (scores, ranks, ids, cell map)
+    rows = _block_size(instance.n_left + 6 * instance.n_right)
     served = sum(
         np.count_nonzero(_assign_min_score(instance.adjacency, block, sigma.order) >= 0)
         for block in np.split(ranks, range(rows, len(ranks), rows))

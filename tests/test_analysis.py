@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ranking_market import (
     RightPermutation,
     trial_rng,
 )
-from ranking_market import analysis, cli, run_market
+from ranking_market import analysis, cli, matchers, run_market
 from ranking_market.analysis import _markets, _nested_availability
 from helpers import (
     NoPool,
@@ -186,18 +187,77 @@ def test_estimators_are_reproducible_and_jobs_invariant():
 
 
 def test_results_do_not_depend_on_the_block_size(monkeypatch):
-    # totals accumulate row by row, so the blocks trials run in do not show
+    # totals are added row by row, so the blocks trials run in do not show
     inst = random_bipartite(9, 7, 0.5, np.random.default_rng(12))
     sigma = ArrivalOrder.random(9, np.random.default_rng(13))
-    reprs = []
-    for block in (32, 128, 512):
-        monkeypatch.setattr(analysis, "_BLOCK_TRIALS", block)
-        reprs.append(repr([
-            edge_guarantee_sweep(inst, EXP, sigma, 2500, 5),
-            estimate_matching_size(kvv_hard_instance(20), ArrivalOrder.reversed(20), 2500, 6),
-            last_buyer_report(30, 2500, 7),
-        ]))
-    assert reprs[0] == reprs[1] == reprs[2]
+    runs = [
+        partial(edge_guarantee_sweep, inst, EXP, sigma, 2100, 5),
+        partial(estimate_edge_guarantee, inst, *inst.edges[3], UNI, sigma, 2100, 8),
+        partial(check_welfare_bound, inst, sigma, 2100, 9),
+        partial(estimate_matching_size, kvv_hard_instance(20), ArrivalOrder.reversed(20), 2100, 6),
+        partial(last_buyer_report, 30, 2100, 7),
+    ]
+    cells, sizes = [], []
+    block_size, trial_weights = analysis._block_size, analysis._trial_weights
+
+    def recording_cells(c):
+        cells.append(c)
+        return block_size(c)
+
+    def recording_sizes(seed, t0, t1, n):
+        sizes.append(t1 - t0)
+        return trial_weights(seed, t0, t1, n)
+
+    monkeypatch.setattr(analysis, "_block_size", recording_cells)
+    monkeypatch.setattr(analysis, "_trial_weights", recording_sizes)
+    expected = [repr(run()) for run in runs]  # at the default budget
+    per_trial = cells.copy()
+    assert len(per_trial) == len(runs)
+    for block in (1, 7, 300, analysis._CHUNK_TRIALS):
+        for run, c, want in zip(runs, per_trial, expected):
+            # a budget of exactly `block` trials of this estimator's cells
+            monkeypatch.setattr(matchers, "_BLOCK_CELLS", block * c)
+            sizes.clear()
+            assert repr(run()) == want, (block, run)
+            assert max(sizes) == block
+
+
+@pytest.mark.parametrize(
+    "shape", [(300,), (1,), (300, 1), (300, 2), (300, 5), (300, 210), (1, 5)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_the_row_sum_adds_the_rows_in_trial_order(shape, layout):
+    # values over 17 powers of ten: a pairwise or reordered sum rounds
+    # differently from the trial-by-trial loop
+    rng = np.random.default_rng(shape[-1])
+    x = np.asarray(rng.random(shape) * 10.0 ** rng.integers(-8, 9, shape), order=layout)
+    total = rng.random(shape[1:]) * 1e3
+    rows = x.reshape(len(x), -1).tolist()
+    expected = list(np.atleast_1d(total).tolist())
+    for row in rows:
+        expected = [s + v for s, v in zip(expected, row)]
+    got = analysis._row_sum(x, total)
+    assert np.shape(got) == shape[1:]
+    assert np.atleast_1d(got).tolist() == expected
+
+
+@pytest.mark.parametrize("markets", [1, 2, 40])
+def test_the_welfare_edge_sum_adds_each_trials_edges_in_order(markets):
+    # 20 edges: more than numpy's pairwise sum adds one at a time
+    rng = np.random.default_rng(markets)
+    prices = rng.random((markets, 30)) * 10.0 ** rng.integers(-8, 1, (markets, 30))
+    assignment = np.array([rng.permutation(30)[:25] for _ in range(markets)])
+    assignment[rng.random(assignment.shape) < 0.3] = -1
+    buyers, items = np.arange(20), rng.permutation(30)[:20]
+    got = analysis._welfare(buyers, items, None, prices, assignment)[:, 1]
+    for t in range(markets):
+        utils = [1.0 - prices[t, j] if j >= 0 else 0.0 for j in assignment[t]]
+        revs = [prices[t, j] if j in assignment[t] else 0.0 for j in range(30)]
+        expected = 0.0
+        for buyer, item in zip(buyers, items):
+            expected += utils[buyer] + revs[item]
+        assert got[t] == expected, t
 
 
 # sha256 over the reprs of golden_results(), captured from the estimators at

@@ -132,8 +132,8 @@ def test_exact_expectation_guard():
 def test_exact_expectation_equals_the_scalar_loop_over_every_ranking(monkeypatch):
     rng = np.random.default_rng(46)
     cases = [case for case in _block_cases(rng) if case[0].n_right <= 5]
-    for cells in (matchers._ORACLE_CELLS, 7):  # one block of rankings, or many
-        monkeypatch.setattr(matchers, "_ORACLE_CELLS", cells)
+    for cells in (matchers._BLOCK_CELLS, 7):  # one block of rankings, or many
+        monkeypatch.setattr(matchers, "_BLOCK_CELLS", cells)
         for inst, sigma in cases:
             served = 0
             for ranks in itertools.permutations(range(inst.n_right)):
@@ -141,6 +141,12 @@ def test_exact_expectation_equals_the_scalar_loop_over_every_ranking(monkeypatch
                 served += inst.n_left - assignment.count(None)
             exact = exact_ranking_expectation(inst, sigma)
             assert exact == Fraction(served, math.factorial(inst.n_right)), (cells, inst)
+
+
+def test_the_oracle_ranks_in_the_order_of_itertools_permutations():
+    for n in range(9):
+        expected = list(itertools.permutations(range(n)))
+        assert list(map(tuple, matchers._permutations(n).tolist())) == expected, n
 
 
 def test_exact_expectation_trend_toward_guarantee():

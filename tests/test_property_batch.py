@@ -23,13 +23,13 @@ from ranking_market import (
     analysis,
     kvv_hard_instance,
     make_instance,
+    matchers,
     prices_from_weights,
     property_sweep,
     random_bipartite,
     trial_rng,
 )
 from ranking_market.analysis import (
-    _BLOCK_TRIALS,
     _counterfactual,
     _fixed_tuples,
     _instance_rows,
@@ -63,11 +63,15 @@ def reference_tuple(instance, max_side: int, seed: int, t: int):
     return inst, sigma, pa, (buyer, item), (check.sold_if_cheaper, check.utility_floor, nested)
 
 
+# the reference tests check the batch in blocks of this many tuples
+BLOCK = 128
+
+
 def blocks(tuples, count: int):
-    """Tuples 0..count-1 of a sweep in blocks of _BLOCK_TRIALS: (first
-    tuple, block arrays) pairs."""
-    for b0 in range(0, count, _BLOCK_TRIALS):
-        yield b0, tuples(b0, min(b0 + _BLOCK_TRIALS, count))
+    """Tuples 0..count-1 of a sweep in blocks of BLOCK: (first tuple, block
+    arrays) pairs."""
+    for b0 in range(0, count, BLOCK):
+        yield b0, tuples(b0, min(b0 + BLOCK, count))
 
 
 def test_random_tuples_match_the_reference_loop():
@@ -121,12 +125,14 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
         return block(rows, orders, weights, buyers, items)
 
     monkeypatch.setattr(analysis, "_property_block", recording)
-    property_sweep(300, seed=3)
-    assert sizes == [128, 128, 44]
+    # random sides up to 10: max(8 * (10 + 10 + 10) + 2 * 10 * 10, K) = 440
+    # cells a tuple, 2**18 // 440 = 595 tuples a block
+    property_sweep(1300, seed=3)
+    assert sizes == [595, 595, 110]
     # kvv30: 8 * (30 + 30 + 30) cells a tuple
     for cells, expected in [(2000, [2, 2, 1]), (719, [1] * 5)]:
         sizes.clear()
-        monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(matchers, "_BLOCK_CELLS", cells)
         property_sweep(5, seed=3, instance=kvv_hard_instance(30))
         assert sizes == expected
 
@@ -141,8 +147,9 @@ def test_the_padded_neighbor_rows_are_shared_not_copied(monkeypatch):
         return kernel(adjacency, score, order)
 
     monkeypatch.setattr(analysis, "_assign_min_score", recording)
-    property_sweep(200, seed=3, instance=kvv_hard_instance(30))
-    assert [shape for _, shape in seen] == [(256, 30), (144, 30)]
+    # 8 * (30 + 30 + 30) cells a tuple: blocks of 2**18 // 720 = 364 tuples
+    property_sweep(500, seed=3, instance=kvv_hard_instance(30))
+    assert [shape for _, shape in seen] == [(728, 30), (272, 30)]
     assert all(a.shape == (1, 30, 30) and a is seen[0][0] for a, _ in seen)
 
 
