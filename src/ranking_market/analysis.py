@@ -1,7 +1,9 @@
 """Experiments over the market process: the per-edge utility+revenue
 guarantee, its two supporting pathwise properties, competitive-ratio
 estimation, and the uniform-price failure report on the triangular hard
-instance.
+instance. Every market goes through the one block kernel: ``counterfactual``
+and the ``check_*`` functions run a tuple's full and reduced markets as a
+two-row block and reach their verdicts with the sweep's array checks.
 
 Seeding contract: trial t of any estimator draws all of its randomness from
 ``trial_rng(seed, t)``, a deterministic function of (master seed, trial
@@ -40,14 +42,8 @@ from .instance import (
     kvv_hard_instance,
     random_bipartite,  # unused here; perfbench's tracer wraps it as analysis.random_bipartite
 )
-from .matchers import _assign_min_score, _block_size, maximum_matching
-from .market import (
-    PriceAssignment,
-    PriceScheme,
-    _price_array,
-    _settle,
-    _settle_block,
-)
+from .matchers import _assign_min_score, _block_size, _check_sigma, maximum_matching
+from .market import PriceAssignment, PriceScheme, _check_prices, _price_array, _settle_block
 from .streams import _random_tuples, _trial_generators, _trial_weights, _tuple_outputs
 
 GUARANTEE = 1.0 - 1.0 / math.e
@@ -170,60 +166,20 @@ def _require_edge(instance: BipartiteInstance, buyer: int, item: int) -> None:
 
 
 def _markets(instance: BipartiteInstance, pa: PriceAssignment, sigma: ArrivalOrder, item: int):
-    """Assignments of the full market and of the market without `item`.
-
-    The reduced market is the same kernel with the item's score set to inf,
-    which the kernel never takes: exactly as if the item's edges were gone.
+    """The prices [1, n_right + 1] and the assignments [1, n_left] (-1:
+    unserved) of the full market and of the market without `item`, run as
+    one two-row block on the instance's graph (_removal_scores). The last
+    price, inf, stands for "no sale" in _nested_block; the reduced row
+    scores `item` inf too, which the kernel never takes: exactly as if the
+    item's edges were gone.
     """
-    if len(pa) != instance.n_right or len(sigma) != instance.n_left:
-        raise ValueError("price assignment or arrival order sized wrongly")
-    scores = list(pa.prices)
-    scores[item] = math.inf
-    adjacency, order = instance.adjacency, sigma.order
-    return (
-        _assign_min_score(adjacency, pa.prices, order),
-        _assign_min_score(adjacency, scores, order),
+    _check_sigma(instance, sigma)
+    _check_prices(instance, pa)
+    prices = np.array([[*pa.prices, math.inf]])
+    full, reduced = _assign_min_score(
+        instance.adjacency, _removal_scores(prices, np.array([item])), sigma.order
     )
-
-
-def _counterfactual(pa: PriceAssignment, full: list, reduced: list, buyer: int, item: int):
-    fallback = reduced[buyer]
-    if fallback is None:
-        price, weight = 1.0, 1.0
-    else:
-        price, weight = pa.prices[fallback], pa.weights[fallback]
-    utils, _ = _settle(full, pa.prices)
-    return CounterfactualResult(
-        counterfactual_price=price,
-        counterfactual_weight=weight if pa.scheme is PriceScheme.EXPONENTIAL else None,
-        item_sold=item in full,
-        buyer_utility=utils[buyer],
-    )
-
-
-def _property_check(pa: PriceAssignment, item: int, cf: CounterfactualResult) -> PropertyCheck:
-    return PropertyCheck(
-        sold_if_cheaper=pa.prices[item] >= cf.counterfactual_price or cf.item_sold,
-        utility_floor=cf.buyer_utility >= 1.0 - cf.counterfactual_price - _IDENTITY_TOL,
-    )
-
-
-def _nested_availability(full: list, reduced: list, order, item: int) -> bool:
-    """Replay both markets' sales in arrival order and check that after each
-    arrival the full market's available set contains the reduced market's
-    with at most one item to spare. Equivalently, the reduced market's sold
-    set, which starts out holding the removed item, contains the full
-    market's with at most one item to spare.
-    """
-    sold_full: set[int] = set()
-    sold_reduced = {item}
-    for b in order:
-        for sold, j in ((sold_full, full[b]), (sold_reduced, reduced[b])):
-            if j is not None:
-                sold.add(j)
-        if not sold_full <= sold_reduced or len(sold_reduced) > len(sold_full) + 1:
-            return False
-    return True
+    return prices, full[None], reduced[None]
 
 
 def counterfactual(
@@ -237,8 +193,17 @@ def counterfactual(
     record the price of the item `buyer` falls back to, alongside the full
     market's outcome for the (buyer, item) edge."""
     _require_edge(instance, buyer, item)
-    full, reduced = _markets(instance, pa, sigma, item)
-    return _counterfactual(pa, full, reduced, buyer, item)
+    prices, full, reduced = _markets(instance, pa, sigma, item)
+    block = _counterfactual_block(prices, full, reduced, np.array([buyer]), np.array([item]))
+    price, sold, utility = (x.item() for x in block)
+    fallback = int(reduced[0, buyer])
+    weight = pa.weights[fallback] if fallback >= 0 else 1.0
+    return CounterfactualResult(
+        counterfactual_price=price,
+        counterfactual_weight=weight if pa.scheme is PriceScheme.EXPONENTIAL else None,
+        item_sold=sold,
+        buyer_utility=utility,
+    )
 
 
 def check_counterfactual_properties(
@@ -254,7 +219,10 @@ def check_counterfactual_properties(
     buyer's counterfactual price. utility_floor: the buyer's utility in the
     full market is at least 1 minus the counterfactual price.
     """
-    return _property_check(pa, item, counterfactual(instance, pa, sigma, buyer, item))
+    _require_edge(instance, buyer, item)
+    prices, full, reduced = _markets(instance, pa, sigma, item)
+    verdicts = _counterfactual_verdicts(prices, full, reduced, np.array([buyer]), np.array([item]))
+    return PropertyCheck(*verdicts[:, 0].tolist())
 
 
 def check_monotone_availability(
@@ -268,8 +236,9 @@ def check_monotone_availability(
     one item."""
     if not 0 <= item < instance.n_right:
         raise ValueError(f"right vertex {item} out of range")
-    full, reduced = _markets(instance, pa, sigma, item)
-    return _nested_availability(full, reduced, sigma.order, item)
+    prices, full, reduced = _markets(instance, pa, sigma, item)
+    orders = np.array(sigma.order, dtype=np.intp)[None]
+    return bool(_nested_block(full, reduced, orders, np.array([item]), prices.shape[1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +665,10 @@ def _removal_scores(prices: np.ndarray, items: np.ndarray) -> np.ndarray:
 
 
 def _counterfactual_block(prices, full, reduced, buyers, items):
-    """_counterfactual for a block: per tuple, the counterfactual price (1
-    when the buyer buys nothing in the reduced market), whether the item
-    sells in the full market and the buyer's utility there."""
+    """Per tuple of a block, given its prices [B, R + 1] and its full and
+    reduced markets' assignments [B, L]: the counterfactual price (1 when
+    the buyer buys nothing in the reduced market), whether the item sells in
+    the full market and the buyer's utility there."""
     rows = np.arange(len(items))
     fallback = reduced[rows, buyers]
     bought = full[rows, buyers]
@@ -708,8 +678,20 @@ def _counterfactual_block(prices, full, reduced, buyers, items):
     return cf_price, item_sold, utility
 
 
+def _counterfactual_verdicts(prices, full, reduced, buyers, items) -> np.ndarray:
+    """[2, B] bool: whether sold_if_cheaper and utility_floor hold for each
+    tuple of a block (arguments as for _counterfactual_block)."""
+    cf_price, item_sold, utility = _counterfactual_block(prices, full, reduced, buyers, items)
+    return np.stack([
+        (prices[np.arange(len(items)), items] >= cf_price) | item_sold,
+        utility >= 1.0 - cf_price - _IDENTITY_TOL,
+    ])
+
+
 def _nested_block(full, reduced, orders, items, n_items: int) -> np.ndarray:
-    """_nested_availability for a block: [B] bool. The sold sets only grow,
+    """[B] bool: whether, after every arrival of each tuple's order [B, L],
+    the full market's available set contains the reduced market's with at
+    most one item to spare; n_items is R + 1. The sold sets only grow,
     so the reduced market's (which holds the removed item from the start)
     contains the full market's after every arrival exactly when each item
     the full market sells at arrival k is held by the reduced market by
@@ -738,8 +720,8 @@ def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
     prices, given the neighbor rows [B or 1, L, D] padded with the item R,
     the arrival orders [B, L], the weights [B, R] and the tuples' buyers
     and items. Both markets of every tuple go through one kernel call,
-    sharing the tuple's rows; the checks are _property_check and
-    _nested_availability as array operations."""
+    sharing the tuple's rows; check_counterfactual_properties and
+    check_monotone_availability reach the same verdicts for one tuple."""
     n_tuples, n_right = weights.shape
     prices = np.full((n_tuples, n_right + 1), math.inf)  # the padding item scores inf
     prices[:, :n_right] = _price_array(weights, PriceScheme.EXPONENTIAL)
@@ -747,10 +729,8 @@ def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
         rows, _removal_scores(prices, items), np.concatenate([orders, orders])
     )
     full, reduced = assignment[:n_tuples], assignment[n_tuples:]
-    cf_price, item_sold, utility = _counterfactual_block(prices, full, reduced, buyers, items)
-    return np.stack([
-        (prices[np.arange(n_tuples), items] >= cf_price) | item_sold,
-        utility >= 1.0 - cf_price - _IDENTITY_TOL,
+    return np.vstack([
+        _counterfactual_verdicts(prices, full, reduced, buyers, items),
         _nested_block(full, reduced, orders, items, n_right + 1),
     ])
 

@@ -62,7 +62,7 @@ def prices_from_weights(weights, scheme: PriceScheme) -> PriceAssignment:
     for w in ws:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"weight {w} outside [0, 1]")
-    prices = tuple(_price_list(array, scheme))
+    prices = tuple(_price_array(array, scheme).tolist())
     return PriceAssignment(weights=ws, prices=prices, scheme=scheme)
 
 
@@ -77,33 +77,20 @@ def _price_array(weights: np.ndarray, scheme: PriceScheme) -> np.ndarray:
     raise ValueError(f"unknown price scheme {scheme!r}")
 
 
-def _price_list(weights: np.ndarray, scheme: PriceScheme) -> list[float]:
-    """The price rule for one market's weights, as a list."""
-    return _price_array(weights, scheme).tolist()
-
-
 def _check_prices(instance: BipartiteInstance, pa: PriceAssignment) -> None:
     if len(pa) != instance.n_right:
         raise ValueError(f"price assignment has {len(pa)} entries, expected {instance.n_right}")
-
-
-def _settle(assignment, prices) -> tuple[list[float], list[float]]:
-    """The market's accounting for one assignment: buyer b's utility is
-    1 - p_j for the item j it bought (else 0), item j's revenue is p_j if it
-    sold (else 0)."""
-    utils = [0.0] * len(assignment)
-    revs = [0.0] * len(prices)
-    for b, j in enumerate(assignment):
-        if j is not None:
-            utils[b] = 1.0 - prices[j]
-            revs[j] = prices[j]
-    return utils, revs
+    for j, p in enumerate(pa.prices):
+        if math.isnan(p):
+            raise ValueError(f"item {j} has price nan")
 
 
 def _settle_block(prices: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_settle for a block of markets: prices [T, n_right] and the kernel's
-    assignments [T, n_left] (-1 for an unserved buyer) give utilities
-    [T, n_left] and revenues [T, n_right]."""
+    """The market's accounting for a block of markets: buyer b's utility is
+    1 - p_j for the item j it bought (else 0), item j's revenue is p_j if it
+    sold (else 0). Prices [T, n_right] and the kernel's assignments
+    [T, n_left] (-1 for an unserved buyer) give utilities [T, n_left] and
+    revenues [T, n_right]."""
     utils = np.zeros(assignment.shape)
     revs = np.zeros(prices.shape)
     market, buyer = np.nonzero(assignment >= 0)
@@ -126,13 +113,15 @@ def run_market(
     """
     _check_sigma(instance, sigma)
     _check_prices(instance, pa)
-    assignment = _assign_min_score(instance.adjacency, pa.prices, sigma.order)
-    utils, revs = _settle(assignment, pa.prices)
+    prices = np.array([pa.prices], dtype=float)  # one market: a one-row block
+    assignment = _assign_min_score(instance.adjacency, prices, sigma.order)
+    utils, revs = _settle_block(prices, assignment)
+    matching = Matching(tuple(j if j >= 0 else None for j in assignment[0].tolist()))
     return MarketOutcome(
-        matching=Matching(tuple(assignment)),
-        utils=tuple(utils),
-        revs=tuple(revs),
-        purchased=frozenset(j for j in assignment if j is not None),
+        matching=matching,
+        utils=tuple(utils[0].tolist()),
+        revs=tuple(revs[0].tolist()),
+        purchased=frozenset(matching.assignment) - {None},
     )
 
 

@@ -43,52 +43,36 @@ def _block_size(cells: int) -> int:
     return max(1, _BLOCK_CELLS // max(cells, 1))
 
 
-def _assign_min_score(adjacency, score, order):
+def _assign_min_score(adjacency, score: np.ndarray, order) -> np.ndarray:
     """Sequentially assign each arriving left vertex to its available
     neighbor with the minimum score, ties going to the lowest index.
 
     This single rule realizes RANKING (score = rank values), greedy (the
-    identity ranking) and the price market (score = prices); adjacency lists
-    are sorted ascending, so the strict '<' comparison implements the
-    lowest-index tie-break. A neighbor scoring inf is never taken, so the
-    market without an item is the same loop with that item's score at inf.
+    identity ranking) and the price market (score = prices). A neighbor
+    scoring inf is never taken, so the market without an item is the same
+    rule with that item's score at inf.
 
-    A list or tuple of n_right scores runs one market and returns a list
-    with the item of each left vertex, or None. A [T, n_right] float array
-    of scores, each finite or +inf, runs T markets at once and returns a
-    [T, n_left] intp array with -1 for an unserved arrival; row t equals the
-    list form on score[t], and the caller's scores are left as they are.
-    The T markets either share one graph and one arrival order
-    (adjacency[b] a list or intp array, order a sequence of left vertices)
-    or each have their own: order a [T, n_left] array, row t market t's
-    arrival order, and adjacency a [T', n_left, D] intp array of padded
-    neighbor rows for T a multiple of T', adjacency[t % T', b] buyer b's
-    neighbors in market t in ascending order with gaps and tail filled by
-    an item whose score is inf in every market. On a shared graph only the
-    order of each market's scores matters: the markets run in rank space,
-    one integer min over the arrival's neighbor rows per arrival (see
-    _assign_shared). With their own graphs, per arrival, argmin over the
-    gathered neighbor scores takes the first minimum (the lowest index), a
-    minimum below inf is a purchase, and the taken item's score becomes inf.
+    score is a [T, n_right] float array, each score finite or +inf: T
+    markets run at once, one market being a one-row block. The result is a
+    [T, n_left] intp array, row t market t's item for each left vertex or -1
+    for an unserved arrival; the caller's scores are left as they are. The
+    T markets either share one graph and one arrival order (adjacency[b] a
+    sequence or intp array of buyer b's neighbors in ascending order, order
+    a sequence of left vertices) or each have their own: order a
+    [T, n_left] array, row t market t's arrival order, and adjacency a
+    [T', n_left, D] intp array of padded neighbor rows for T a multiple of
+    T', adjacency[t % T', b] buyer b's neighbors in market t in ascending
+    order with gaps and tail filled by an item whose score is inf in every
+    market. On a shared graph only the order of each market's scores
+    matters: the markets run in rank space, one integer min over the
+    arrival's neighbor rows per arrival (see _assign_shared). With their own
+    graphs, per arrival, argmin over the gathered neighbor scores takes the
+    first minimum (the lowest index), a minimum below inf is a purchase, and
+    the taken item's score becomes inf.
     """
-    if isinstance(score, np.ndarray):
-        if isinstance(order, np.ndarray) and order.ndim == 2:
-            return _assign_per_market(adjacency, score, order)
-        return _assign_shared(adjacency, score, order)
-    n_right = len(score)
-    available = [True] * n_right
-    assignment: list[int | None] = [None] * len(adjacency)
-    for b in order:
-        best_j = -1
-        best_s = _INF
-        for j in adjacency[b]:
-            if available[j] and score[j] < best_s:
-                best_s = score[j]
-                best_j = j
-        if best_j >= 0:
-            available[best_j] = False
-            assignment[b] = best_j
-    return assignment
+    if isinstance(order, np.ndarray) and order.ndim == 2:
+        return _assign_per_market(adjacency, score, order)
+    return _assign_shared(adjacency, score, order)
 
 
 def _assign_shared(adjacency, score: np.ndarray, order) -> np.ndarray:
@@ -168,7 +152,8 @@ def ranking(
     _check_sigma(instance, sigma)
     if len(pi) != instance.n_right:
         raise ValueError(f"permutation has {len(pi)} entries, expected {instance.n_right}")
-    return Matching(tuple(_assign_min_score(instance.adjacency, pi.rank, sigma.order)))
+    row = _assign_min_score(instance.adjacency, np.array([pi.rank], dtype=float), sigma.order)[0]
+    return Matching(tuple(j if j >= 0 else None for j in row.tolist()))
 
 
 def greedy(instance: BipartiteInstance, sigma: ArrivalOrder) -> Matching:

@@ -3,6 +3,8 @@ itself needs none of them."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ranking_market import (
@@ -121,19 +123,20 @@ def replay_market(
 
 def reference_assignment(
     instance: BipartiteInstance,
-    pa: PriceAssignment,
-    sigma: ArrivalOrder,
+    scores,
+    order,
     removed: int | None = None,
 ) -> list[int | None]:
-    """The market re-simulated from scratch, optionally without item
-    `removed`: each buyer takes its cheapest open neighbor, ties to the
-    lowest index."""
-    available = set(range(instance.n_right)) - {removed}
+    """The market re-simulated from scratch on n_right raw scores (prices,
+    rank values), optionally without item `removed`: each buyer of `order`
+    in turn takes its open neighbor with the lowest score, ties to the
+    lowest index. An item scoring inf is never taken."""
+    available = {j for j in range(instance.n_right) if scores[j] != math.inf} - {removed}
     assignment: list[int | None] = [None] * instance.n_left
-    for b in sigma.order:
+    for b in order:
         open_neighbors = [k for k in instance.adjacency[b] if k in available]
         if open_neighbors:
-            j = min(open_neighbors, key=lambda k: (pa.prices[k], k))
+            j = min(open_neighbors, key=lambda k: (scores[k], k))
             assignment[b] = j
             available.remove(j)
     return assignment
@@ -150,6 +153,17 @@ def availability_sets(
         - {assignment[b] for b in order[:k] if assignment[b] is not None}
         for k in range(len(order) + 1)
     ]
+
+
+def availability_nested(n_right: int, full, reduced, order, removed: int) -> bool:
+    """Monotone availability from scratch: before each arrival and after the
+    last, the full market's available set contains that of the market
+    without `removed`, with at most one item to spare."""
+    pairs = zip(
+        availability_sets(n_right, full, order),
+        availability_sets(n_right, reduced, order, removed=removed),
+    )
+    return all(r <= f and len(f - r) <= 1 for f, r in pairs)
 
 
 class NoPool:

@@ -31,13 +31,14 @@ from ranking_market import (
     RightPermutation,
     trial_rng,
 )
-from ranking_market import analysis, cli, matchers, run_market
-from ranking_market.analysis import _markets, _nested_availability
+from ranking_market import PriceAssignment, analysis, cli, matchers, run_market
+from ranking_market.analysis import _markets, _nested_block
 from helpers import (
     NoPool,
-    availability_sets,
+    availability_nested,
     random_instance,
     reference_assignment,
+    replay_market,
     without_right_vertex,
 )
 
@@ -559,12 +560,12 @@ def test_edge_guarantee_agrees_with_direct_average():
 
 def count_calls(monkeypatch) -> list[int]:
     """Count the markets analysis runs through the assignment kernel: one
-    per call with a list of scores, one per row of a block of scores."""
+    per row of a block of scores."""
     calls = [0]
     fn = analysis._assign_min_score
 
     def counting(adjacency, score, order):
-        calls[0] += score.shape[0] if isinstance(score, np.ndarray) else 1
+        calls[0] += score.shape[0]
         return fn(adjacency, score, order)
 
     monkeypatch.setattr(analysis, "_assign_min_score", counting)
@@ -670,6 +671,11 @@ def test_pool_size_is_bounded(monkeypatch, jobs, chunks, cpus, expected):
 # ---------------------------------------------------------------------------
 
 
+def as_list(row) -> list[int | None]:
+    """A kernel row ([n_left], -1 for an unserved buyer) as an assignment."""
+    return [j if j >= 0 else None for j in row.tolist()]
+
+
 def test_reduced_market_and_monotone_replay_match_the_oracle():
     rng = np.random.default_rng(61)
     for k in range(1200):
@@ -680,21 +686,21 @@ def test_reduced_market_and_monotone_replay_match_the_oracle():
             w = np.round(w, 1)  # price ties
         pa = prices_from_weights(w, EXP if k % 2 else UNI)
         item = int(rng.integers(inst.n_right))
-        full, reduced = _markets(inst, pa, sigma, item)
-        assert full == reference_assignment(inst, pa, sigma)
-        assert reduced == reference_assignment(inst, pa, sigma, removed=item)
+        prices, full_row, reduced_row = _markets(inst, pa, sigma, item)
+        assert prices.tolist() == [[*pa.prices, math.inf]]
+        full, reduced = as_list(full_row[0]), as_list(reduced_row[0])
+        assert full == reference_assignment(inst, pa.prices, sigma.order)
+        assert reduced == reference_assignment(inst, pa.prices, sigma.order, removed=item)
         without = run_market(without_right_vertex(inst, item), pa, sigma)
         assert reduced == list(without.matching.assignment)
-        sets_full = availability_sets(inst.n_right, full, sigma.order)
-        sets_reduced = availability_sets(inst.n_right, reduced, sigma.order, removed=item)
-        nested = all(r <= f and len(f - r) <= 1 for f, r in zip(sets_full, sets_reduced))
+        nested = availability_nested(inst.n_right, full, reduced, sigma.order, item)
         assert nested  # a theorem
         assert check_monotone_availability(inst, pa, sigma, item) == nested
 
 
 def test_monotone_replay_flags_exactly_the_non_nested_pairs():
     # arbitrary assignment pairs, most of them not produced by any market, so
-    # the replay has to reject as well as accept
+    # the block check has to reject as well as accept
     rng = np.random.default_rng(62)
     outcomes = set()
     for _ in range(3000):
@@ -710,9 +716,79 @@ def test_monotone_replay_flags_exactly_the_non_nested_pairs():
         reduced = random_assignment([j for j in range(n_right) if j != item] or [item])
         if item in reduced:
             reduced = [None if j == item else j for j in reduced]
-        sets_full = availability_sets(n_right, full, order)
-        sets_reduced = availability_sets(n_right, reduced, order, removed=item)
-        nested = all(r <= f and len(f - r) <= 1 for f, r in zip(sets_full, sets_reduced))
-        assert _nested_availability(full, reduced, order, item) == nested
+        nested = availability_nested(n_right, full, reduced, order, item)
+        full_row, reduced_row = (np.array([[-1 if j is None else j for j in a]])
+                                 for a in (full, reduced))
+        verdict = _nested_block(full_row, reduced_row, np.array([order]), np.array([item]),
+                                n_right + 1)
+        assert verdict.tolist() == [nested]
         outcomes.add(nested)
     assert outcomes == {True, False}
+
+
+# instances the estimators never see: empty sides, no edges, empty rows
+DEGENERATE = {
+    "0x3": make_instance(0, 3, []),
+    "3x0": make_instance(3, 0, []),
+    "0x0": make_instance(0, 0, []),
+    "edgeless-3x3": make_instance(3, 3, []),
+    "1x1": make_instance(1, 1, [(0, 0)]),
+    "empty-rows": make_instance(4, 3, [(0, 1), (0, 2), (2, 0), (2, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_shapes_run_as_one_row_blocks(name):
+    inst = DEGENERATE[name]
+    rng = np.random.default_rng(63)
+    for _ in range(10):
+        sigma = ArrivalOrder.random(inst.n_left, rng)
+        w = rng.random(inst.n_right)
+        for scheme in (EXP, UNI):
+            pa = prices_from_weights(w, scheme)
+            out = run_market(inst, pa, sigma)
+            replay_market(inst, pa, sigma, out)
+            full = reference_assignment(inst, pa.prices, sigma.order)
+            assert list(out.matching.assignment) == full
+            for item in range(inst.n_right):
+                reduced = reference_assignment(inst, pa.prices, sigma.order, removed=item)
+                nested = availability_nested(inst.n_right, full, reduced, sigma.order, item)
+                assert check_monotone_availability(inst, pa, sigma, item) == nested
+        pi = RightPermutation.random(inst.n_right, rng)
+        expected = reference_assignment(inst, pi.rank, sigma.order)
+        assert list(ranking(inst, pi, sigma).assignment) == expected
+        expected = reference_assignment(inst, range(inst.n_right), sigma.order)
+        assert list(greedy(inst, sigma).assignment) == expected
+
+
+def test_nan_prices_are_rejected_naming_the_item():
+    # the kernel ranks nan above every price, so it would sell a nan-priced
+    # item rather than treat it as unavailable: a nan price is refused
+    sigma = ArrivalOrder.identity(1)
+    for prices, message in [((math.nan, math.nan), "item 0 has price nan"),
+                            ((0.5, math.nan), "item 1 has price nan")]:
+        inst = make_instance(1, 2, [(0, 0), (0, 1)])
+        pa = PriceAssignment(weights=(0.5, 0.5), prices=prices, scheme=EXP)
+        for call in (partial(run_market, inst, pa, sigma),
+                     partial(counterfactual, inst, pa, sigma, 0, 0),
+                     partial(check_counterfactual_properties, inst, pa, sigma, 0, 0),
+                     partial(check_monotone_availability, inst, pa, sigma, 0)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_every_market_entry_point_names_the_expected_sizes():
+    inst = kvv_hard_instance(2)
+    pa, sigma = prices_from_weights([0.5, 0.25], EXP), ArrivalOrder.identity(2)
+    short_pa, long_sigma = prices_from_weights([0.5], EXP), ArrivalOrder.identity(3)
+    entry_points = [
+        lambda pa, sigma: run_market(inst, pa, sigma),
+        lambda pa, sigma: counterfactual(inst, pa, sigma, 0, 0),
+        lambda pa, sigma: check_counterfactual_properties(inst, pa, sigma, 0, 0),
+        lambda pa, sigma: check_monotone_availability(inst, pa, sigma, 0),
+    ]
+    for run in entry_points:
+        with pytest.raises(ValueError, match="price assignment has 1 entries, expected 2"):
+            run(short_pa, sigma)
+        with pytest.raises(ValueError, match="arrival order has 3 entries, expected 2"):
+            run(pa, long_sigma)

@@ -14,7 +14,7 @@ from ranking_market import (
     run_market,
     welfare_decomposition,
 )
-from ranking_market.market import _price_array, _price_list
+from ranking_market.market import _price_array
 from helpers import random_instance, replay_market
 
 EXP = PriceScheme.EXPONENTIAL
@@ -47,7 +47,7 @@ def test_block_prices_equal_row_by_row_prices(n):
     # could round a row differently from the same row priced alone
     w = np.random.default_rng(n).random((128, n))
     for scheme in (EXP, UNI):
-        rows = np.array([_price_list(w[t], scheme) for t in range(128)])
+        rows = np.array([prices_from_weights(w[t], scheme).prices for t in range(128)])
         assert _price_array(w, scheme).tobytes() == rows.tobytes()
 
 

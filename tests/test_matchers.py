@@ -20,7 +20,7 @@ from ranking_market import (
 )
 from ranking_market import matchers
 from ranking_market.matchers import _assign_min_score
-from helpers import brute_force_max_size, random_instance, validate_matching
+from helpers import brute_force_max_size, random_instance, reference_assignment, validate_matching
 
 IDENTITY2 = ArrivalOrder.identity(2)
 
@@ -137,7 +137,7 @@ def test_exact_expectation_equals_the_scalar_loop_over_every_ranking(monkeypatch
         for inst, sigma in cases:
             served = 0
             for ranks in itertools.permutations(range(inst.n_right)):
-                assignment = _assign_min_score(inst.adjacency, list(ranks), sigma.order)
+                assignment = reference_assignment(inst, ranks, sigma.order)
                 served += inst.n_left - assignment.count(None)
             exact = exact_ranking_expectation(inst, sigma)
             assert exact == Fraction(served, math.factorial(inst.n_right)), (cells, inst)
@@ -248,16 +248,23 @@ def _block_cases(rng):
     yield make_instance(3, 2, [(0, 0), (1, 0), (1, 1), (2, 0)]), ArrivalOrder.random(3, rng)
 
 
-def assert_rows_equal_the_scalar_loop(adjacency, score, order, n_left):
+def as_row(assignment, n_left: int) -> list[int]:
+    """A from-scratch assignment in the kernel's form, -1 for None, padded
+    with unserved buyers to n_left."""
+    row = [-1 if j is None else j for j in assignment]
+    return row + [-1] * (n_left - len(row))
+
+
+def assert_rows_equal_the_scalar_loop(inst, score, order):
     """Run a [T, n_right] score block through the shared-graph kernel and
-    check each row against the list form on its own scores."""
+    check each row against the from-scratch market on its own scores."""
     before = score.copy()
-    block = _assign_min_score(adjacency, score, order)
-    assert block.shape == (len(score), n_left) and block.dtype == np.intp
+    block = _assign_min_score(inst.adjacency, score, order)
+    assert block.shape == (len(score), inst.n_left) and block.dtype == np.intp
     assert np.array_equal(score, before)  # the caller's scores are not consumed
     for t in range(len(score)):
-        scalar = _assign_min_score(adjacency, score[t].tolist(), order)
-        assert block[t].tolist() == [-1 if j is None else j for j in scalar], t
+        expected = reference_assignment(inst, score[t].tolist(), order)
+        assert block[t].tolist() == as_row(expected, inst.n_left), t
     return block
 
 
@@ -269,7 +276,7 @@ def test_block_kernel_equals_the_scalar_loop_row_by_row(rows):
         score[rows // 3 :] = np.round(score[rows // 3 :], 1)  # forced ties
         score[rng.random(score.shape) < 0.15] = np.inf
         score[rng.random(rows) < 0.1] = np.inf  # markets with nothing to sell
-        block = assert_rows_equal_the_scalar_loop(inst.adjacency, score, sigma.order, inst.n_left)
+        block = assert_rows_equal_the_scalar_loop(inst, score, sigma.order)
         # the estimators pass the neighbor lists as intp arrays
         arrays = tuple(np.array(a, dtype=np.intp) for a in inst.adjacency)
         assert np.array_equal(_assign_min_score(arrays, score, sigma.order), block)
@@ -284,7 +291,7 @@ def test_block_kernel_ranks_long_runs_of_equal_scores_by_index(rows, n_right):
     inst = random_bipartite(30, n_right, 0.5, rng)
     score = rng.choice([0.25, 0.5, 1.0], size=(rows, n_right))
     sigma = ArrivalOrder.random(30, rng)
-    assert_rows_equal_the_scalar_loop(inst.adjacency, score, sigma.order, 30)
+    assert_rows_equal_the_scalar_loop(inst, score, sigma.order)
 
 
 @pytest.mark.parametrize(
@@ -300,7 +307,7 @@ def test_block_kernel_ids_of_every_width(rows, n_right, width):
     score = rng.random((rows, n_right))
     score[rng.random(score.shape) < 0.1] = np.inf
     sigma = ArrivalOrder.random(40, rng)
-    block = assert_rows_equal_the_scalar_loop(inst.adjacency, score, sigma.order, 40)
+    block = assert_rows_equal_the_scalar_loop(inst, score, sigma.order)
     assert (block >= 0).any()
 
 
@@ -332,8 +339,5 @@ def test_per_market_block_kernel_equals_the_scalar_loop_market_by_market(gaps):
         assert block.shape == (len(markets), n_left) and block.dtype == np.intp
         assert np.array_equal(score, before)
         for t, (inst, sigma) in enumerate(markets):
-            scores = score[t, : inst.n_right].tolist()
-            scalar = _assign_min_score(inst.adjacency, scores, sigma.order)
-            assert block[t].tolist() == [-1 if j is None else j for j in scalar] + [-1] * (
-                n_left - inst.n_left
-            ), (copies, t)
+            expected = reference_assignment(inst, score[t].tolist(), sigma.order)
+            assert block[t].tolist() == as_row(expected, n_left), (copies, t)

@@ -1,10 +1,12 @@
 """The batched property sweep against the one-tuple-at-a-time reference.
 
 Each tuple of the reference loop draws from ``trial_rng(seed, t)`` and is
-checked with the single-tuple functions behind ``counterfactual`` and the
-``check_*`` functions: ``_markets``, ``_property_check`` and
-``_nested_availability``. The batch must draw the same tuples and reach the
-same three verdicts, tuple by tuple. The mutant tests show that each
+checked from scratch, with no package code: both markets re-simulated by
+``helpers.reference_assignment`` (the reduced one also on the graph without
+the item's edges), availability replayed by ``helpers.availability_sets``
+and the two counterfactual properties as direct price and utility
+comparisons. The batch must draw the same tuples and reach the same three
+verdicts, tuple by tuple. The mutant tests show that each
 property can fail inside the batch, which the all-zero counts of a working
 sweep cannot show.
 """
@@ -30,15 +32,13 @@ from ranking_market import (
     trial_rng,
 )
 from ranking_market.analysis import (
-    _counterfactual,
+    _IDENTITY_TOL,
     _fixed_tuples,
     _instance_rows,
-    _markets,
-    _nested_availability,
     _property_block,
-    _property_check,
     _random_tuples,
 )
+from helpers import availability_nested, reference_assignment, without_right_vertex
 
 
 def reference_tuple(instance, max_side: int, seed: int, t: int):
@@ -57,10 +57,18 @@ def reference_tuple(instance, max_side: int, seed: int, t: int):
     sigma = ArrivalOrder.random(inst.n_left, rng)
     pa = prices_from_weights(rng.random(inst.n_right), PriceScheme.EXPONENTIAL)
     buyer, item = inst.edges[int(rng.integers(inst.edge_count))]
-    full, reduced = _markets(inst, pa, sigma, item)
-    check = _property_check(pa, item, _counterfactual(pa, full, reduced, buyer, item))
-    nested = _nested_availability(full, reduced, sigma.order, item)
-    return inst, sigma, pa, (buyer, item), (check.sold_if_cheaper, check.utility_floor, nested)
+    prices, order = pa.prices, sigma.order
+    full = reference_assignment(inst, prices, order)
+    reduced = reference_assignment(inst, prices, order, removed=item)
+    assert reduced == reference_assignment(without_right_vertex(inst, item), prices, order)
+    cf_price = 1.0 if reduced[buyer] is None else prices[reduced[buyer]]
+    utility = 0.0 if full[buyer] is None else 1.0 - prices[full[buyer]]
+    verdicts = (
+        prices[item] >= cf_price or item in full,
+        utility >= 1.0 - cf_price - _IDENTITY_TOL,
+        availability_nested(inst.n_right, full, reduced, order, item),
+    )
+    return inst, sigma, pa, (buyer, item), verdicts
 
 
 # the reference tests check the batch in blocks of this many tuples
