@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import chain
@@ -119,13 +120,103 @@ def _check_run(trials: int, jobs: int, level: float | None = None) -> None:
 
 
 def _run_chunks(worker, trials: int, jobs: int) -> list:
+    """worker(t0, t1) for every chunk of _CHUNK_TRIALS trials, in chunk
+    order. With W = min(jobs, chunks, CPUs) > 1, share k is every W-th chunk
+    from chunk k: this process runs share 0 and one forked child runs each
+    other share, sending its results back through a pipe. Every child is
+    reaped before this returns or raises (SIGKILLed first on an error or
+    interrupt here), so none outlives the call and RUSAGE_CHILDREN holds
+    their CPU time. Without os.fork the chunks run here; the results are the
+    same either way. A fork copies only the calling thread: the package
+    starts no threads, and a caller that runs threads of its own should
+    keep jobs at 1."""
     spans = [(t0, min(t0 + _CHUNK_TRIALS, trials)) for t0 in range(0, trials, _CHUNK_TRIALS)]
-    # the pool starts all its workers at once, so never more than can be busy
     workers = min(jobs, len(spans), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [worker(t0, t1) for t0, t1 in spans]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, *zip(*spans)))
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for k in range(1, workers):
+            children.append(_fork_share(worker, spans[k::workers]))
+        shares = [[worker(t0, t1) for t0, t1 in spans[::workers]]]
+        while children:
+            shares.append(_receive_share(children))
+    finally:
+        _kill(children)
+    parts = [None] * len(spans)
+    for k, share in enumerate(shares):
+        parts[k::workers] = share
+    return parts
+
+
+def _fork_share(worker, share: list) -> tuple:
+    """Fork a child that runs worker over the spans of `share` and writes one
+    pickled (ok, value) to a pipe: (True, its results) or (False, the
+    exception it raised). The child never returns from here."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            payload = _share_payload(worker, share)
+            with open(write_end, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _share_payload(worker, share: list) -> bytes:
+    # any exception, an interrupt too, goes to the parent, which raises it
+    try:
+        return pickle.dumps((True, [worker(t0, t1) for t0, t1 in share]))
+    except BaseException as exc:
+        try:
+            return pickle.dumps((False, exc))
+        except Exception:
+            reason = f"a chunk worker raised {type(exc).__name__}: {exc} (not picklable)"
+            return pickle.dumps((False, RuntimeError(reason)))
+
+
+def _receive_share(children: list) -> list:
+    """Read the first child's payload to EOF, reap it, drop it from
+    `children` and return its results, or raise the exception it sent.
+    A payload that is missing or cannot be read, or a nonzero exit status,
+    raises RuntimeError."""
+    pid, pipe = children[0]
+    with pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    children.pop(0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not payload:
+        raise RuntimeError(f"chunk worker {pid} exited with status {code} "
+                           f"after sending {len(payload)} bytes")
+    try:
+        ok, value = pickle.loads(payload)
+    except Exception as exc:
+        raise RuntimeError(f"chunk worker {pid} sent an unreadable result: {exc!r}") from None
+    if not ok:
+        raise value
+    return value
+
+
+def _kill(children: list) -> None:
+    """SIGKILL and reap every child in `children`."""
+    if not children:
+        return
+    import signal  # only on this error path, to keep it out of start-up
+
+    for pid, pipe in children:
+        pipe.close()
+        with suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+    children.clear()
 
 
 def _combine(parts: list) -> list:
@@ -317,8 +408,9 @@ def _estimate(
 # Observers: what each estimator reads off a block of B market runs, given
 # the weights [B, n_right], the prices [B, n_right] and the assignments
 # [B, n_left] (-1 for an unserved buyer). Each returns a float array, [B] or
-# [B, k]. They are module-level functions (bound with partial) so chunks
-# can go to worker processes.
+# [B, k]. They are bound with partial into the chunk worker, which a forked
+# child inherits (_run_chunks): nothing about a chunk is pickled on its way
+# out, only its results on their way back.
 
 
 def _edge_values(buyers: np.ndarray, items: np.ndarray, w, prices, assignment) -> np.ndarray:

@@ -18,9 +18,8 @@ in one stderr line; never a failed check).
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import secrets
+import os
 import sys
 import time
 from fractions import Fraction
@@ -59,7 +58,7 @@ _CONFIG_KEYS = (
 
 
 def _fresh_seed() -> int:
-    return secrets.randbits(48)
+    return int.from_bytes(os.urandom(6), "little")
 
 
 def _round12(v):
@@ -87,6 +86,8 @@ def _emit(args, config: dict, header: list[str], rows: list[list]) -> None:
     rows = [[_round12(v) for v in row] for row in rows]
     config = {k: _round12(v) for k, v in config.items()}
     if args.format == "json":
+        import json  # only JSON output needs it: kept out of start-up
+
         payload = {"config": config, "results": [dict(zip(header, row)) for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
     else:

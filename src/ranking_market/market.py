@@ -80,6 +80,11 @@ def _price_array(weights: np.ndarray, scheme: PriceScheme) -> np.ndarray:
 def _check_prices(instance: BipartiteInstance, pa: PriceAssignment) -> None:
     if len(pa) != instance.n_right:
         raise ValueError(f"price assignment has {len(pa)} entries, expected {instance.n_right}")
+    _check_not_nan(pa)
+
+
+def _check_not_nan(pa: PriceAssignment) -> None:
+    """A nan price has no place in the price order: refuse it, naming the item."""
     for j, p in enumerate(pa.prices):
         if math.isnan(p):
             raise ValueError(f"item {j} has price nan")
@@ -128,6 +133,7 @@ def run_market(
 def permutation_from_prices(pa: PriceAssignment) -> RightPermutation:
     """Priority permutation induced by prices: the cheapest item gets rank 0,
     ties broken by the lowest item index (the same rule run_market uses)."""
+    _check_not_nan(pa)
     by_price = sorted(range(len(pa)), key=lambda j: (pa.prices[j], j))
     rank = [0] * len(pa)
     for pos, item in enumerate(by_price):

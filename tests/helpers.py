@@ -4,6 +4,7 @@ itself needs none of them."""
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -166,8 +167,20 @@ def availability_nested(n_right: int, full, reduced, order, removed: int) -> boo
     return all(r <= f and len(f - r) <= 1 for f, r in pairs)
 
 
-class NoPool:
-    """Stands in for ProcessPoolExecutor where no pool may be started."""
+def no_fork():
+    """Stands in for os.fork where no process may be started."""
+    raise AssertionError("a process was forked")
 
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool was started")
+
+def count_forks(monkeypatch) -> list:
+    """Wrap os.fork (as the chunk runner reaches it, analysis.os.fork) so
+    that each call is recorded, and return the record: one entry a fork."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks

@@ -34,8 +34,9 @@ from ranking_market import (
 from ranking_market import PriceAssignment, analysis, cli, matchers, run_market
 from ranking_market.analysis import _markets, _nested_block
 from helpers import (
-    NoPool,
     availability_nested,
+    count_forks,
+    no_fork,
     random_instance,
     reference_assignment,
     replay_market,
@@ -290,8 +291,8 @@ def golden_results() -> list:
 
 def test_estimator_results_match_the_golden_digest():
     results = golden_results()
-    # three chunks, so jobs=2 runs a pool of two workers and the chunk order
-    # of the reduction shows in the digest
+    # three chunks, so jobs=2 forks a child for the second and the chunk
+    # order of the reduction shows in the digest
     assert results[0] == results[1] and results[4] == results[5]
     assert results[-1] == last_buyer_report(5, 2100, 7)
     text = "\n".join(repr(r) for r in results)
@@ -311,12 +312,12 @@ def _every_estimator(inst, sigma, trials, **kw):
 
 
 def _forbid_work(monkeypatch):
-    """Make a trial, a pool or an offline optimum raise AssertionError, which
+    """Make a trial, a fork or an offline optimum raise AssertionError, which
     pytest.raises(ValueError) does not catch."""
     def no_work(*args):
         raise AssertionError("work started before the arguments were checked")
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(analysis.os, "fork", no_fork)
     monkeypatch.setattr(analysis, "trial_rng", no_work)
     monkeypatch.setattr(analysis, "_trial_weights", no_work)
     monkeypatch.setattr(analysis, "_random_tuples", no_work)
@@ -629,39 +630,20 @@ def test_last_buyer_report_tie_fallback_matches_two_simulations(monkeypatch):
     assert report.uniform.mean < report.exponential.mean - 0.2
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    chunks in this process, so no worker is ever started."""
-
-    requested: list[int] = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 @pytest.mark.parametrize(
     "jobs, chunks, cpus, expected",
     [(5000, 3, 4, 3), (5000, 6, 4, 4), (2, 6, 4, 2), (5000, 1, 4, None), (5000, 3, 1, None),
      (5000, 3, None, None)],
 )
 def test_pool_size_is_bounded(monkeypatch, jobs, chunks, cpus, expected):
-    monkeypatch.setattr(_RecordingPool, "requested", [])
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", _RecordingPool)
+    # the runner forks one child for each share but the one it runs itself
+    forks = count_forks(monkeypatch)
     monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
     inst = kvv_hard_instance(3)
     sigma = ArrivalOrder.identity(3)
     trials = 2048 * (chunks - 1) + 5
     est = estimate_matching_size(inst, sigma, trials, 8, jobs=jobs)
-    assert _RecordingPool.requested == ([] if expected is None else [expected])
+    assert len(forks) == (0 if expected is None else expected - 1)
     assert est == estimate_matching_size(inst, sigma, trials, 8)
 
 

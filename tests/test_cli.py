@@ -1,12 +1,14 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from ranking_market import analysis, cli
 from ranking_market import instance as instance_module
 from ranking_market.cli import main
-from helpers import NoPool
+from helpers import no_fork
 
 
 def run_cli(capsys, *argv):
@@ -296,7 +298,7 @@ def test_invalid_level_exits_2_before_any_trial(monkeypatch, capsys, argv, trial
      ["remark3", "--n", "3", "--trials", "5000"], ["properties", "--sweep", "5000"]],
 )
 def test_jobs_below_one_exits_2(monkeypatch, capsys, argv, jobs):
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(analysis.os, "fork", no_fork)
     code = main(argv + ["--seed", "1", "--jobs", jobs])
     captured = capsys.readouterr()
     assert code == 2
@@ -388,3 +390,13 @@ def test_cli_output_matches_the_golden_digest(tmp_path, capsys):
         written = (tmp_path / "out.txt").read_text() if "--out" in argv and code == 0 else ""
         digest.update(repr((template, code, out, written)).encode())
     assert digest.hexdigest() == GOLDEN_CLI_DIGEST
+
+
+def test_start_up_imports_no_module_a_run_may_not_need():
+    # the chunk runner forks without a process pool, a fresh seed comes from
+    # os.urandom and json is imported only for JSON output
+    unneeded = ["concurrent.futures", "multiprocessing", "secrets", "hashlib", "json"]
+    script = f"import ranking_market.cli, sys; print([m for m in {unneeded!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -5,6 +5,7 @@ import pytest
 
 from ranking_market import (
     ArrivalOrder,
+    PriceAssignment,
     PriceScheme,
     kvv_hard_instance,
     make_instance,
@@ -203,3 +204,10 @@ def test_exp_prices_never_reorder_weights():
     w = np.sort(np.concatenate([w, np.nextafter(w, 1.0)]))
     p = np.exp(w - 1.0)
     assert np.all(np.diff(p) >= 0.0)
+
+
+def test_permutation_from_prices_rejects_nan_naming_the_item():
+    # sorted() would place nan anywhere: (0.5, nan, 0.2) once gave ranks (0, 1, 2)
+    pa = PriceAssignment(weights=(0.5, 0.5, 0.2), prices=(0.5, math.nan, 0.2), scheme=UNI)
+    with pytest.raises(ValueError, match="item 1 has price nan"):
+        permutation_from_prices(pa)
