@@ -207,7 +207,7 @@ def test_exp_prices_never_reorder_weights():
 
 
 def test_permutation_from_prices_rejects_nan_naming_the_item():
-    # sorted() would place nan anywhere: (0.5, nan, 0.2) once gave ranks (0, 1, 2)
+    # every comparison with nan is false, so a sort would rank it anywhere
     pa = PriceAssignment(weights=(0.5, 0.5, 0.2), prices=(0.5, math.nan, 0.2), scheme=UNI)
     with pytest.raises(ValueError, match="item 1 has price nan"):
         permutation_from_prices(pa)
