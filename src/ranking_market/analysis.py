@@ -12,13 +12,14 @@ estimator returns bit-identical results for any ``jobs`` setting. No
 estimator builds those Generators one by one; each reproduces their draws
 to the bit. The Monte Carlo estimators draw a block of trials' weights at
 once with ``streams._trial_weights``: row r is
-``trial_rng(seed, t0 + r).random(n)``. The property sweep's random tuples,
-which draw graphs, orders and edges of varying sizes, are decoded from the
-raw PCG64 outputs of a Generator in the state ``trial_rng(seed, t)``
-starts in (``streams._random_tuples``: one ``random_raw`` call per tuple,
-the draws reproduced for the whole block with array operations). On a
-fixed instance, tuple t's draws are made by such a Generator itself
-(``streams._trial_generators``).
+``trial_rng(seed, t0 + r).random(n)``. The property sweep's random tuple t
+is a function of ``trial_rng(seed, t).random(K)``, K set by ``max_side``
+(``_random_tuples``), filled by one Generator that
+``streams._trial_generators`` sets to each tuple's starting state. On a
+fixed instance, tuple t's draws are made by such a Generator itself. The
+random tuples once replayed numpy's ``integers``, ``uniform`` and
+``permutation`` draws instead, so a seed now checks other tuples than it
+did then; the sweep prints only violation counts, which did not change.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .instance import (
 )
 from .matchers import _assign_min_score, _block_size, _check_sigma, maximum_matching
 from .market import PriceAssignment, PriceScheme, _check_prices, _price_array, _settle_block
-from .streams import _random_tuples, _trial_generators, _trial_weights, _tuple_outputs
+from .streams import _trial_generators, _trial_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -709,13 +710,9 @@ def _tuple_cells(n_left: int, n_right: int, width: int, own_rows: bool) -> int:
     """Array cells one tuple adds to a block: the scores, assignments and
     per-arrival arrays of its two markets, plus, when its graph is its own
     (a random tuple), two per cell of its padded neighbor rows, for the rows
-    and for the decoding that builds them, or its K raw outputs
-    (streams._tuple_outputs) if they are more."""
+    and for the doubles they are drawn from (_random_tuples)."""
     cells = 8 * (n_left + n_right + width)
-    if not own_rows:
-        return cells
-    raw = _tuple_outputs(n_left, n_right, max(n_left, n_right))
-    return max(cells + 2 * n_left * width, raw)
+    return cells + 2 * n_left * width if own_rows else cells
 
 
 def _instance_rows(instance: BipartiteInstance):
@@ -731,6 +728,42 @@ def _instance_rows(instance: BipartiteInstance):
     rows = np.full((1, instance.n_left, degrees.max()), instance.n_right, dtype=np.intp)
     rows[0, buyers, places] = items
     return rows, buyers, items
+
+
+def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
+    """Random property tuples t0..t1-1 in block form, padded to the block's
+    largest sides L and R: the neighbor rows [B, L, R] (the padding item R
+    marks a non-edge), the arrival orders [B, L], the weights [B, R] and the
+    tuples' buyers and items.
+
+    Tuple t is a function of u = trial_rng(seed, t).random(K), m = max_side:
+    sides n_left = floor(u0·m) + 1 and n_right = floor(u1·m) + 1, edge
+    probability p = 0.2 + 0.7·u2 and the checked edge (floor(u3·n_left),
+    floor(u4·n_right)), always an edge; the order is the stable argsort of
+    the next m keys, those of padding buyers set to 2 so that they arrive
+    last; the next m doubles are the weights, 0 past n_right; the last m**2
+    are the coins of an [m, m] frame, an edge where below p inside the
+    graph. Every (graph with an edge, edge of it) pair has positive
+    probability.
+    """
+    u = np.empty((t1 - t0, 5 + 2 * max_side + max_side * max_side))
+    for row, rng in zip(u, _trial_generators(seed, t0, t1)):
+        rng.random(out=row)
+    n_left, n_right = (u[:, :2] * max_side).astype(np.intp).T + 1
+    buyers = (u[:, 3] * n_left).astype(np.intp)
+    items = (u[:, 4] * n_right).astype(np.intp)
+    size_l, size_r = int(n_left.max()), int(n_right.max())
+    in_l = np.arange(size_l) < n_left[:, None]
+    in_r = np.arange(size_r) < n_right[:, None]
+    keys = np.where(in_l, u[:, 5 : 5 + size_l], 2.0)
+    weights = np.where(in_r, u[:, 5 + max_side : 5 + max_side + size_r], 0.0)
+    coins = u[:, 5 + 2 * max_side :].reshape(-1, max_side, max_side)[:, :size_l, :size_r]
+    edges = coins < (0.2 + 0.7 * u[:, 2])[:, None, None]
+    edges &= in_l[:, :, None] & in_r[:, None, :]
+    edges[np.arange(len(u)), buyers, items] = True
+    del u, row, coins  # the doubles go before the rows are built
+    rows = np.where(edges, np.arange(size_r), size_r)
+    return rows, np.argsort(keys, axis=1, kind="stable"), weights, buyers, items
 
 
 def _fixed_tuples(rows, edge_buyers, edge_items, n_right: int, seed: int, t0: int, t1: int):
@@ -838,9 +871,9 @@ def _property_chunk(
     draws, in the same order, that one tuple of the reference loop makes
     from trial_rng(seed, t): a random graph with sides up to max_side (or
     the fixed instance), the arrival order, the weights and the edge. A
-    random block's tuples are decoded from raw PCG64 outputs
-    (_random_tuples); a fixed instance's come from one Generator that
-    _trial_generators sets to each tuple's starting state (_fixed_tuples).
+    random tuple is drawn from one row of doubles (_random_tuples); a fixed
+    instance's tuples come from one Generator that _trial_generators sets to
+    each tuple's starting state (_fixed_tuples).
     Tuples are checked in blocks (_property_block) that _block_size sizes
     from _tuple_cells: hundreds of tiny random graphs, or as few as one
     tuple of a large instance.

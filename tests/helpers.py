@@ -88,6 +88,27 @@ def random_instance(rng: np.random.Generator, max_side: int = 10) -> BipartiteIn
             return make_instance(n_left, n_right, edges)
 
 
+def random_tuple(max_side: int, seed: int, t: int):
+    """Random property tuple t of a sweep, drawn from scratch by the rule
+    the package states, one double at a time: u = trial_rng(seed, t)
+    .random(K), K = 5 + 2·m + m², m = max_side. Returns the instance, the
+    arrival order, the weights and the checked edge."""
+    m = max_side
+    u = np.random.default_rng((seed, t)).random(5 + 2 * m + m * m).tolist()
+    n_left, n_right = int(u[0] * m) + 1, int(u[1] * m) + 1
+    prob = 0.2 + 0.7 * u[2]
+    edge = (int(u[3] * n_left), int(u[4] * n_right))
+    keys = u[5 : 5 + n_left]
+    order = sorted(range(n_left), key=keys.__getitem__)  # sorted is stable
+    weights = u[5 + m : 5 + m + n_right]
+    coins = u[5 + 2 * m :]
+    edges = [
+        (i, j) for i in range(n_left) for j in range(n_right)
+        if coins[i * m + j] < prob or (i, j) == edge
+    ]
+    return make_instance(n_left, n_right, edges), tuple(order), tuple(weights), edge
+
+
 def replay_market(
     instance: BipartiteInstance,
     pa: PriceAssignment,

@@ -1,7 +1,8 @@
 """The batched property sweep against the one-tuple-at-a-time reference.
 
 Each tuple of the reference loop draws from ``trial_rng(seed, t)`` and is
-checked from scratch, with no package code: both markets re-simulated by
+checked from scratch, with no package code: a random tuple is drawn one
+double at a time by ``helpers.random_tuple``, both markets re-simulated by
 ``helpers.reference_assignment`` (the reduced one also on the graph without
 the item's edges), availability replayed by ``helpers.availability_sets``
 and the two counterfactual properties as direct price and utility
@@ -28,7 +29,6 @@ from ranking_market import (
     matchers,
     prices_from_weights,
     property_sweep,
-    random_bipartite,
     trial_rng,
 )
 from ranking_market.analysis import (
@@ -38,25 +38,22 @@ from ranking_market.analysis import (
     _property_block,
     _random_tuples,
 )
-from helpers import availability_nested, reference_assignment, without_right_vertex
+from helpers import availability_nested, random_tuple, reference_assignment, without_right_vertex
 
 
 def reference_tuple(instance, max_side: int, seed: int, t: int):
     """Tuple t as the per-tuple loop draws and checks it: the instance, the
     arrival order, the prices, the edge and the three verdicts."""
-    rng = trial_rng(seed, t)
     if instance is None:
-        while True:
-            n_left = int(rng.integers(1, max_side + 1))
-            n_right = int(rng.integers(1, max_side + 1))
-            inst = random_bipartite(n_left, n_right, float(rng.uniform(0.2, 0.9)), rng)
-            if inst.edge_count:
-                break
+        inst, order, weights, (buyer, item) = random_tuple(max_side, seed, t)
+        sigma = ArrivalOrder(order)
     else:
         inst = instance
-    sigma = ArrivalOrder.random(inst.n_left, rng)
-    pa = prices_from_weights(rng.random(inst.n_right), PriceScheme.EXPONENTIAL)
-    buyer, item = inst.edges[int(rng.integers(inst.edge_count))]
+        rng = trial_rng(seed, t)
+        sigma = ArrivalOrder.random(inst.n_left, rng)
+        weights = rng.random(inst.n_right)
+        buyer, item = inst.edges[int(rng.integers(inst.edge_count))]
+    pa = prices_from_weights(weights, PriceScheme.EXPONENTIAL)
     prices, order = pa.prices, sigma.order
     full = reference_assignment(inst, prices, order)
     reduced = reference_assignment(inst, prices, order, removed=item)
@@ -82,8 +79,10 @@ def blocks(tuples, count: int):
         yield b0, tuples(b0, min(b0 + BLOCK, count))
 
 
-def test_random_tuples_match_the_reference_loop():
-    seed, max_side, count = 17, 10, 10_000
+@pytest.mark.parametrize("max_side, count", [(1, 1000), (3, 3000), (10, 10_000), (37, 1000)],
+                         ids=["1", "3", "10", "37"])
+def test_random_tuples_match_the_reference_loop(max_side, count):
+    seed = 17
     totals = np.zeros(3, dtype=int)
     for b0, block in blocks(partial(_random_tuples, max_side, seed), count):
         rows, orders, weights, buyers, items = block
@@ -105,6 +104,23 @@ def test_random_tuples_match_the_reference_loop():
     assert totals.tolist() == [0, 0, 0]
     assert [sweep.sold_if_cheaper_violations, sweep.utility_floor_violations,
             sweep.monotone_violations] == totals.tolist()
+
+
+def test_random_tuples_reach_every_graph_size_and_checked_edge():
+    # sides up to 3: every (n_left, n_right) and every cell of its corner as
+    # the checked edge, 36 in all, each with probability >= 1/81
+    max_side, count = 3, 4000
+    rows, orders, weights, buyers, items = _random_tuples(max_side, 11, 0, count)
+    seen = set()
+    for t in range(count):
+        inst = random_tuple(max_side, 11, t)[0]
+        n_left, n_right, buyer, item = inst.n_left, inst.n_right, buyers[t], items[t]
+        assert buyer < n_left and item < n_right and rows[t, buyer, item] == item, t
+        assert sorted(orders[t, :n_left].tolist()) == list(range(n_left)), t
+        assert orders[t, n_left:].tolist() == list(range(n_left, orders.shape[1])), t
+        seen.add((n_left, n_right, int(buyer), int(item)))
+    sides = range(1, max_side + 1)
+    assert seen == {(l, r, b, i) for l in sides for r in sides for b in range(l) for i in range(r)}
 
 
 def test_fixed_instance_tuples_match_the_reference_loop():
@@ -133,8 +149,8 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
         return block(rows, orders, weights, buyers, items)
 
     monkeypatch.setattr(analysis, "_property_block", recording)
-    # random sides up to 10: max(8 * (10 + 10 + 10) + 2 * 10 * 10, K) = 440
-    # cells a tuple, 2**18 // 440 = 595 tuples a block
+    # random sides up to 10: 8 * (10 + 10 + 10) + 2 * 10 * 10 = 440 cells a
+    # tuple, 2**18 // 440 = 595 tuples a block
     property_sweep(1300, seed=3)
     assert sizes == [595, 595, 110]
     # kvv30: 8 * (30 + 30 + 30) cells a tuple
