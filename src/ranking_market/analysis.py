@@ -397,11 +397,14 @@ def _estimate(
     jobs: int,
 ):
     """The totals of _trial_chunk over trials 0..trials-1, for any jobs, for
-    an observer of `width` values a trial. A trial holds about 8 cells per
-    item (the stream's temporaries), 2 per buyer (assignment and utility)
-    and 2 per value (the observer's output and the temporary it is built
-    with)."""
-    cells = 8 * instance.n_right + 2 * instance.n_left + 2 * width
+    an observer of `width` values a trial. A trial holds at its peak about 6
+    cells per item (the stream's or the kernel's temporaries, the weights
+    and the prices), 2 per buyer (assignment and utility) and 3 per value
+    (the observer's output, the temporary it is built with and the last
+    block's output). At 256-1024 trials a block tracemalloc reads 385-443
+    cells a trial on remark3 at n = 50 (counted: 415), 768-811 on ratio at
+    kvv100 (803) and 732-736 on claim1's 210 edges at kvv20 (790)."""
+    cells = 6 * instance.n_right + 2 * instance.n_left + 3 * width
     worker = partial(_trial_chunk, instance, sigma, scheme, observe, _block_size(cells), seed)
     return _combine(_run_chunks(worker, trials, jobs))
 
@@ -454,12 +457,20 @@ def _last_buyer(adjacency, w, exp_prices, assignment) -> np.ndarray:
     if tied.any():
         uni_assignment = assignment.copy()
         uni_assignment[tied] = _assign_min_score(adjacency, uni_prices[tied], range(last + 1))
-    edge = np.array([last])  # the last buyer's one edge
-    values = [_edge_values(edge, edge, w, exp_prices, assignment)[:, 0],
-              _edge_values(edge, edge, w, uni_prices, uni_assignment)[:, 0]]
+    values = [_last_edge(exp_prices, assignment), _last_edge(uni_prices, uni_assignment)]
     served = assignment[:, last] >= 0
     priciest = w.argmax(axis=1) == last
     return np.stack([*values, served, priciest, served & ~priciest], axis=1).astype(float)
+
+
+def _last_edge(prices, assignment) -> np.ndarray:
+    """[B]: util + rev of the edge (last buyer, last item), the one cell of
+    _edge_values that _last_buyer reads, with the same float operations."""
+    last = prices.shape[1] - 1
+    item = assignment[:, last]
+    util = np.where(item >= 0, 1.0 - prices[np.arange(len(item)), item], 0.0)
+    util += np.where((assignment == last).any(axis=1), prices[:, last], 0.0)
+    return util
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:

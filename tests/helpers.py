@@ -14,8 +14,12 @@ from ranking_market import (
     MarketOutcome,
     Matching,
     PriceAssignment,
+    PriceScheme,
     make_instance,
 )
+from ranking_market.analysis import _edge_values
+from ranking_market.market import _price_array
+from ranking_market.matchers import _assign_min_score
 
 
 def without_right_vertex(instance: BipartiteInstance, j: int) -> BipartiteInstance:
@@ -162,6 +166,22 @@ def reference_assignment(
             assignment[b] = j
             available.remove(j)
     return assignment
+
+
+def last_buyer_by_settling(adjacency, w, exp_prices, assignment) -> np.ndarray:
+    """analysis._last_buyer's [B, 5] read off full settlements: the last
+    edge's util + rev from _settle_block and _edge_values under exponential
+    prices and under uniform prices, the uniform market run on every row,
+    then served, priciest last and served without the priciest."""
+    last = exp_prices.shape[1] - 1
+    uni_prices = _price_array(w, PriceScheme.UNIFORM)
+    uni_assignment = _assign_min_score(adjacency, uni_prices, range(last + 1))
+    edge = np.array([last])
+    values = [_edge_values(edge, edge, w, exp_prices, assignment)[:, 0],
+              _edge_values(edge, edge, w, uni_prices, uni_assignment)[:, 0]]
+    served = assignment[:, last] >= 0
+    priciest = w.argmax(axis=1) == last
+    return np.stack([*values, served, priciest, served & ~priciest], axis=1).astype(float)
 
 
 def availability_sets(

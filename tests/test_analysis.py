@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -36,6 +39,7 @@ from ranking_market.analysis import _markets, _nested_block
 from helpers import (
     availability_nested,
     count_forks,
+    last_buyer_by_settling,
     no_fork,
     random_instance,
     reference_assignment,
@@ -381,9 +385,11 @@ STREAM_SEEDS = [0, 23, 2**32 - 1, 2**32, 2**48 - 1, 2**64 + 7, 2**96 + 5, 2**128
 STREAM_SPANS = [(0, 128), (128, 256), (2048, 2048 + 333), (2**32 - 300, 2**32 + 300), (9, 10), (5, 5)]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 20, 50, 100])
+# draw k of a row is jump r of coarse draw c, k = r·q + c with q about sqrt(n):
+# 7, 17, 37, 125 and 1000 leave the last jump ragged, 100 is a perfect square
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 17, 20, 37, 50, 100, 125, 1000])
 def test_trial_weights_equal_trial_rng_bit_for_bit(n):
-    # 12 seeds x 1190 rows x 8 sizes: about 1.1e5 (seed, t) pairs
+    # 12 seeds x 1190 rows x 13 sizes: about 1.9e5 (seed, t) pairs
     seeds = STREAM_SEEDS + [cli._fresh_seed() for _ in range(3)]  # random 48-bit seeds
     for seed in seeds:
         for t0, t1 in STREAM_SPANS:
@@ -391,6 +397,35 @@ def test_trial_weights_equal_trial_rng_bit_for_bit(n):
             assert batched.shape == (t1 - t0, n) and batched.dtype == np.float64
             for r, t in enumerate(range(t0, t1)):
                 assert np.array_equal(batched[r], trial_rng(seed, t).random(n)), (seed, t, n)
+
+
+def test_trial_weights_draw_a_row_of_a_million():
+    # a file instance's side: the jump tables stay about sqrt(n) long
+    n, seed, t = 10**6, 2**64 + 7, 2**32 + 5
+    assert np.array_equal(analysis._trial_weights(seed, t, t + 1, n)[0], trial_rng(seed, t).random(n))
+
+
+def test_trial_weights_do_not_depend_on_simd_dispatch():
+    # the stream is integer arithmetic, so numpy's loops for a CPU without
+    # AVX-512 must give the same bytes as the ones this CPU dispatches to
+    args = (2**64 + 7, 2**32 - 200, 2**32 + 314, 50)  # a remark3 block across t = 2**32
+    script = (
+        "import sys\n"
+        "try:\n"
+        "    import numpy\n"
+        "except Exception as error:\n"
+        "    print(error)\n"
+        "    sys.exit(3)\n"
+        "import hashlib\n"
+        "from ranking_market import analysis\n"
+        f"print(hashlib.sha256(analysis._trial_weights(*{args!r}).tobytes()).hexdigest())\n"
+    )
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    if result.returncode == 3:
+        pytest.skip(f"numpy does not import with those features disabled: {result.stdout.strip()}")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == hashlib.sha256(analysis._trial_weights(*args).tobytes()).hexdigest()
 
 
 def mixed_draws(rng: np.random.Generator) -> list:
@@ -628,6 +663,27 @@ def test_last_buyer_report_tie_fallback_matches_two_simulations(monkeypatch):
     assert report.service_probability.mean == served / trials
     # without the fallback the tied trials would score 1 under uniform prices
     assert report.uniform.mean < report.exponential.mean - 0.2
+
+
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_last_buyer_equals_the_settled_markets_bit_for_bit(n):
+    # the observer computes the one edge it reports; a full settlement of
+    # both markets must give the same bits, also on rows where the two
+    # markets differ because the exponential curve ties two weights
+    inst = kvv_hard_instance(n)
+    w = analysis._trial_weights(31, 0, 600, n)
+    # every fourth row: buyer i < n - 2 buys item i, then the last two items
+    # tie, so buyer n - 2 takes item n - 2 under exponential prices and item
+    # n - 1 under uniform prices, where the last buyer goes unserved
+    w[::4, : n - 2] = np.sort(w[::4, : n - 2], axis=1) * 0.09
+    w[::4, n - 2 :] = TIED_WEIGHTS
+    prices = analysis._price_array(w, EXP)
+    assignment = analysis._assign_min_score(inst.adjacency, prices, range(n))
+    got = analysis._last_buyer(inst.adjacency, w, prices, assignment)
+    want = last_buyer_by_settling(inst.adjacency, w, prices, assignment)
+    assert got.tobytes() == want.tobytes()
+    assert (got[::4, 2] == 1).all() and (got[::4, 1] == TIED_WEIGHTS[1]).all()
+    assert not (got[:, 2] == 1).all()
 
 
 @pytest.mark.parametrize(
