@@ -399,12 +399,13 @@ def _estimate(
     """The totals of _trial_chunk over trials 0..trials-1, for any jobs, for
     an observer of `width` values a trial. A trial holds at its peak about 6
     cells per item (the stream's or the kernel's temporaries, the weights
-    and the prices), 2 per buyer (assignment and utility) and 3 per value
-    (the observer's output, the temporary it is built with and the last
-    block's output). At 256-1024 trials a block tracemalloc reads 385-443
-    cells a trial on remark3 at n = 50 (counted: 415), 768-811 on ratio at
-    kvv100 (803) and 732-736 on claim1's 210 edges at kvv20 (790)."""
-    cells = 6 * instance.n_right + 2 * instance.n_left + 3 * width
+    and the prices), 2 per buyer (assignment and utility) and 2 per value
+    (the observer's output and the temporary it is built with). At 256-1024
+    trials a block tracemalloc reads 385-443 cells a trial on remark3 at
+    n = 50 (counted: 410) and 768-811 on ratio at kvv100 (802). Claim1's
+    210 edges at kvv20 read 732-736 (580): the last block's values are
+    still held while the next block's are built."""
+    cells = 6 * instance.n_right + 2 * instance.n_left + 2 * width
     worker = partial(_trial_chunk, instance, sigma, scheme, observe, _block_size(cells), seed)
     return _combine(_run_chunks(worker, trials, jobs))
 
