@@ -5,21 +5,12 @@ instance. Every market goes through the one block kernel: ``counterfactual``
 and the ``check_*`` functions run a tuple's full and reduced markets as a
 two-row block and reach their verdicts with the sweep's array checks.
 
-Seeding contract: trial t of any estimator draws all of its randomness from
-``trial_rng(seed, t)``, a deterministic function of (master seed, trial
-index). Trials are therefore independent of execution order, and every
-estimator returns bit-identical results for any ``jobs`` setting. No
-estimator builds those Generators one by one; each reproduces their draws
-to the bit. The Monte Carlo estimators draw a block of trials' weights at
-once with ``streams._trial_weights``: row r is
-``trial_rng(seed, t0 + r).random(n)``. The property sweep's random tuple t
-is a function of ``trial_rng(seed, t).random(K)``, K set by ``max_side``
-(``_random_tuples``), filled by one Generator that
-``streams._trial_generators`` sets to each tuple's starting state. On a
-fixed instance, tuple t's draws are made by such a Generator itself. The
-random tuples once replayed numpy's ``integers``, ``uniform`` and
-``permutation`` draws instead, so a seed now checks other tuples than it
-did then; the sweep prints only violation counts, which did not change.
+Seeding contract: the randomness of trial t (of an estimator, or tuple t
+of the property sweep) is one row of doubles, ``trial_rng(seed, t)
+.random(K)``, with K set by the instance or by ``max_side``. It depends only
+on (master seed, t), so trials are independent of execution order and every
+result is bit-identical for any ``jobs`` setting. ``streams._trial_weights``
+draws those rows a block of trials at once, equal to the bit.
 """
 
 from __future__ import annotations
@@ -46,7 +37,7 @@ from .instance import (
 )
 from .matchers import _assign_min_score, _block_size, _check_sigma, maximum_matching
 from .market import PriceAssignment, PriceScheme, _check_prices, _price_array, _settle_block
-from .streams import _trial_generators, _trial_weights
+from .streams import _trial_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -403,8 +394,12 @@ def _estimate(
     (the observer's output and the temporary it is built with). At 256-1024
     trials a block tracemalloc reads 385-443 cells a trial on remark3 at
     n = 50 (counted: 410) and 768-811 on ratio at kvv100 (802). Claim1's
-    210 edges at kvv20 read 732-736 (580): the last block's values are
-    still held while the next block's are built."""
+    210 edges at kvv20 read 732-736 (580), because _trial_chunk holds the
+    last block's values while it builds the next block's. Releasing them
+    first reads 522-526, but the freed memory goes back to the system and
+    the next block faults it in again: on a 2-vCPU VM that took 16.4k minor
+    page faults instead of 8.8k a 20480-trial sweep, and 9% of claim1's
+    trials a second at kvv20."""
     cells = 6 * instance.n_right + 2 * instance.n_left + 2 * width
     worker = partial(_trial_chunk, instance, sigma, scheme, observe, _block_size(cells), seed)
     return _combine(_run_chunks(worker, trials, jobs))
@@ -758,9 +753,7 @@ def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
     graph. Every (graph with an edge, edge of it) pair has positive
     probability.
     """
-    u = np.empty((t1 - t0, 5 + 2 * max_side + max_side * max_side))
-    for row, rng in zip(u, _trial_generators(seed, t0, t1)):
-        rng.random(out=row)
+    u = _trial_weights(seed, t0, t1, 5 + 2 * max_side + max_side * max_side)
     n_left, n_right = (u[:, :2] * max_side).astype(np.intp).T + 1
     buyers = (u[:, 3] * n_left).astype(np.intp)
     items = (u[:, 4] * n_right).astype(np.intp)
@@ -773,23 +766,22 @@ def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
     edges = coins < (0.2 + 0.7 * u[:, 2])[:, None, None]
     edges &= in_l[:, :, None] & in_r[:, None, :]
     edges[np.arange(len(u)), buyers, items] = True
-    del u, row, coins  # the doubles go before the rows are built
+    del u, coins  # the doubles go before the rows are built
     rows = np.where(edges, np.arange(size_r), size_r)
     return rows, np.argsort(keys, axis=1, kind="stable"), weights, buyers, items
 
 
 def _fixed_tuples(rows, edge_buyers, edge_items, n_right: int, seed: int, t0: int, t1: int):
     """Tuples t0..t1-1 of a sweep on a fixed instance, in _random_tuples'
-    block form. Tuple t draws, from a Generator in trial_rng(seed, t)'s
-    starting state, order = permutation(n_left), weights = random(n_right)
-    and the index of its edge, integers(n_edges), in row-major order."""
-    n_left, n_edges = rows.shape[1], len(edge_items)
-    draws = [
-        (rng.permutation(n_left), rng.random(n_right), rng.integers(n_edges))
-        for rng in _trial_generators(seed, t0, t1)
-    ]
-    orders, weights, picks = (np.array(column) for column in zip(*draws))
-    return rows, orders, weights, edge_buyers[picks], edge_items[picks]
+    block form. Tuple t is a function of u = trial_rng(seed, t).random(1 +
+    L + R): its edge is number floor(u0·E) of the E edges in row-major
+    order, its arrival order the stable argsort of the next L doubles and
+    its weights the last R."""
+    n_left = rows.shape[1]
+    u = _trial_weights(seed, t0, t1, 1 + n_left + n_right)
+    picks = (u[:, 0] * len(edge_items)).astype(np.intp)
+    orders = np.argsort(u[:, 1 : 1 + n_left], axis=1, kind="stable")
+    return rows, orders, u[:, 1 + n_left :], edge_buyers[picks], edge_items[picks]
 
 
 def _removal_scores(prices: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -879,13 +871,11 @@ def _property_chunk(
     t0: int,
     t1: int,
 ):
-    """The violation counts of tuples t0..t1-1. Tuple t makes exactly the
-    draws, in the same order, that one tuple of the reference loop makes
-    from trial_rng(seed, t): a random graph with sides up to max_side (or
-    the fixed instance), the arrival order, the weights and the edge. A
-    random tuple is drawn from one row of doubles (_random_tuples); a fixed
-    instance's tuples come from one Generator that _trial_generators sets to
-    each tuple's starting state (_fixed_tuples).
+    """The violation counts of tuples t0..t1-1. Tuple t is a function of
+    one row of doubles from trial_rng(seed, t): a random graph with sides up
+    to max_side (_random_tuples) or the fixed instance (_fixed_tuples), the
+    arrival order, the weights and the edge. A block's rows come from one
+    _trial_weights call, as a block of estimator trials' weights do.
     Tuples are checked in blocks (_property_block) that _block_size sizes
     from _tuple_cells: hundreds of tiny random graphs, or as few as one
     tuple of a large instance.

@@ -2,11 +2,9 @@
 
 Trial t draws from ``np.random.default_rng((seed, t))``
 (``analysis.trial_rng``). Building one Generator per trial costs as much as
-the rest of a trial, so ``_trial_weights`` computes the doubles of
-``random(n)`` for trials t0..t1-1 with numpy arrays over the trials, and
-``_trial_generators`` sets one reused Generator to each trial's starting
-state (steps 1 and 2) for draws of other kinds and for long rows of
-doubles. It retraces numpy's three steps:
+the rest of a trial, so ``_trial_weights`` returns the doubles of
+``random(n)`` for trials t0..t1-1 without doing so. It retraces numpy's
+three steps:
 
 1. SeedSequence: the entropy is the 32-bit words of the seed, then those of
    t (least significant first; 0 is one word). They are hashed into a pool
@@ -23,6 +21,12 @@ doubles. It retraces numpy's three steps:
    is reached in two levels, with k = r·q + c and q about sqrt(n): a coarse
    jump from the start to each of the q states of draws 0..q-1, then a fine
    jump of r·q steps from each of them, one 128-bit product a double.
+
+Step 1 is always array operations over the trials. A row shorter than
+``_LONG_ROW`` doubles is then drawn by steps 2 and 3 as array operations
+too; a longer one by numpy's own ``random`` on one PCG64 set to the
+trial's starting state, which costs about the same at that length and less
+above it.
 
 128-bit numbers are held as two uint64 limbs (hi, lo); the high half of a
 64x64-bit product is assembled from 32-bit halves. All uint arithmetic wraps,
@@ -53,6 +57,10 @@ _OTHERS = tuple(np.array([d for d in range(_POOL) if d != s]) for s in range(_PO
 
 # PCG64's LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Rows of at least this many doubles are drawn by numpy's own random() (see
+# _trial_weights for the measurement)
+_LONG_ROW = 111
 
 _LOW32 = np.uint64(_MASK32)
 _ONE, _S11, _S32, _S58, _S63, _S64 = (np.uint64(s) for s in (1, 11, 32, 58, 63, 64))
@@ -185,12 +193,31 @@ def _add128(hi, lo, add_hi, add_lo) -> None:
 
 def _trial_weights(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
     """[t1 - t0, n] float64 whose row r is trial_rng(seed, t0 + r).random(n)
-    to the bit, computed for all rows at once: numpy's SeedSequence hashing,
-    PCG64 seeding and random() as array operations over the rows (the steps
-    are in the module docstring; PCG64 is O'Neill 2014's XSL-RR 128/64).
-    Rows are the last axis of every temporary, so that each ufunc loops
-    over the block's trials."""
-    s0, s1, s2, s3 = _seed_states(seed, t0, t1)
+    to the bit: numpy's SeedSequence hashing as array operations over the
+    rows, then, for n < _LONG_ROW, PCG64 seeding and random() the same way
+    (the steps are in the module docstring; PCG64 is O'Neill 2014's XSL-RR
+    128/64), with rows the last axis of every temporary, so that each ufunc
+    loops over the block's trials. A longer row is filled by one random()
+    call on a PCG64 set to its trial's starting state.
+
+    The jump's work is s·q >= n doubles a row (110 for n = 101..110, 121
+    for 111..121, 132 from 122); the call costs a fixed 3-4 µs a row (most
+    of it setting the state) and little more a double. In CPU µs a row on a
+    2-vCPU VM (min of 7 rounds, blocks of 326 and 595 rows), the jump took
+    3.7-4.2 at 101-110 doubles against 3.8-4.3 for the call, 4.1-4.4 at
+    111-121 against 3.7-4.6, and 4.5-5.0 at 122-125 against 4.2-4.5. The
+    switch sits where the jump's work steps up: the estimators' rows on the
+    benchmark's instances (n_right up to 100) take the jump, and a random
+    property tuple at the default max_side of 10 (125 doubles) the call."""
+    s0, s1, s2, s3 = states = _seed_states(seed, t0, t1)
+    if n >= _LONG_ROW:
+        out = np.empty((t1 - t0, n))
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        for row, words in zip(out, states.T.tolist()):
+            bit_generator.state = _start_state(*words)
+            rng.random(out=row)
+        return out
     inc_hi = (s2 << _ONE) | (s3 >> _S63)
     inc_lo = (s3 << _ONE) | _ONE
     # initstate + inc, from which draw c is c + 2 LCG steps
@@ -242,18 +269,6 @@ def _seed_states(seed: int, t0: int, t1: int) -> np.ndarray:
     return np.concatenate(parts, axis=1) if parts else np.empty((4, 0), dtype=np.uint64)
 
 
-def _trial_generators(seed: int, t0: int, t1: int):
-    """Yield, for t = t0..t1-1, a Generator in the state trial_rng(seed, t)
-    starts in, for draws that _trial_weights does not batch (integers,
-    permutation, long rows of doubles). See _generators.
-
-    At 595 rows a block, one ``random`` call a row and _trial_weights took
-    about the same time at 125 doubles a row (the property sweep's rows at
-    its default size), and the call was faster from 150 on: 4.4 against
-    10.8 µs a row at 300 doubles, 6.1 against 32 at 1000."""
-    return _generators(_seed_states(seed, t0, t1))
-
-
 def _start_state(s0: int, s1: int, s2: int, s3: int) -> dict:
     """The state, for PCG64's ``state`` setter, of a PCG64 seeded with
     generate_state's four words: ``(s0:s1 + inc)·M + inc`` with ``inc =
@@ -267,14 +282,3 @@ def _start_state(s0: int, s1: int, s2: int, s3: int) -> dict:
         "uinteger": 0,
     }
 
-
-def _generators(states: np.ndarray):
-    """Yield, for each column of states (_seed_states' words), a Generator
-    in the state a PCG64 seeded with them starts in. One Generator is
-    reused, so the draws of one column must be made before the next one is
-    yielded."""
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for words in states.T.tolist():
-        bit_generator.state = _start_state(*words)
-        yield rng

@@ -113,6 +113,21 @@ def random_tuple(max_side: int, seed: int, t: int):
     return make_instance(n_left, n_right, edges), tuple(order), tuple(weights), edge
 
 
+def fixed_tuple(instance: BipartiteInstance, seed: int, t: int):
+    """Property tuple t of a sweep on a fixed instance, drawn from scratch by
+    the rule the package states: u = trial_rng(seed, t).random(1 + L + R);
+    the edge is number floor(u0·E) of the instance's E edges, buyer by buyer,
+    the arrival order sorts the buyers by the next L doubles (ties keep
+    index order) and the weights are the last R. Returns the arrival order,
+    the weights and the checked edge."""
+    n_left = instance.n_left
+    u = np.random.default_rng((seed, t)).random(1 + n_left + instance.n_right).tolist()
+    edges = [(i, j) for i in range(n_left) for j in instance.adjacency[i]]
+    keys = u[1 : 1 + n_left]
+    order = sorted(range(n_left), key=keys.__getitem__)  # sorted is stable
+    return tuple(order), tuple(u[1 + n_left :]), edges[int(u[0] * len(edges))]
+
+
 def replay_market(
     instance: BipartiteInstance,
     pa: PriceAssignment,

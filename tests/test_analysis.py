@@ -36,6 +36,7 @@ from ranking_market import (
 )
 from ranking_market import PriceAssignment, analysis, cli, matchers, run_market
 from ranking_market.analysis import _markets, _nested_block
+from ranking_market.streams import _LONG_ROW
 from helpers import (
     availability_nested,
     count_forks,
@@ -325,7 +326,6 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(analysis, "trial_rng", no_work)
     monkeypatch.setattr(analysis, "_trial_weights", no_work)
     monkeypatch.setattr(analysis, "_random_tuples", no_work)
-    monkeypatch.setattr(analysis, "_trial_generators", no_work)
     monkeypatch.setattr(analysis, "maximum_matching", no_work)
 
 
@@ -386,10 +386,16 @@ STREAM_SPANS = [(0, 128), (128, 256), (2048, 2048 + 333), (2**32 - 300, 2**32 + 
 
 
 # draw k of a row is jump r of coarse draw c, k = r·q + c with q about sqrt(n):
-# 7, 17, 37, 125 and 1000 leave the last jump ragged, 100 is a perfect square
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 17, 20, 37, 50, 100, 125, 1000])
+# 7, 17 and 37 leave the last jump ragged, 100 is a perfect square. Rows of
+# _LONG_ROW doubles and more are drawn by numpy's own random() instead, from
+# a PCG64 set to each trial's starting state: the sizes on either side of the
+# switch check both ways, and every span, the one across t = 2**32 too, checks
+# that starting state.
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, 5, 7, 17, 20, 37, 50, 100, _LONG_ROW - 1, _LONG_ROW, 125, 1000]
+)
 def test_trial_weights_equal_trial_rng_bit_for_bit(n):
-    # 12 seeds x 1190 rows x 13 sizes: about 1.9e5 (seed, t) pairs
+    # 12 seeds x 1190 rows x 15 sizes: about 2.1e5 (seed, t) pairs
     seeds = STREAM_SEEDS + [cli._fresh_seed() for _ in range(3)]  # random 48-bit seeds
     for seed in seeds:
         for t0, t1 in STREAM_SPANS:
@@ -400,7 +406,7 @@ def test_trial_weights_equal_trial_rng_bit_for_bit(n):
 
 
 def test_trial_weights_draw_a_row_of_a_million():
-    # a file instance's side: the jump tables stay about sqrt(n) long
+    # a file instance's side, far past the switch to numpy's own random()
     n, seed, t = 10**6, 2**64 + 7, 2**32 + 5
     assert np.array_equal(analysis._trial_weights(seed, t, t + 1, n)[0], trial_rng(seed, t).random(n))
 
@@ -426,22 +432,6 @@ def test_trial_weights_do_not_depend_on_simd_dispatch():
         pytest.skip(f"numpy does not import with those features disabled: {result.stdout.strip()}")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == hashlib.sha256(analysis._trial_weights(*args).tobytes()).hexdigest()
-
-
-def mixed_draws(rng: np.random.Generator) -> list:
-    """A run of draws of every kind, whose length varies with the stream."""
-    n = int(rng.integers(1, 9))
-    return [n, rng.uniform(0.2, 0.9), rng.random((n, 3)), rng.permutation(n),
-            rng.integers(n), rng.random(5), rng.integers(0, 2**40, size=3)]
-
-
-@pytest.mark.parametrize("seed", [23, 2**64 + 7])  # 1 and 3 entropy words
-def test_trial_generators_start_where_trial_rng_starts(seed):
-    # a span straddling t = 2**32, where t gains an entropy word
-    t0, t1 = 2**32 - 200, 2**32 + 200
-    for t, rng in zip(range(t0, t1), analysis._trial_generators(seed, t0, t1), strict=True):
-        got, expected = mixed_draws(rng), mixed_draws(np.random.default_rng((seed, t)))
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (seed, t)
 
 
 def test_trial_weights_reject_a_negative_seed_like_trial_rng():

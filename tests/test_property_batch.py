@@ -2,7 +2,8 @@
 
 Each tuple of the reference loop draws from ``trial_rng(seed, t)`` and is
 checked from scratch, with no package code: a random tuple is drawn one
-double at a time by ``helpers.random_tuple``, both markets re-simulated by
+double at a time by ``helpers.random_tuple``, a fixed instance's by
+``helpers.fixed_tuple``, both markets re-simulated by
 ``helpers.reference_assignment`` (the reduced one also on the graph without
 the item's edges), availability replayed by ``helpers.availability_sets``
 and the two counterfactual properties as direct price and utility
@@ -14,6 +15,7 @@ sweep cannot show.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import partial
 
@@ -29,7 +31,6 @@ from ranking_market import (
     matchers,
     prices_from_weights,
     property_sweep,
-    trial_rng,
 )
 from ranking_market.analysis import (
     _IDENTITY_TOL,
@@ -38,7 +39,13 @@ from ranking_market.analysis import (
     _property_block,
     _random_tuples,
 )
-from helpers import availability_nested, random_tuple, reference_assignment, without_right_vertex
+from helpers import (
+    availability_nested,
+    fixed_tuple,
+    random_tuple,
+    reference_assignment,
+    without_right_vertex,
+)
 
 
 def reference_tuple(instance, max_side: int, seed: int, t: int):
@@ -49,10 +56,8 @@ def reference_tuple(instance, max_side: int, seed: int, t: int):
         sigma = ArrivalOrder(order)
     else:
         inst = instance
-        rng = trial_rng(seed, t)
-        sigma = ArrivalOrder.random(inst.n_left, rng)
-        weights = rng.random(inst.n_right)
-        buyer, item = inst.edges[int(rng.integers(inst.edge_count))]
+        order, weights, (buyer, item) = fixed_tuple(instance, seed, t)
+        sigma = ArrivalOrder(order)
     pa = prices_from_weights(weights, PriceScheme.EXPONENTIAL)
     prices, order = pa.prices, sigma.order
     full = reference_assignment(inst, prices, order)
@@ -138,6 +143,15 @@ def test_fixed_instance_tuples_match_the_reference_loop():
             assert tuple(weights[r].tolist()) == pa.weights, t
             assert (int(buyers[r]), int(items[r])) == chosen, t
             assert tuple(verdicts[r]) == expected, t
+
+
+def test_fixed_instance_tuples_reach_every_order_and_edge():
+    # kvv3: 3! arrival orders times 6 edges, 36 pairs, each with probability 1/36
+    inst = kvv_hard_instance(3)
+    rows, edge_buyers, edge_items = _instance_rows(inst)
+    _, orders, _, buyers, items = _fixed_tuples(rows, edge_buyers, edge_items, inst.n_right, 7, 0, 2000)
+    seen = {(tuple(o), (b, i)) for o, b, i in zip(orders.tolist(), buyers.tolist(), items.tolist())}
+    assert seen == set(itertools.product(itertools.permutations(range(3)), inst.edges))
 
 
 def test_blocks_are_sized_by_their_working_set(monkeypatch):
@@ -236,6 +250,6 @@ def test_an_instance_too_skewed_to_pad_is_rejected_before_any_tuple(monkeypatch)
     def no_work(*args):
         raise AssertionError("a tuple was drawn")
 
-    monkeypatch.setattr(analysis, "_trial_generators", no_work)
+    monkeypatch.setattr(analysis, "_trial_weights", no_work)
     with pytest.raises(ValueError, match="largest degree"):
         property_sweep(10, seed=1, instance=star)
