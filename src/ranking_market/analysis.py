@@ -37,7 +37,7 @@ from .instance import (
 )
 from .matchers import _assign_min_score, _block_size, _check_sigma, maximum_matching
 from .market import PriceAssignment, PriceScheme, _check_prices, _price_array, _settle_block
-from .streams import _trial_weights
+from .streams import _LONG_ROW, _trial_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -345,6 +345,7 @@ def _trial_chunk(
     sigma: ArrivalOrder,
     scheme: PriceScheme,
     observe,
+    width: int,
     block: int,
     seed: int,
     t0: int,
@@ -362,14 +363,21 @@ def _trial_chunk(
     _row_sum adds its rows, then those of x * x (squared in place), to the
     running totals one after another, so the sums equal those of a
     trial-by-trial loop to the bit, whatever the block size.
+
+    The chunk allocates one workspace [2, min(block, t1 - t0), width] for
+    its observer, and each block of B trials gets its views [:, :B], the
+    last, shorter block too. glibc hands a large array back to the system
+    when it is freed, so one allocated afresh for each block would be
+    faulted in again for each block.
     """
     adjacency = tuple(np.array(neighbors, dtype=np.intp) for neighbors in instance.adjacency)
     order, n_right = sigma.order, instance.n_right
+    space = np.empty((2, min(block, t1 - t0), width))
     total = total_sq = 0.0
     for b0 in range(t0, t1, block):
         w = _trial_weights(seed, b0, min(b0 + block, t1), n_right)
         prices = _price_array(w, scheme)
-        x = observe(w, prices, _assign_min_score(adjacency, prices, order))
+        x = observe(w, prices, _assign_min_score(adjacency, prices, order), out=space[:, : len(w)])
         first = x[:1].copy()
         total = _row_sum(x, total)
         x[:1] = first
@@ -388,56 +396,65 @@ def _estimate(
     jobs: int,
 ):
     """The totals of _trial_chunk over trials 0..trials-1, for any jobs, for
-    an observer of `width` values a trial. A trial holds at its peak about 6
-    cells per item (the stream's or the kernel's temporaries, the weights
-    and the prices), 2 per buyer (assignment and utility) and 2 per value
-    (the observer's output and the temporary it is built with). At 256-1024
-    trials a block tracemalloc reads 385-443 cells a trial on remark3 at
-    n = 50 (counted: 410) and 768-811 on ratio at kvv100 (802). Claim1's
-    210 edges at kvv20 read 732-736 (580), because _trial_chunk holds the
-    last block's values while it builds the next block's. Releasing them
-    first reads 522-526, but the freed memory goes back to the system and
-    the next block faults it in again: on a 2-vCPU VM that took 16.4k minor
-    page faults instead of 8.8k a 20480-trial sweep, and 9% of claim1's
-    trials a second at kvv20."""
-    cells = 6 * instance.n_right + 2 * instance.n_left + 2 * width
-    worker = partial(_trial_chunk, instance, sigma, scheme, observe, _block_size(cells), seed)
+    an observer of `width` values a trial. A trial holds at its peak 2
+    cells per value (the chunk's workspace, held all along), about 6 per
+    item (the stream's or the kernel's temporaries, the weights and the
+    prices, the last block's still held while the next is drawn), 2 per
+    buyer (assignment and utility) and 32 for the stream's seed words and
+    the settled block. tracemalloc over steady-state blocks reads 604 cells
+    a trial on claim1's 210 edges at kvv20 (counted: 612), 778 on ratio at
+    kvv100 (834) and 399 on remark3 at n = 50 (442). Releasing the last
+    block's weights and prices first frees little, and on ratio it doubled
+    the page faults: the freed memory goes back to the system and the next
+    block faults it in again."""
+    cells = 6 * instance.n_right + 2 * instance.n_left + 2 * width + 32
+    block = _block_size(cells)
+    worker = partial(_trial_chunk, instance, sigma, scheme, observe, width, block, seed)
     return _combine(_run_chunks(worker, trials, jobs))
 
 
 # Observers: what each estimator reads off a block of B market runs, given
 # the weights [B, n_right], the prices [B, n_right] and the assignments
 # [B, n_left] (-1 for an unserved buyer). Each returns a float array, [B] or
-# [B, k]. They are bound with partial into the chunk worker, which a forked
-# child inherits (_run_chunks): nothing about a chunk is pickled on its way
-# out, only its results on their way back.
+# [B, k]. Given out, the chunk's workspace [2, B, width], an observer whose
+# arrays are large (the edge values) builds them there; without it, every
+# observer allocates afresh. They are bound with partial into the chunk
+# worker, which a forked child inherits (_run_chunks): nothing about a chunk
+# is pickled on its way out, only its results on their way back.
 
 
-def _edge_values(buyers: np.ndarray, items: np.ndarray, w, prices, assignment) -> np.ndarray:
-    """[B, k]: util_i + rev_j for each edge (buyers[k], items[k])."""
+def _edge_values(buyers: np.ndarray, items: np.ndarray, w, prices, assignment, out=None):
+    """[B, k]: util_i + rev_j for each edge (buyers[k], items[k]), gathered
+    into out[0] and out[1] when out, [2, B, k] with C-ordered planes, is
+    given."""
     utils, revs = _settle_block(prices, assignment)
-    # take gives C-ordered [B, k] arrays, whose rows _row_sum adds in order
-    values = utils.take(buyers, axis=1)
-    values += revs.take(items, axis=1)
+    first, second = (None, None) if out is None else out
+    # the edges are checked (_require_edge): mode="raise" would gather into
+    # a copy of out first. take gives C-ordered [B, k] rows for _row_sum
+    values = utils.take(buyers, axis=1, out=first, mode="clip")
+    values += revs.take(items, axis=1, out=second, mode="clip")
     return values
 
 
-def _matching_size(w, prices, assignment) -> np.ndarray:
+def _matching_size(w, prices, assignment, out=None) -> np.ndarray:
     """[B]: the size of each market's matching."""
     return np.count_nonzero(assignment >= 0, axis=1).astype(float)
 
 
-def _welfare(buyers: np.ndarray, items: np.ndarray, w, prices, assignment) -> np.ndarray:
+def _welfare(buyers: np.ndarray, items: np.ndarray, w, prices, assignment, out=None):
     """[B, 3]: |M|, the sum of util + rev over the given edges, and whether
-    |M| fell below that sum."""
+    |M| fell below that sum. The edge values go into the first B·k cells of
+    each plane of out, if given."""
     size = _matching_size(w, prices, assignment)
-    values = _edge_values(buyers, items, w, prices, assignment)
+    if out is not None:
+        out = out.reshape(2, -1)[:, : size.size * buyers.size].reshape(2, size.size, -1)
+    values = _edge_values(buyers, items, w, prices, assignment, out)
     # in edge order: sum(axis=1) would add a C-ordered row pairwise
     edge_sum = reduce(operator.add, values.T, np.zeros(len(size)))
     return np.stack([size, edge_sum, size < edge_sum - _IDENTITY_TOL], axis=1)
 
 
-def _last_buyer(adjacency, w, exp_prices, assignment) -> np.ndarray:
+def _last_buyer(adjacency, w, exp_prices, assignment, out=None) -> np.ndarray:
     """[B, 5] on the triangular instance under exponential prices: the last
     edge's util + rev under exponential prices, the same under uniform
     prices, the last buyer is served, the last item is the priciest, served
@@ -717,9 +734,14 @@ def _tuple_cells(n_left: int, n_right: int, width: int, own_rows: bool) -> int:
     """Array cells one tuple adds to a block: the scores, assignments and
     per-arrival arrays of its two markets, plus, when its graph is its own
     (a random tuple), two per cell of its padded neighbor rows, for the rows
-    and for the doubles they are drawn from (_random_tuples)."""
+    and for the doubles they are drawn from (_random_tuples). A row shorter
+    than _LONG_ROW doubles comes from the batched stream, whose temporaries
+    take up to 6 cells a double and 32 a row before the rows are built."""
     cells = 8 * (n_left + n_right + width)
-    return cells + 2 * n_left * width if own_rows else cells
+    if not own_rows:
+        return cells
+    doubles = 5 + 2 * width + n_left * width
+    return max(cells + 2 * n_left * width, 6 * doubles + 32 if doubles < _LONG_ROW else 0)
 
 
 def _instance_rows(instance: BipartiteInstance):

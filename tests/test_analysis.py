@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -227,6 +228,67 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
             sizes.clear()
             assert repr(run()) == want, (block, run)
             assert max(sizes) == block
+
+
+BLOCK_RUNS = {
+    "edge values kvv20": lambda: edge_guarantee_sweep(
+        kvv_hard_instance(20), EXP, ArrivalOrder.identity(20), 10, 1),
+    "matching size kvv100": lambda: estimate_matching_size(
+        kvv_hard_instance(100), ArrivalOrder.identity(100), 10, 1),
+    "welfare kvv20": lambda: check_welfare_bound(
+        kvv_hard_instance(20), ArrivalOrder.identity(20), 10, 1),
+    "last buyer n50": lambda: last_buyer_report(50, 10, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
+def test_a_steady_state_block_peaks_within_its_counted_cells(monkeypatch, name):
+    # the chunk's workspace and its observer's arrays, over three blocks, so
+    # that anything a block keeps while the next is built shows
+    runs, counts = [], []
+    run_chunks, block_size = analysis._run_chunks, analysis._block_size
+
+    def capture(worker, trials, jobs):
+        runs.append(worker)
+        return run_chunks(worker, trials, jobs)
+
+    def count(cells):
+        counts.append(cells)
+        return block_size(cells)
+
+    monkeypatch.setattr(analysis, "_run_chunks", capture)
+    monkeypatch.setattr(analysis, "_block_size", count)
+    BLOCK_RUNS[name]()  # also fills the stream's caches
+    (worker,), (cells,) = runs, counts
+    block = worker.args[-2]
+    tracemalloc.start()
+    try:
+        worker(0, 3 * block)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * block)
+    finally:
+        tracemalloc.stop()
+    assert 0.75 * cells < peak <= cells
+
+
+def test_observers_without_a_workspace_return_arrays_of_their_own():
+    inst = kvv_hard_instance(20)
+    w = analysis._trial_weights(3, 0, 50, 20)
+    prices = analysis._price_array(w, EXP)
+    assignment = analysis._assign_min_score(inst.adjacency, prices, range(20))
+    edges = analysis._edge_arrays(inst.edges)
+    observers = [(partial(analysis._edge_values, *edges), 210), (analysis._matching_size, 1),
+                 (partial(analysis._welfare, *edges), 213),
+                 (partial(analysis._last_buyer, inst.adjacency), 5)]
+    for observe, width in observers:
+        first, second = observe(w, prices, assignment), observe(w, prices, assignment)
+        assert not np.shares_memory(first, second)
+        # the views a short last block gets of its chunk's workspace
+        in_space = observe(w, prices, assignment, out=np.empty((2, 64, width))[:, :50])
+        assert first.tobytes() == second.tobytes() == in_space.tobytes()
+    sigma = ArrivalOrder.identity(20)
+    sweep = repr(edge_guarantee_sweep(inst, EXP, sigma, 3000, 5))
+    check_welfare_bound(inst, sigma, 3000, 6)
+    assert repr(edge_guarantee_sweep(inst, EXP, sigma, 3000, 5)) == sweep
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,20 @@ comparisons. The batch must draw the same tuples and reach the same three
 verdicts, tuple by tuple. The mutant tests show that each
 property can fail inside the batch, which the all-zero counts of a working
 sweep cannot show.
+
+The sweep prints only violation counts, which stay 0 whatever tuples it
+checks, so no output digest can catch a block that draws the wrong tuples.
+The draw tests compare whole ``_random_tuples`` blocks with blocks built
+one tuple at a time by ``helpers.random_tuple``: every size class, seeds of
+one to three entropy words, a span of t crossing 2**32, and blocks too few
+to reach the largest sides, whose frames are trimmed further.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -39,6 +47,7 @@ from ranking_market.analysis import (
     _property_block,
     _random_tuples,
 )
+from ranking_market.instance import MAX_EDGES
 from helpers import (
     availability_nested,
     fixed_tuple,
@@ -128,6 +137,56 @@ def test_random_tuples_reach_every_graph_size_and_checked_edge():
     assert seen == {(l, r, b, i) for l in sides for r in sides for b in range(l) for i in range(r)}
 
 
+SEEDS = [0, 2**32 - 1, 2**32 + 5, 2**64 + 7]  # 1, 1, 2 and 3 entropy words
+# 5000 tuples a seed, half of them on either side of t = 2**32
+SPANS = [(0, 2500), (2**32 - 1250, 2**32 + 1250)]
+
+
+def reference_block(max_side: int, seed: int, t0: int, t1: int) -> tuple:
+    """Tuples t0..t1-1 drawn by helpers.random_tuple, padded as
+    _random_tuples pads them."""
+    draws = [random_tuple(max_side, seed, t) for t in range(t0, t1)]
+    size_l = max(inst.n_left for inst, _, _, _ in draws)
+    size_r = max(inst.n_right for inst, _, _, _ in draws)
+    rows = np.full((len(draws), size_l, size_r), size_r)
+    orders = np.tile(np.arange(size_l), (len(draws), 1))
+    padded = np.zeros((len(draws), size_r))
+    for r, (inst, order, weights, _) in enumerate(draws):
+        for i, j in inst.edges:
+            rows[r, i, j] = j
+        orders[r, : inst.n_left] = order
+        padded[r, : inst.n_right] = weights
+    buyers, items = np.array([edge for _, _, _, edge in draws]).T
+    return rows, orders, padded, buyers, items
+
+
+def check_seeded(max_side: int, seed: int, t0: int, t1: int, block: int = BLOCK) -> None:
+    """_random_tuples against the reference, block by block."""
+    names = ("rows", "orders", "weights", "buyers", "items")
+    for b0 in range(t0, t1, block):
+        b1 = min(b0 + block, t1)
+        got = _random_tuples(max_side, seed, b0, b1)
+        expected = reference_block(max_side, seed, b0, b1)
+        for name, a, b in zip(names, got, expected, strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b), (max_side, seed, b0, name)
+
+
+@pytest.mark.parametrize("max_side", [1, 2, 3, 10, 37])
+def test_random_tuple_blocks_equal_single_draws_for_any_seed_and_across_2_32(max_side):
+    # 4 seeds x 5000 tuples a size
+    for seed in SEEDS:
+        for t0, t1 in SPANS:
+            check_seeded(max_side, seed, t0, t1)
+
+
+@pytest.mark.parametrize("max_side", [37, 100])
+def test_random_tuple_blocks_below_the_largest_sides_equal_single_draws(max_side):
+    # four tuples rarely reach the largest sides: the coin frame, the keys
+    # and the weights are cut to the block's own
+    for seed in SEEDS:
+        check_seeded(max_side, seed, 2**32 - 64, 2**32 + 64, block=4)
+
+
 def test_fixed_instance_tuples_match_the_reference_loop():
     inst = kvv_hard_instance(7)
     seed, count = 29, 1500
@@ -173,6 +232,31 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
         monkeypatch.setattr(matchers, "_BLOCK_CELLS", cells)
         property_sweep(5, seed=3, instance=kvv_hard_instance(30))
         assert sizes == expected
+
+
+def test_tuple_cells_cover_every_row_of_doubles():
+    assert analysis._tuple_cells(10, 10, 10, own_rows=True) == 8 * 30 + 2 * 100
+    assert analysis._tuple_cells(10, 10, 10, own_rows=False) == 8 * 30
+    # two cells per padded cell cover a tuple's K = 5 + 2·m + m² doubles,
+    # at every size a sweep accepts
+    for m in range(1, math.isqrt(MAX_EDGES) + 1):
+        assert analysis._tuple_cells(m, m, m, own_rows=True) >= 5 + 2 * m + m * m
+
+
+@pytest.mark.parametrize("max_side", [3, 9, 10])
+def test_random_tuple_blocks_peak_within_their_counted_cells(max_side):
+    # below max_side 10 a row of doubles is shorter than streams._LONG_ROW
+    # and comes from the batched stream, whose temporaries set the peak
+    cells = analysis._tuple_cells(max_side, max_side, max_side, own_rows=True)
+    block = matchers._block_size(cells)
+    analysis._property_chunk(None, max_side, 5, 0, block)  # fills the stream's caches
+    tracemalloc.start()
+    try:
+        analysis._property_chunk(None, max_side, 5, 0, 3 * block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * cells * block
 
 
 def test_the_padded_neighbor_rows_are_shared_not_copied(monkeypatch):
