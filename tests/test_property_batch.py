@@ -14,10 +14,10 @@ sweep cannot show.
 
 The sweep prints only violation counts, which stay 0 whatever tuples it
 checks, so no output digest can catch a block that draws the wrong tuples.
-The draw tests compare whole ``_random_tuples`` blocks with blocks built
-one tuple at a time by ``helpers.random_tuple``: every size class, seeds of
-one to three entropy words, a span of t crossing 2**32, and blocks too few
-to reach the largest sides, whose frames are trimmed further.
+The draw test here compares ``_random_tuples`` blocks too few to reach the
+largest sides, whose frames are trimmed further, with blocks built one
+tuple at a time by ``helpers.random_tuple``; ``test_tuple_decoder.py``
+does so for every size class and a span of t crossing 2**32.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ from ranking_market.analysis import (
 )
 from ranking_market.instance import MAX_EDGES
 from helpers import (
+    TUPLE_SEEDS,
     availability_nested,
+    check_random_tuple_blocks,
     fixed_tuple,
     random_tuple,
     reference_assignment,
@@ -137,54 +139,12 @@ def test_random_tuples_reach_every_graph_size_and_checked_edge():
     assert seen == {(l, r, b, i) for l in sides for r in sides for b in range(l) for i in range(r)}
 
 
-SEEDS = [0, 2**32 - 1, 2**32 + 5, 2**64 + 7]  # 1, 1, 2 and 3 entropy words
-# 5000 tuples a seed, half of them on either side of t = 2**32
-SPANS = [(0, 2500), (2**32 - 1250, 2**32 + 1250)]
-
-
-def reference_block(max_side: int, seed: int, t0: int, t1: int) -> tuple:
-    """Tuples t0..t1-1 drawn by helpers.random_tuple, padded as
-    _random_tuples pads them."""
-    draws = [random_tuple(max_side, seed, t) for t in range(t0, t1)]
-    size_l = max(inst.n_left for inst, _, _, _ in draws)
-    size_r = max(inst.n_right for inst, _, _, _ in draws)
-    rows = np.full((len(draws), size_l, size_r), size_r)
-    orders = np.tile(np.arange(size_l), (len(draws), 1))
-    padded = np.zeros((len(draws), size_r))
-    for r, (inst, order, weights, _) in enumerate(draws):
-        for i, j in inst.edges:
-            rows[r, i, j] = j
-        orders[r, : inst.n_left] = order
-        padded[r, : inst.n_right] = weights
-    buyers, items = np.array([edge for _, _, _, edge in draws]).T
-    return rows, orders, padded, buyers, items
-
-
-def check_seeded(max_side: int, seed: int, t0: int, t1: int, block: int = BLOCK) -> None:
-    """_random_tuples against the reference, block by block."""
-    names = ("rows", "orders", "weights", "buyers", "items")
-    for b0 in range(t0, t1, block):
-        b1 = min(b0 + block, t1)
-        got = _random_tuples(max_side, seed, b0, b1)
-        expected = reference_block(max_side, seed, b0, b1)
-        for name, a, b in zip(names, got, expected, strict=True):
-            assert a.shape == b.shape and np.array_equal(a, b), (max_side, seed, b0, name)
-
-
-@pytest.mark.parametrize("max_side", [1, 2, 3, 10, 37])
-def test_random_tuple_blocks_equal_single_draws_for_any_seed_and_across_2_32(max_side):
-    # 4 seeds x 5000 tuples a size
-    for seed in SEEDS:
-        for t0, t1 in SPANS:
-            check_seeded(max_side, seed, t0, t1)
-
-
 @pytest.mark.parametrize("max_side", [37, 100])
 def test_random_tuple_blocks_below_the_largest_sides_equal_single_draws(max_side):
     # four tuples rarely reach the largest sides: the coin frame, the keys
     # and the weights are cut to the block's own
-    for seed in SEEDS:
-        check_seeded(max_side, seed, 2**32 - 64, 2**32 + 64, block=4)
+    for seed in TUPLE_SEEDS:
+        check_random_tuple_blocks(max_side, seed, 2**32 - 64, 2**32 + 64, block=4)
 
 
 def test_fixed_instance_tuples_match_the_reference_loop():
