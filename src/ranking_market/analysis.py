@@ -22,7 +22,7 @@ import pickle
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from itertools import chain
+from itertools import accumulate, chain
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -87,20 +87,6 @@ class EstimateWithCI:
         return self.half_width / _z(self.level)
 
 
-def _finish(total: float, total_sq: float, trials: int, seed: int, level: float) -> EstimateWithCI:
-    mean = total / trials
-    if trials > 1:
-        # clamp: total_sq - total^2/trials can go epsilon-negative when the
-        # summands are all identical
-        var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
-        half_width = _z(level) * math.sqrt(var / trials)
-    else:
-        half_width = 0.0
-    return EstimateWithCI(
-        mean=mean, half_width=half_width, trials=trials, seed=seed, level=level
-    )
-
-
 def _check_run(trials: int, jobs: int, level: float | None = None) -> None:
     """Every estimator's first step: bad arguments fail before any setup."""
     if level is not None:
@@ -112,48 +98,62 @@ def _check_run(trials: int, jobs: int, level: float | None = None) -> None:
 
 
 def _run_chunks(worker, trials: int, jobs: int) -> list:
-    """worker(t0, t1) for every chunk of _CHUNK_TRIALS trials, in chunk
-    order. With W = min(jobs, chunks, CPUs) > 1, share k is every W-th chunk
-    from chunk k: this process runs share 0 and one forked child runs each
-    other share, sending its results back through a pipe. Every child is
-    reaped before this returns or raises (SIGKILLed first on an error or
-    interrupt here), so none outlives the call and RUSAGE_CHILDREN holds
-    their CPU time. Without os.fork the chunks run here; the results are the
-    same either way. A fork copies only the calling thread: the package
-    starts no threads, and a caller that runs threads of its own should
-    keep jobs at 1."""
-    spans = [(t0, min(t0 + _CHUNK_TRIALS, trials)) for t0 in range(0, trials, _CHUNK_TRIALS)]
-    workers = min(jobs, len(spans), os.cpu_count() or 1)
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [worker(t0, t1) for t0, t1 in spans]
-    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    """The column-wise totals of worker(t0, t1) over every chunk of
+    _CHUNK_TRIALS trials, each chunk added as it arrives and in chunk order,
+    ((c0 + c1) + c2) + ..., so the totals are the same floats for every jobs
+    setting and only the running totals and the chunk being added are held.
+    With W = min(jobs, chunks, CPUs) > 1, chunk c belongs to share c % W:
+    this process runs share 0 and one forked child runs each other share,
+    sending each chunk's results through a pipe as it finishes. Every child
+    is SIGKILLed and reaped before this returns or raises, so none outlives
+    the call and RUSAGE_CHILDREN holds their CPU time. Without os.fork the
+    chunks run here; the results are the same either way. A fork copies
+    only the calling thread: the package starts no threads, and a caller
+    that runs threads of its own should keep jobs at 1."""
+    chunks = range(0, trials, _CHUNK_TRIALS)
+    workers = min(jobs, len(chunks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+
+    def run(t0: int):
+        return worker(t0, min(t0 + _CHUNK_TRIALS, trials))
+
+    children = {}  # share: (pid, read end of its pipe) of each child not yet reaped
     try:
         for k in range(1, workers):
-            children.append(_fork_share(worker, spans[k::workers]))
-        shares = [[worker(t0, t1) for t0, t1 in spans[::workers]]]
-        while children:
-            shares.append(_receive_share(children))
+            children[k] = _fork_share(run, chunks[k::workers])
+        parts = (
+            _receive(children, c % workers) if c % workers else run(t0)
+            for c, t0 in enumerate(chunks)
+        )
+        # column by column; accumulate lets go of each part once it is
+        # added, where reduce would hold the last one while the next is made
+        for total in accumulate(parts, lambda total, part: [*map(operator.add, total, part)]):
+            pass
+        return total
     finally:
-        _kill(children)
-    parts = [None] * len(spans)
-    for k, share in enumerate(shares):
-        parts[k::workers] = share
-    return parts
+        for k in list(children):
+            _reap(children, k)
 
 
-def _fork_share(worker, share: list) -> tuple:
-    """Fork a child that runs worker over the spans of `share` and writes one
-    pickled (ok, value) to a pipe: (True, its results) or (False, the
-    exception it raised). The child never returns from here."""
+def _fork_share(run, share: range) -> tuple:
+    """Fork a child that calls run(t0) for each chunk t0 of `share`, in
+    order, and writes one pickled (ok, value) a chunk to a pipe: (True, the
+    chunk's results) or, last, (False, the exception it raised). The child
+    never returns from here."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            payload = _share_payload(worker, share)
             with open(write_end, "wb") as pipe:
-                pipe.write(payload)
+                for t0 in share:
+                    ok, payload = _chunk_payload(run, t0)
+                    pipe.write(payload)
+                    # unflushed, a chunk would wait in the buffer while the
+                    # parent waits for it
+                    pipe.flush()
+                    if not ok:
+                        break
             status = 0
         finally:
             os._exit(status)
@@ -161,60 +161,44 @@ def _fork_share(worker, share: list) -> tuple:
     return pid, open(read_end, "rb")
 
 
-def _share_payload(worker, share: list) -> bytes:
+def _chunk_payload(run, t0: int) -> tuple[bool, bytes]:
     # any exception, an interrupt too, goes to the parent, which raises it
     try:
-        return pickle.dumps((True, [worker(t0, t1) for t0, t1 in share]))
+        return True, pickle.dumps((True, run(t0)))
     except BaseException as exc:
         try:
-            return pickle.dumps((False, exc))
+            return False, pickle.dumps((False, exc))
         except Exception:
             reason = f"a chunk worker raised {type(exc).__name__}: {exc} (not picklable)"
-            return pickle.dumps((False, RuntimeError(reason)))
+            return False, pickle.dumps((False, RuntimeError(reason)))
 
 
-def _receive_share(children: list) -> list:
-    """Read the first child's payload to EOF, reap it, drop it from
-    `children` and return its results, or raise the exception it sent.
-    A payload that is missing or cannot be read, or a nonzero exit status,
-    raises RuntimeError."""
-    pid, pipe = children[0]
-    with pipe:
-        payload = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    children.pop(0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0 or not payload:
-        raise RuntimeError(f"chunk worker {pid} exited with status {code} "
-                           f"after sending {len(payload)} bytes")
+def _receive(children: dict, k: int):
+    """The next chunk's results from the child of share k, or raise the
+    exception it sent. A child that sends nothing readable is reaped, and
+    RuntimeError gives its exit status."""
+    pid, pipe = children[k]
     try:
-        ok, value = pickle.loads(payload)
+        ok, value = pickle.load(pipe)
     except Exception as exc:
-        raise RuntimeError(f"chunk worker {pid} sent an unreadable result: {exc!r}") from None
+        code = _reap(children, k)
+        raise RuntimeError(f"chunk worker {pid} exited with status {code} "
+                           f"before sending its next chunk: {exc!r}") from None
     if not ok:
         raise value
     return value
 
 
-def _kill(children: list) -> None:
-    """SIGKILL and reap every child in `children`."""
-    if not children:
-        return
-    import signal  # only on this error path, to keep it out of start-up
+def _reap(children: dict, k: int) -> int:
+    """SIGKILL the child of share k (once it has exited, that changes
+    nothing), reap it, drop it from `children` and return its exit code."""
+    import signal  # here, to keep it out of start-up
 
-    for pid, pipe in children:
-        pipe.close()
-        with suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-        with suppress(ChildProcessError):
-            os.waitpid(pid, 0)
-    children.clear()
-
-
-def _combine(parts: list) -> list:
-    """Column-wise totals of the chunk results, added in chunk order, so the
-    floating-point totals are the same for every jobs setting."""
-    return [reduce(operator.add, column) for column in zip(*parts)]
+    pid, pipe = children.pop(k)
+    pipe.close()
+    with suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +378,13 @@ def _estimate(
     trials: int,
     seed: int,
     jobs: int,
-):
-    """The totals of _trial_chunk over trials 0..trials-1, for any jobs, for
-    an observer of `width` values a trial. A trial holds at its peak 2
-    cells per value (the chunk's workspace, held all along), about 6 per
-    item (the stream's or the kernel's temporaries, the weights and the
+    level: float,
+) -> list[EstimateWithCI]:
+    """One estimate for each value the observer returns a trial, read from
+    the totals of _trial_chunk over trials 0..trials-1, for any jobs. The
+    observer's workspace holds `width` values a trial. A trial holds at its
+    peak 2 cells per value (the chunk's workspace, held all along), about 6
+    per item (the stream's or the kernel's temporaries, the weights and the
     prices, the last block's still held while the next is drawn), 2 per
     buyer (assignment and utility) and 32 for the stream's seed words and
     the settled block. tracemalloc over steady-state blocks reads 604 cells
@@ -410,7 +396,15 @@ def _estimate(
     cells = 6 * instance.n_right + 2 * instance.n_left + 2 * width + 32
     block = _block_size(cells)
     worker = partial(_trial_chunk, instance, sigma, scheme, observe, width, block, seed)
-    return _combine(_run_chunks(worker, trials, jobs))
+    totals, squares = (np.atleast_1d(x).tolist() for x in _run_chunks(worker, trials, jobs))
+    z = _z(level)
+    estimates = []
+    for total, total_sq in zip(totals, squares):
+        var = (total_sq - total * total / trials) / (trials - 1) if trials > 1 else 0.0
+        # clamp: var can go epsilon-negative when the summands are all identical
+        half_width = z * math.sqrt(max(0.0, var) / trials)
+        estimates.append(EstimateWithCI(total / trials, half_width, trials, seed, level))
+    return estimates
 
 
 # Observers: what each estimator reads off a block of B market runs, given
@@ -492,26 +486,6 @@ def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
     return buyers, items
 
 
-def estimate_edge_guarantee(
-    instance: BipartiteInstance,
-    buyer: int,
-    item: int,
-    scheme: PriceScheme | str,
-    sigma: ArrivalOrder,
-    trials: int,
-    seed: int,
-    *,
-    level: float = 0.999,
-    jobs: int = 1,
-) -> EstimateWithCI:
-    """Monte Carlo estimate of E[util_buyer + rev_item] over fresh weight
-    draws per trial, with the arrival order held fixed."""
-    estimates = edge_guarantee_sweep(
-        instance, scheme, sigma, trials, seed, level=level, jobs=jobs, edges=[(buyer, item)]
-    )
-    return estimates[(buyer, item)]
-
-
 def edge_guarantee_sweep(
     instance: BipartiteInstance,
     scheme: PriceScheme | str,
@@ -524,8 +498,8 @@ def edge_guarantee_sweep(
     edges: list[tuple[int, int]] | None = None,
 ) -> dict[tuple[int, int], EstimateWithCI]:
     """Per-edge guarantee estimates for every requested edge (default: all
-    edges), sharing one market simulation per trial. Identical to calling
-    estimate_edge_guarantee per edge with the same seed."""
+    edges), sharing one market simulation per trial. An edge's estimate
+    does not depend on which other edges are swept with it."""
     _check_run(trials, jobs, level)
     if edges is None:
         edges = list(instance.edges)
@@ -534,13 +508,10 @@ def edge_guarantee_sweep(
     if not edges:
         raise ValueError("instance has no edges to sweep")
     observe = partial(_edge_values, *_edge_arrays(edges))
-    sum_x, sumsq_x = _estimate(
-        instance, sigma, PriceScheme(scheme), observe, len(edges), trials, seed, jobs
+    estimates = _estimate(
+        instance, sigma, PriceScheme(scheme), observe, len(edges), trials, seed, jobs, level
     )
-    return {
-        edge: _finish(float(sum_x[k]), float(sumsq_x[k]), trials, seed, level)
-        for k, edge in enumerate(edges)
-    }
+    return dict(zip(edges, estimates))
 
 
 def estimate_matching_size(
@@ -555,10 +526,10 @@ def estimate_matching_size(
     """Monte Carlo estimate of RANKING's expected matching size, run as the
     exponential-price market with fresh weights per trial."""
     _check_run(trials, jobs, level)
-    total, total_sq = _estimate(
-        instance, sigma, PriceScheme.EXPONENTIAL, _matching_size, 1, trials, seed, jobs
+    (size,) = _estimate(
+        instance, sigma, PriceScheme.EXPONENTIAL, _matching_size, 1, trials, seed, jobs, level
     )
-    return _finish(float(total), float(total_sq), trials, seed, level)
+    return size
 
 
 def estimate_competitive_ratio(
@@ -618,15 +589,15 @@ def check_welfare_bound(
     optimum_pairs = maximum_matching(instance).pairs
     observe = partial(_welfare, *_edge_arrays(optimum_pairs))
     width = 3 + len(optimum_pairs)  # it holds M*'s edge values until it sums them
-    total, total_sq = _estimate(
-        instance, sigma, PriceScheme.EXPONENTIAL, observe, width, trials, seed, jobs
+    size, edge_sum, below = _estimate(
+        instance, sigma, PriceScheme.EXPONENTIAL, observe, width, trials, seed, jobs, level
     )
     return WelfareBound(
-        matching_size=_finish(float(total[0]), float(total_sq[0]), trials, seed, level),
-        matched_edge_sum=_finish(float(total[1]), float(total_sq[1]), trials, seed, level),
+        matching_size=size,
+        matched_edge_sum=edge_sum,
         lower_bound=GUARANTEE * len(optimum_pairs),
         optimum=len(optimum_pairs),
-        pointwise_violations=int(total[2]),
+        pointwise_violations=round(below.mean * trials),  # exact below 2**51 trials
     )
 
 
@@ -677,22 +648,20 @@ def last_buyer_report(
         raise ValueError("the report needs n >= 2")
     instance = kvv_hard_instance(n)
     observe = partial(_last_buyer, instance.adjacency)
-    total, total_sq = _estimate(
+    exponential, uniform, served, priciest, bad = _estimate(
         instance, ArrivalOrder.identity(n), PriceScheme.EXPONENTIAL, observe, 5,
-        trials, seed, jobs,
+        trials, seed, jobs, level,
     )
-    served, priciest, bad = (int(c) for c in total[2:])
-    # Bernoulli sums: the sum of squares equals the sum
     return LastBuyerReport(
         n=n,
         trials=trials,
         seed=seed,
         level=level,
-        exponential=_finish(float(total[0]), float(total_sq[0]), trials, seed, level),
-        uniform=_finish(float(total[1]), float(total_sq[1]), trials, seed, level),
-        service_probability=_finish(served, served, trials, seed, level),
-        priciest_last_probability=_finish(priciest, priciest, trials, seed, level),
-        service_without_priciest=bad,
+        exponential=exponential,
+        uniform=uniform,
+        service_probability=served,
+        priciest_last_probability=priciest,
+        service_without_priciest=round(bad.mean * trials),  # exact below 2**51 trials
         reference_probability=1.0 / n,
     )
 
@@ -948,7 +917,7 @@ def property_sweep(
                 f"{cells} cells exceed {_MAX_ROW_CELLS}"
             )
     worker = partial(_property_chunk, instance, max_side, seed)
-    p1, p2, mono = _combine(_run_chunks(worker, trials, jobs))
+    p1, p2, mono = _run_chunks(worker, trials, jobs)
     return PropertySweep(
         trials=trials,
         seed=seed,

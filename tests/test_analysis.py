@@ -21,7 +21,6 @@ from ranking_market import (
     counterfactual,
     edge_guarantee_sweep,
     estimate_competitive_ratio,
-    estimate_edge_guarantee,
     estimate_matching_size,
     greedy,
     kvv_hard_instance,
@@ -144,9 +143,9 @@ def test_property_sweep_rejects_edgeless_instance():
 
 def test_edge_guarantee_single_edge_is_exactly_one():
     inst = make_instance(1, 1, [(0, 0)])
-    est = estimate_edge_guarantee(
-        inst, 0, 0, EXP, ArrivalOrder.identity(1), trials=2000, seed=3
-    )
+    (est,) = edge_guarantee_sweep(
+        inst, EXP, ArrivalOrder.identity(1), trials=2000, seed=3, edges=[(0, 0)]
+    ).values()
     assert est.mean == 1.0
     assert est.half_width == 0.0
 
@@ -154,17 +153,18 @@ def test_edge_guarantee_single_edge_is_exactly_one():
 def test_edge_guarantee_requires_edge():
     inst = kvv_hard_instance(2)
     with pytest.raises(ValueError):
-        estimate_edge_guarantee(inst, 1, 0, EXP, ArrivalOrder.identity(2), 100, 1)
+        edge_guarantee_sweep(inst, EXP, ArrivalOrder.identity(2), 100, 1, edges=[(1, 0)])
 
 
 def test_sweep_matches_single_edge_estimates():
+    # a one-edge sweep equals that edge's entry in the full sweep
     inst = kvv_hard_instance(4)
     sigma = ArrivalOrder.identity(4)
     swept = edge_guarantee_sweep(inst, EXP, sigma, trials=3000, seed=5)
     assert set(swept) == set(inst.edges)
-    for buyer, item in inst.edges:
-        single = estimate_edge_guarantee(inst, buyer, item, EXP, sigma, 3000, 5)
-        assert single == swept[(buyer, item)]
+    for edge in inst.edges:
+        single = edge_guarantee_sweep(inst, EXP, sigma, 3000, 5, edges=[edge])
+        assert single == {edge: swept[edge]}
 
 
 def test_guarantee_holds_for_every_arrival_order():
@@ -200,7 +200,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
     sigma = ArrivalOrder.random(9, np.random.default_rng(13))
     runs = [
         partial(edge_guarantee_sweep, inst, EXP, sigma, 2100, 5),
-        partial(estimate_edge_guarantee, inst, *inst.edges[3], UNI, sigma, 2100, 8),
+        partial(edge_guarantee_sweep, inst, UNI, sigma, 2100, 8, edges=[inst.edges[3]]),
         partial(check_welfare_bound, inst, sigma, 2100, 9),
         partial(estimate_matching_size, kvv_hard_instance(20), ArrivalOrder.reversed(20), 2100, 6),
         partial(last_buyer_report, 30, 2100, 7),
@@ -345,7 +345,8 @@ def golden_results() -> list:
         for jobs in (1, 2):
             out.append(edge_guarantee_sweep(kvv5, scheme, ident, 4500, 3, jobs=jobs))
         out.append(edge_guarantee_sweep(rand, scheme, sigma, 700, 4, level=0.95))
-        out.append(estimate_edge_guarantee(rand, *rand.edges[-1], scheme, sigma, 500, 9))
+        one_edge = edge_guarantee_sweep(rand, scheme, sigma, 500, 9, edges=[rand.edges[-1]])
+        out.append(one_edge[rand.edges[-1]])
     out.append(check_welfare_bound(kvv5, ident, 1500, 5))
     out.append(check_welfare_bound(rand, sigma, 1500, 6, level=0.9))
     out.append(estimate_matching_size(kvv5, ident, 900, 10))
@@ -370,7 +371,7 @@ def _every_estimator(inst, sigma, trials, **kw):
     """Call each Monte Carlo entry point once with the given keywords."""
     return [
         lambda: edge_guarantee_sweep(inst, EXP, sigma, trials, 1, **kw),
-        lambda: estimate_edge_guarantee(inst, 0, 0, UNI, sigma, trials, 1, **kw),
+        lambda: edge_guarantee_sweep(inst, UNI, sigma, trials, 1, edges=[(0, 0)], **kw),
         lambda: estimate_matching_size(inst, sigma, trials, 1, **kw),
         lambda: estimate_competitive_ratio(inst, sigma, trials, 1, **kw),
         lambda: check_welfare_bound(inst, sigma, trials, 1, **kw),
@@ -632,7 +633,7 @@ def test_edge_guarantee_agrees_with_direct_average():
     sigma = ArrivalOrder.random(inst.n_left, np.random.default_rng(3))
     buyer, item = inst.edges[0]
     trials, seed = 400, 29
-    est = estimate_edge_guarantee(inst, buyer, item, EXP, sigma, trials, seed)
+    (est,) = edge_guarantee_sweep(inst, EXP, sigma, trials, seed, edges=[(buyer, item)]).values()
     total = 0.0
     for t in range(trials):
         w = trial_rng(seed, t).random(inst.n_right)

@@ -1,16 +1,19 @@
 """The fork-and-pipe chunk runner (analysis._run_chunks), with real forks:
-results equal to the bit for any jobs, a child's exception re-raised with
-its own type, a dead child reported as an internal error, and no child left
-behind in any case."""
+results equal to the bit for any jobs, totals added as the chunks arrive in
+bounded memory, a child's exception re-raised with its own type, a dead
+child reported as an internal error, and no child left behind in any case."""
 
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ranking_market import (
     ArrivalOrder,
     PriceScheme,
     analysis,
+    check_welfare_bound,
     edge_guarantee_sweep,
     kvv_hard_instance,
     last_buyer_report,
@@ -49,6 +52,50 @@ def test_forked_runs_equal_the_sequential_run_to_the_bit(monkeypatch, jobs):
         assert estimator(jobs) == sequential
         assert len(forks) == jobs - 1
         forks.clear()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_totals_are_added_as_the_chunks_arrive(monkeypatch, jobs):
+    # 40 chunks of 1 MB results: held until the last chunk, they would take
+    # 40 MB here; added as they arrive, a total, a chunk and their sum
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+    chunks = 40
+
+    def worker(t0, t1):
+        return np.full(1 << 17, float(t0)), t1 - t0
+
+    tracemalloc.start()
+    try:
+        total, trials = analysis._run_chunks(worker, chunks * 2048, jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert trials == chunks * 2048
+    assert (total == 2048 * chunks * (chunks - 1) / 2).all()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_counts_are_read_back_exactly(monkeypatch, jobs):
+    # every trial flagged: the counts come back through the estimates'
+    # means, over two full chunks and one trial
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+    trials = 2 * 2048 + 1
+    welfare, last_buyer = analysis._welfare, analysis._last_buyer
+
+    def flag(observe, column):
+        def flagged(*args, **kwargs):
+            x = observe(*args, **kwargs)
+            x[:, column] = 1.0
+            return x
+
+        return flagged
+
+    monkeypatch.setattr(analysis, "_welfare", flag(welfare, 2))
+    monkeypatch.setattr(analysis, "_last_buyer", flag(last_buyer, 4))
+    bound = check_welfare_bound(kvv_hard_instance(5), ArrivalOrder.identity(5), trials, 3, jobs=jobs)
+    assert bound.pointwise_violations == trials
+    assert last_buyer_report(5, trials, 3, jobs=jobs).service_without_priciest == trials
 
 
 def test_without_fork_the_chunks_run_in_process(monkeypatch):

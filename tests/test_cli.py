@@ -393,9 +393,10 @@ def test_cli_output_matches_the_golden_digest(tmp_path, capsys):
 
 
 def test_start_up_imports_no_module_a_run_may_not_need():
-    # the chunk runner forks without a process pool, a fresh seed comes from
-    # os.urandom and json is imported only for JSON output
-    unneeded = ["concurrent.futures", "multiprocessing", "secrets", "hashlib", "json"]
+    # the chunk runner forks without a process pool and imports signal only
+    # to reap its children, a fresh seed comes from os.urandom and json is
+    # imported only for JSON output
+    unneeded = ["concurrent.futures", "multiprocessing", "secrets", "hashlib", "json", "signal"]
     script = f"import ranking_market.cli, sys; print([m for m in {unneeded!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
