@@ -43,8 +43,8 @@ GUARANTEE = 1.0 - 1.0 / math.e
 
 _IDENTITY_TOL = 1e-9
 
-# Trials are accumulated in fixed-size blocks and block partials are combined
-# in block order, so parallel and sequential execution produce identical
+# Trials are accumulated in fixed-size chunks and chunk totals are added in
+# chunk order, so parallel and sequential execution produce identical
 # floating-point results.
 _CHUNK_TRIALS = 2048
 
@@ -87,7 +87,7 @@ class EstimateWithCI:
         return self.half_width / _z(self.level)
 
 
-def _check_run(trials: int, jobs: int, level: float | None = None) -> None:
+def _check_run(trials: int, jobs: int, level: float | None = None, instance=None, sigma=None):
     """Every estimator's first step: bad arguments fail before any setup."""
     if level is not None:
         _z(level)
@@ -95,6 +95,8 @@ def _check_run(trials: int, jobs: int, level: float | None = None) -> None:
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if sigma is not None:
+        _check_sigma(instance, sigma)
 
 
 def _run_chunks(worker, trials: int, jobs: int) -> list:
@@ -324,49 +326,42 @@ def _row_sum(x: np.ndarray, total):
     return np.add.reduce(np.ascontiguousarray(x), axis=0)
 
 
-def _trial_chunk(
-    instance: BipartiteInstance,
-    sigma: ArrivalOrder,
-    scheme: PriceScheme,
-    observe,
-    width: int,
-    block: int,
-    seed: int,
-    t0: int,
-    t1: int,
-):
-    """Run one market per trial t0..t1-1 and return the sums of
-    x = observe(weights, prices, assignments) and of x * x, added in trial
-    order.
-
-    Trials run in blocks of up to `block`. A block's weights W [B, n_right]
-    come from one _trial_weights call (row r is
-    trial_rng(seed, t).random(n_right) for its trial t, to the bit), its
-    prices P [B, n_right] from the one price rule and its assignments
-    A [B, n_left] (-1: unserved) from one kernel call. x is [B] or [B, k].
-    _row_sum adds its rows, then those of x * x (squared in place), to the
+def _trial_chunk(simulate, width: int, block: int, seed: int, t0: int, t1: int):
+    """The sums of x and of x * x over trials t0..t1-1, where x =
+    simulate(seed, b0, b1, out) is a float array [B] or [B, k] for the
+    trials b0..b1-1 of a block of up to `block`: estimator markets
+    (_market_block) or property tuples (_property_violations). _row_sum
+    adds the rows of x, then those of x * x (squared in place), to the
     running totals one after another, so the sums equal those of a
     trial-by-trial loop to the bit, whatever the block size.
 
     The chunk allocates one workspace [2, min(block, t1 - t0), width] for
-    its observer, and each block of B trials gets its views [:, :B], the
-    last, shorter block too. glibc hands a large array back to the system
-    when it is freed, so one allocated afresh for each block would be
-    faulted in again for each block.
-    """
-    adjacency = tuple(np.array(neighbors, dtype=np.intp) for neighbors in instance.adjacency)
-    order, n_right = sigma.order, instance.n_right
+    simulate, and each block of B trials gets its views [:, :B], the last,
+    shorter block too. glibc hands a large array back to the system when it
+    is freed, so one allocated afresh for each block would be faulted in
+    again for each block."""
     space = np.empty((2, min(block, t1 - t0), width))
     total = total_sq = 0.0
     for b0 in range(t0, t1, block):
-        w = _trial_weights(seed, b0, min(b0 + block, t1), n_right)
-        prices = _price_array(w, scheme)
-        x = observe(w, prices, _assign_min_score(adjacency, prices, order), out=space[:, : len(w)])
+        b1 = min(b0 + block, t1)
+        x = simulate(seed, b0, b1, out=space[:, : b1 - b0])
         first = x[:1].copy()
         total = _row_sum(x, total)
         x[:1] = first
         total_sq = _row_sum(np.multiply(x, x, out=x), total_sq)
     return total, total_sq
+
+
+def _market_block(adjacency, order, n_right, scheme, observe, seed, b0, b1, out):
+    """observe(weights, prices, assignments, out) over the markets of trials
+    b0..b1-1. The weights W [B, n_right] come from one _trial_weights call
+    (row r is trial_rng(seed, t).random(n_right) for its trial t, to the
+    bit), the prices P [B, n_right] from the one price rule and the
+    assignments A [B, n_left] (-1: unserved) from one kernel call on the
+    neighbor lists as index arrays."""
+    w = _trial_weights(seed, b0, b1, n_right)
+    prices = _price_array(w, scheme)
+    return observe(w, prices, _assign_min_score(adjacency, prices, order), out=out)
 
 
 def _estimate(
@@ -387,15 +382,17 @@ def _estimate(
     per item (the stream's or the kernel's temporaries, the weights and the
     prices, the last block's still held while the next is drawn), 2 per
     buyer (assignment and utility) and 32 for the stream's seed words and
-    the settled block. tracemalloc over steady-state blocks reads 604 cells
-    a trial on claim1's 210 edges at kvv20 (counted: 612), 778 on ratio at
-    kvv100 (834) and 399 on remark3 at n = 50 (442). Releasing the last
+    the settled block. tracemalloc over steady-state blocks reads 588 cells
+    a trial on claim1's 210 edges at kvv20 (counted: 612), 758 on ratio at
+    kvv100 (834) and 394 on remark3 at n = 50 (442). Releasing the last
     block's weights and prices first frees little, and on ratio it doubled
     the page faults: the freed memory goes back to the system and the next
     block faults it in again."""
     cells = 6 * instance.n_right + 2 * instance.n_left + 2 * width + 32
     block = _block_size(cells)
-    worker = partial(_trial_chunk, instance, sigma, scheme, observe, width, block, seed)
+    adjacency = tuple(np.array(neighbors, dtype=np.intp) for neighbors in instance.adjacency)
+    simulate = partial(_market_block, adjacency, sigma.order, instance.n_right, scheme, observe)
+    worker = partial(_trial_chunk, simulate, width, block, seed)
     totals, squares = (np.atleast_1d(x).tolist() for x in _run_chunks(worker, trials, jobs))
     z = _z(level)
     estimates = []
@@ -423,8 +420,8 @@ def _edge_values(buyers: np.ndarray, items: np.ndarray, w, prices, assignment, o
     given."""
     utils, revs = _settle_block(prices, assignment)
     first, second = (None, None) if out is None else out
-    # the edges are checked (_require_edge): mode="raise" would gather into
-    # a copy of out first. take gives C-ordered [B, k] rows for _row_sum
+    # the edges are checked or the instance's own: mode="raise" would gather
+    # into a copy of out first. take gives C-ordered [B, k] rows for _row_sum
     values = utils.take(buyers, axis=1, out=first, mode="clip")
     values += revs.take(items, axis=1, out=second, mode="clip")
     return values
@@ -500,11 +497,10 @@ def edge_guarantee_sweep(
     """Per-edge guarantee estimates for every requested edge (default: all
     edges), sharing one market simulation per trial. An edge's estimate
     does not depend on which other edges are swept with it."""
-    _check_run(trials, jobs, level)
-    if edges is None:
-        edges = list(instance.edges)
-    for buyer, item in edges:
+    _check_run(trials, jobs, level, instance, sigma)
+    for buyer, item in edges or ():  # the instance's own edges need no check
         _require_edge(instance, buyer, item)
+    edges = list(instance.edges) if edges is None else edges
     if not edges:
         raise ValueError("instance has no edges to sweep")
     observe = partial(_edge_values, *_edge_arrays(edges))
@@ -525,7 +521,7 @@ def estimate_matching_size(
 ) -> EstimateWithCI:
     """Monte Carlo estimate of RANKING's expected matching size, run as the
     exponential-price market with fresh weights per trial."""
-    _check_run(trials, jobs, level)
+    _check_run(trials, jobs, level, instance, sigma)
     (size,) = _estimate(
         instance, sigma, PriceScheme.EXPONENTIAL, _matching_size, 1, trials, seed, jobs, level
     )
@@ -543,7 +539,7 @@ def estimate_competitive_ratio(
 ) -> tuple[EstimateWithCI, int]:
     """Estimate of RANKING's E[|M|] / |M*|, returned together with the
     offline optimum |M*|."""
-    _check_run(trials, jobs, level)
+    _check_run(trials, jobs, level, instance, sigma)
     optimum = maximum_matching(instance).size
     if optimum == 0:
         raise ValueError("competitive ratio is undefined on an instance with optimum 0")
@@ -585,7 +581,7 @@ def check_welfare_bound(
 ) -> WelfareBound:
     """Estimate E[|M|] under exponential prices next to the per-M*-edge sum
     of util+rev and the (1 - 1/e)|M*| lower bound."""
-    _check_run(trials, jobs, level)
+    _check_run(trials, jobs, level, instance, sigma)
     optimum_pairs = maximum_matching(instance).pairs
     observe = partial(_welfare, *_edge_arrays(optimum_pairs))
     width = 3 + len(optimum_pairs)  # it holds M*'s edge values until it sums them
@@ -804,7 +800,7 @@ def _counterfactual_verdicts(prices, full, reduced, buyers, items) -> np.ndarray
     cf_price, item_sold, utility = _counterfactual_block(prices, full, reduced, buyers, items)
     return np.stack([
         (prices[np.arange(len(items)), items] >= cf_price) | item_sold,
-        utility >= 1.0 - cf_price - _IDENTITY_TOL,
+        utility >= 1.0 - cf_price,
     ])
 
 
@@ -855,6 +851,12 @@ def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
     ])
 
 
+def _property_violations(tuples, seed: int, b0: int, b1: int, out) -> np.ndarray:
+    """[B, 3] in out[0]: 1.0 where a tuple of b0..b1-1 violates
+    sold_if_cheaper, utility_floor or monotone availability, else 0.0."""
+    return np.logical_not(_property_block(*tuples(seed, b0, b1)).T, out=out[0])
+
+
 def _property_chunk(
     instance: BipartiteInstance | None,
     max_side: int,
@@ -862,9 +864,10 @@ def _property_chunk(
     t0: int,
     t1: int,
 ):
-    """The violation counts of tuples t0..t1-1. Tuple t is a function of
-    one row of doubles from trial_rng(seed, t): a random graph with sides up
-    to max_side (_random_tuples) or the fixed instance (_fixed_tuples), the
+    """The totals of _trial_chunk over the violation indicators of tuples
+    t0..t1-1: each total is a count. Tuple t is a function of one row of
+    doubles from trial_rng(seed, t): a random graph with sides up to
+    max_side (_random_tuples) or the fixed instance (_fixed_tuples), the
     arrival order, the weights and the edge. A block's rows come from one
     _trial_weights call, as a block of estimator trials' weights do.
     Tuples are checked in blocks (_property_block) that _block_size sizes
@@ -878,12 +881,7 @@ def _property_chunk(
         rows, edge_buyers, edge_items = _instance_rows(instance)
         tuples = partial(_fixed_tuples, rows, edge_buyers, edge_items, instance.n_right)
         cells = _tuple_cells(instance.n_left, instance.n_right, rows.shape[2], own_rows=False)
-    block = _block_size(cells)
-    counts = np.zeros(3, dtype=np.int64)
-    for b0 in range(t0, t1, block):
-        counts += np.count_nonzero(~_property_block(*tuples(seed, b0, min(b0 + block, t1))), axis=1)
-    p1, p2, mono = counts.tolist()
-    return p1, p2, mono
+    return _trial_chunk(partial(_property_violations, tuples), 3, _block_size(cells), seed, t0, t1)
 
 
 def property_sweep(
@@ -916,8 +914,8 @@ def property_sweep(
                 f"property sweep pads every buyer's neighbors to the largest degree: "
                 f"{cells} cells exceed {_MAX_ROW_CELLS}"
             )
-    worker = partial(_property_chunk, instance, max_side, seed)
-    p1, p2, mono = _run_chunks(worker, trials, jobs)
+    totals, _ = _run_chunks(partial(_property_chunk, instance, max_side, seed), trials, jobs)
+    p1, p2, mono = (round(count) for count in totals.tolist())  # exact below 2**53 tuples
     return PropertySweep(
         trials=trials,
         seed=seed,

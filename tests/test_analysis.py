@@ -156,6 +156,24 @@ def test_edge_guarantee_requires_edge():
         edge_guarantee_sweep(inst, EXP, ArrivalOrder.identity(2), 100, 1, edges=[(1, 0)])
 
 
+def test_the_edge_sweep_checks_only_the_edges_it_is_given(monkeypatch):
+    # the instance's own edges need no check: on kvv1000's 500,500 edges
+    # the checks alone took seconds before the first trial
+    checked = []
+    require_edge = analysis._require_edge
+
+    def recording(instance, buyer, item):
+        checked.append((buyer, item))
+        return require_edge(instance, buyer, item)
+
+    monkeypatch.setattr(analysis, "_require_edge", recording)
+    inst, sigma = kvv_hard_instance(20), ArrivalOrder.identity(20)
+    assert len(edge_guarantee_sweep(inst, EXP, sigma, 10, 1)) == inst.edge_count
+    assert checked == []
+    edge_guarantee_sweep(inst, EXP, sigma, 10, 1, edges=[(19, 19)])
+    assert checked == [(19, 19)]
+
+
 def test_sweep_matches_single_edge_estimates():
     # a one-edge sweep equals that edge's entry in the full sweep
     inst = kvv_hard_instance(4)
@@ -420,6 +438,16 @@ def test_invalid_level_is_rejected_before_any_trial(monkeypatch, level):
     inst = kvv_hard_instance(3)
     for call in _every_estimator(inst, ArrivalOrder.identity(3), 1, level=level):
         with pytest.raises(ValueError, match="confidence level"):
+            call()
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_an_arrival_order_of_the_wrong_length_is_rejected_before_any_trial(monkeypatch, length):
+    _forbid_work(monkeypatch)
+    inst = kvv_hard_instance(3)
+    # all but last_buyer_report, which makes its own order
+    for call in _every_estimator(inst, ArrivalOrder.identity(length), 5000)[:-1]:
+        with pytest.raises(ValueError, match=f"arrival order has {length} entries, expected 3"):
             call()
 
 

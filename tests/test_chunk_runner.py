@@ -15,6 +15,7 @@ from ranking_market import (
     analysis,
     check_welfare_bound,
     edge_guarantee_sweep,
+    estimate_matching_size,
     kvv_hard_instance,
     last_buyer_report,
     property_sweep,
@@ -96,6 +97,28 @@ def test_counts_are_read_back_exactly(monkeypatch, jobs):
     bound = check_welfare_bound(kvv_hard_instance(5), ArrivalOrder.identity(5), trials, 3, jobs=jobs)
     assert bound.pointwise_violations == trials
     assert last_buyer_report(5, trials, 3, jobs=jobs).service_without_priciest == trials
+    # every tuple fails all three checks: the counts are the sweep's totals
+    monkeypatch.setattr(analysis, "_property_block",
+                        lambda *block: np.zeros((3, len(block[-1])), dtype=bool))
+    sweep = property_sweep(trials, 3, jobs=jobs)
+    assert sweep == analysis.PropertySweep(trials, 3, trials, trials, trials)
+
+
+def test_every_chunk_enters_the_one_block_loop_once(monkeypatch):
+    # perfbench counts the sweep's chunks as the calls of _property_chunk,
+    # which hands its blocks to _trial_chunk, the one block loop
+    trials = 2 * analysis._CHUNK_TRIALS + 1
+    entries = {"_property_chunk": 0, "_trial_chunk": 0}
+    for name in entries:
+        def counting(*args, real=getattr(analysis, name), name=name):
+            entries[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(analysis, name, counting)
+    property_sweep(trials, 3)
+    assert entries == {"_property_chunk": 3, "_trial_chunk": 3}
+    estimate_matching_size(kvv_hard_instance(5), ArrivalOrder.identity(5), trials, 3)
+    assert entries == {"_property_chunk": 3, "_trial_chunk": 6}
 
 
 def test_without_fork_the_chunks_run_in_process(monkeypatch):

@@ -41,7 +41,6 @@ from ranking_market import (
     property_sweep,
 )
 from ranking_market.analysis import (
-    _IDENTITY_TOL,
     _fixed_tuples,
     _instance_rows,
     _property_block,
@@ -78,7 +77,7 @@ def reference_tuple(instance, max_side: int, seed: int, t: int):
     utility = 0.0 if full[buyer] is None else 1.0 - prices[full[buyer]]
     verdicts = (
         prices[item] >= cf_price or item in full,
-        utility >= 1.0 - cf_price - _IDENTITY_TOL,
+        utility >= 1.0 - cf_price,
         availability_nested(inst.n_right, full, reduced, order, item),
     )
     return inst, sigma, pa, (buyer, item), verdicts
@@ -281,6 +280,22 @@ def test_settling_at_the_reduced_scores_breaks_utility_floor(monkeypatch):
         return counterfactual_block(scores, full, reduced, buyers, items)
 
     monkeypatch.setattr(analysis, "_counterfactual_block", reduced_prices)
+    p1, p2, mono = _counts(property_sweep(2000, seed=5))
+    assert p1 == 0 and p2 > 0 and mono == 0
+
+
+def test_a_utility_a_hair_below_the_floor_breaks_utility_floor(monkeypatch):
+    # the floor holds exactly in floating point: the fallback item is
+    # available in the full market, the kernel takes the minimum over the
+    # same doubles and 1 - p is monotone. So it is checked with no slack,
+    # and a utility 1e-12 too low shows
+    counterfactual_block = analysis._counterfactual_block
+
+    def lowered(prices, full, reduced, buyers, items):
+        cf_price, item_sold, utility = counterfactual_block(prices, full, reduced, buyers, items)
+        return cf_price, item_sold, utility - 1e-12
+
+    monkeypatch.setattr(analysis, "_counterfactual_block", lowered)
     p1, p2, mono = _counts(property_sweep(2000, seed=5))
     assert p1 == 0 and p2 > 0 and mono == 0
 
