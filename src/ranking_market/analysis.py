@@ -383,8 +383,8 @@ def _estimate(
     prices, the last block's still held while the next is drawn), 2 per
     buyer (assignment and utility) and 32 for the stream's seed words and
     the settled block. tracemalloc over steady-state blocks reads 588 cells
-    a trial on claim1's 210 edges at kvv20 (counted: 612), 758 on ratio at
-    kvv100 (834) and 394 on remark3 at n = 50 (442). Releasing the last
+    a trial on claim1's 210 edges at kvv20 (counted: 612), 656 on ratio at
+    kvv100 (834) and 343 on remark3 at n = 50 (442). Releasing the last
     block's weights and prices first frees little, and on ratio it doubled
     the page faults: the freed memory goes back to the system and the next
     block faults it in again."""
@@ -456,24 +456,25 @@ def _last_buyer(adjacency, w, exp_prices, assignment, out=None) -> np.ndarray:
     # distinct weights into one price. That tie goes to the lower index,
     # while the uniform market takes the lower weight: only then can the
     # two markets differ, so only on those rows is the uniform market run.
-    tied = (np.diff(np.sort(exp_prices, axis=1), axis=1) == 0).any(axis=1)
-    uni_assignment = assignment
+    ordered = np.sort(exp_prices, axis=1)
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    sale = uni_sale = assignment[:, last], (assignment == last).any(axis=1)
     if tied.any():
         uni_assignment = assignment.copy()
         uni_assignment[tied] = _assign_min_score(adjacency, uni_prices[tied], range(last + 1))
-    values = [_last_edge(exp_prices, assignment), _last_edge(uni_prices, uni_assignment)]
-    served = assignment[:, last] >= 0
+        uni_sale = uni_assignment[:, last], (uni_assignment == last).any(axis=1)
+    values = [_last_edge(exp_prices, *sale), _last_edge(uni_prices, *uni_sale)]
+    served = sale[0] >= 0
     priciest = w.argmax(axis=1) == last
     return np.stack([*values, served, priciest, served & ~priciest], axis=1).astype(float)
 
 
-def _last_edge(prices, assignment) -> np.ndarray:
+def _last_edge(prices, item, sold) -> np.ndarray:
     """[B]: util + rev of the edge (last buyer, last item), the one cell of
-    _edge_values that _last_buyer reads, with the same float operations."""
-    last = prices.shape[1] - 1
-    item = assignment[:, last]
+    _edge_values that _last_buyer reads, from the last buyer's item and
+    whether the last item is sold, with the same float operations."""
     util = np.where(item >= 0, 1.0 - prices[np.arange(len(item)), item], 0.0)
-    util += np.where((assignment == last).any(axis=1), prices[:, last], 0.0)
+    util += np.where(sold, prices[:, prices.shape[1] - 1], 0.0)
     return util
 
 

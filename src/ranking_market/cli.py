@@ -33,7 +33,6 @@ from .analysis import (
     estimate_matching_size,
     last_buyer_report,
     property_sweep,
-    trial_rng,
 )
 from .instance import (
     ArrivalOrder,
@@ -45,6 +44,7 @@ from .instance import (
 )
 from .matchers import exact_ranking_expectation
 from .market import PriceScheme, prices_from_weights, run_market
+from .streams import _trial_weights
 
 _AUX_INSTANCE = 0
 _AUX_SIGMA = 1
@@ -283,7 +283,7 @@ def cmd_oracle_check(args, instance, sigma):
 
 
 def cmd_run(args, instance, sigma):
-    weights = trial_rng(args.seed, 0).random(instance.n_right)
+    weights = _trial_weights(args.seed, 0, 1, instance.n_right)[0]
     pa = prices_from_weights(weights, PriceScheme(args.scheme))
     outcome = run_market(instance, pa, sigma)
     # one row per buyer (item -1 when unmatched) plus one per unsold item

@@ -65,10 +65,11 @@ def _assign_min_score(adjacency, score: np.ndarray, order) -> np.ndarray:
     order with gaps and tail filled by an item whose score is inf in every
     market. On a shared graph only the order of each market's scores
     matters: the markets run in rank space, one integer min over the
-    arrival's neighbor rows per arrival (see _assign_shared). With their own
-    graphs, per arrival, argmin over the gathered neighbor scores takes the
-    first minimum (the lowest index), a minimum below inf is a purchase, and
-    the taken item's score becomes inf.
+    arrival's neighbor rows per arrival, ties found by one sort of the
+    values and an unserved arrival's cell -T + t (see _assign_shared). With
+    their own graphs, per arrival, argmin over the gathered neighbor scores
+    takes the first minimum (the lowest index), a minimum below inf is a
+    purchase, and the taken item's score becomes inf.
     """
     if isinstance(order, np.ndarray) and order.ndim == 2:
         return _assign_per_market(adjacency, score, order)
@@ -83,34 +84,32 @@ def _assign_shared(adjacency, score: np.ndarray, order) -> np.ndarray:
     holds them in the narrowest unsigned dtype, with a row R of sentinels,
     so an arrival's cheapest available neighbor in every market is one min
     over its neighbors' contiguous rows. cell_of maps each id to its cell
-    j·T + t (a sentinel to row R): that cell is the arrival's purchase and
-    gets the sentinel. At the end cell // T is the item, R an unserved
-    arrival."""
+    j·T + t, a sentinel to -T + t: that cell is the arrival's purchase and
+    gets the sentinel, wrapping onto row R for an unserved arrival. At the
+    end cell // T is the item, -1 an unserved arrival."""
     n_markets, n_right = score.shape
     by_rank = np.argsort(score, axis=1)
-    # the SIMD sort is not stable: rows with ties are sorted again, so that
-    # equal scores rank by index
-    ranked = np.take_along_axis(score, by_rank, axis=1)
-    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    # the SIMD sort is not stable: tied rows are sorted again to rank ties by index
+    ordered = np.sort(score, axis=1)
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     if tied.any():
         by_rank[tied] = np.argsort(score[tied], axis=1, kind="stable")
-    items = np.hstack([by_rank, np.full((n_markets, 1), n_right)])
-    cell_of = (items * n_markets + np.arange(n_markets)[:, None]).ravel()
+    cell_of = np.empty((n_markets, n_right + 1), dtype=np.intp)
+    np.multiply(by_rank, n_markets, out=cell_of[:, :n_right])
+    cell_of[:, n_right] = -n_markets
+    cell_of += np.arange(n_markets)[:, None]
     ids = np.empty((n_right + 1, n_markets), dtype=np.min_scalar_type(cell_of.size))
     flat = ids.reshape(-1)
-    flat[cell_of] = np.arange(cell_of.size)
+    flat[cell_of.ravel()] = np.arange(cell_of.size, dtype=ids.dtype)
     sentinel = ids[n_right].copy()
-    np.copyto(ids[:n_right], sentinel, where=(score == _INF).T)
+    if (ordered[:, -1:] == _INF).any():
+        np.copyto(ids[:n_right], sentinel, where=(score == _INF).T)
     assignment = np.full((len(adjacency), n_markets), -1, dtype=np.intp)
     for b in order:
-        neighbors = adjacency[b]
-        if len(neighbors):
-            cells = assignment[b]
-            cell_of.take(ids.take(neighbors, axis=0).min(axis=0), out=cells, mode="clip")
-            flat[cells] = sentinel
-    np.floor_divide(assignment, n_markets, out=assignment)
-    assignment[assignment == n_right] = -1
-    return assignment.T
+        if len(neighbors := adjacency[b]):
+            cheapest = np.minimum.reduce(ids.take(neighbors, axis=0), axis=0)
+            flat[cell_of.take(cheapest, out=assignment[b], mode="clip")] = sentinel
+    return np.floor_divide(assignment, n_markets, out=assignment).T
 
 
 def _assign_per_market(adjacency: np.ndarray, score: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -222,7 +221,7 @@ def exact_ranking_expectation(instance: BipartiteInstance, sigma: ArrivalOrder) 
         raise ValueError("exact enumeration is limited to n_right <= 8")
     # one market per ranking: row p ranks the items as the p-th permutation
     ranks = _permutations(instance.n_right).astype(float)
-    # the kernel holds about 6 cells per item (scores, ranks, ids, cell map)
+    # the kernel holds under 6 cells per item: scores, ranks, sorted scores, cell map, ids
     rows = _block_size(instance.n_left + 6 * instance.n_right)
     served = sum(
         np.count_nonzero(_assign_min_score(instance.adjacency, block, sigma.order) >= 0)

@@ -401,3 +401,27 @@ def test_start_up_imports_no_module_a_run_may_not_need():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_runs_that_draw_no_generator_do_not_import_numpy_random():
+    # every run below draws its weights with streams._trial_weights;
+    # numpy.random would bring in secrets, hmac and OpenSSL's _hashlib
+    runs = [
+        ["claim1", "--kvv", "20", "--trials", "300"],
+        ["ratio", "--kvv", "100", "--trials", "300"],
+        ["remark3", "--n", "50", "--jobs", "2", "--trials", "3000"],
+        ["oracle-check", "--kvv", "6", "--trials", "300"],
+        ["run", "--kvv", "20"],
+        ["properties", "--kvv", "6", "--sweep", "300"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from ranking_market import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv + ['--seed', '5'])\n"
+        "    print(argv[0], code, [m for m in ('numpy.random', 'secrets') if m in sys.modules])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"{argv[0]} 0 []" for argv in runs]

@@ -311,6 +311,43 @@ def test_block_kernel_ids_of_every_width(rows, n_right, width):
     assert (block >= 0).any()
 
 
+def _unserved_cases(rng):
+    """Graphs on which arrivals with neighbors find them all sold: kvv20 in
+    its identity order (in reversed order every buyer is served) and a
+    random 30 x 12 graph with empty rows."""
+    yield kvv_hard_instance(20), ArrivalOrder.identity(20)
+    coins = rng.random((30, 12)) < 0.3
+    coins[::4] = False
+    edges = [(i, j) for i in range(30) for j in range(12) if coins[i, j]]
+    yield make_instance(30, 12, edges), ArrivalOrder.random(30, rng)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 128])
+def test_block_kernel_leaves_arrivals_unserved_with_no_inf_score(rows):
+    # with no score at inf the kernel builds no inf mask, and an unserved
+    # arrival's write of market t's sentinel cell, -T + t, wraps onto the
+    # sentinel row
+    rng = np.random.default_rng(50 + rows)
+    for inst, sigma in _unserved_cases(rng):
+        score = rng.random((rows, inst.n_right))
+        block = assert_rows_equal_the_scalar_loop(inst, score, sigma.order)
+        has_neighbors = [b for b, neighbors in enumerate(inst.adjacency) if neighbors]
+        assert (block[:, has_neighbors] == -1).any()
+
+
+def test_block_kernel_with_one_inf_score_in_a_block():
+    # one item of one market of 128 is unavailable: every other market of
+    # the complete 30 x 20 graph sells all 20 items, that one 19
+    rng = np.random.default_rng(52)
+    inst = make_instance(30, 20, [(i, j) for i in range(30) for j in range(20)])
+    score = rng.random((128, 20))
+    score[77, 5] = np.inf
+    block = assert_rows_equal_the_scalar_loop(inst, score, ArrivalOrder.random(30, rng).order)
+    sold = (block >= 0).sum(axis=1)
+    assert sold[77] == 19 and 5 not in block[77]
+    assert (np.delete(sold, 77) == 20).all()
+
+
 @pytest.mark.parametrize("gaps", [False, True], ids=["tail", "gaps"])
 def test_per_market_block_kernel_equals_the_scalar_loop_market_by_market(gaps):
     # every market has its own graph and arrival order, padded to the
