@@ -35,9 +35,16 @@ from .instance import (
     kvv_hard_instance,
     random_bipartite,  # unused here; perfbench's tracer wraps it as analysis.random_bipartite
 )
-from .matchers import _assign_min_score, _block_size, _check_sigma, maximum_matching
+from .matchers import (
+    _assign_min_score,
+    _block_size,
+    _check_sigma,
+    _kernel_buffers,
+    _tied_rows,
+    maximum_matching,
+)
 from .market import PriceAssignment, PriceScheme, _check_prices, _price_array, _settle_block
-from .streams import _LONG_ROW, _trial_weights
+from .streams import _LONG_ROW, _jump_shapes, _trial_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -326,25 +333,17 @@ def _row_sum(x: np.ndarray, total):
     return np.add.reduce(np.ascontiguousarray(x), axis=0)
 
 
-def _trial_chunk(simulate, width: int, block: int, seed: int, t0: int, t1: int):
+def _trial_chunk(simulate, block: int, seed: int, t0: int, t1: int):
     """The sums of x and of x * x over trials t0..t1-1, where x =
-    simulate(seed, b0, b1, out) is a float array [B] or [B, k] for the
-    trials b0..b1-1 of a block of up to `block`: estimator markets
-    (_market_block) or property tuples (_property_violations). _row_sum
+    simulate(seed, b0, b1) is a float array [B] or [B, k] for the trials
+    b0..b1-1 of a block of up to `block`: estimator markets (_market_block,
+    in its run's _Arena) or property tuples (_property_violations). _row_sum
     adds the rows of x, then those of x * x (squared in place), to the
     running totals one after another, so the sums equal those of a
-    trial-by-trial loop to the bit, whatever the block size.
-
-    The chunk allocates one workspace [2, min(block, t1 - t0), width] for
-    simulate, and each block of B trials gets its views [:, :B], the last,
-    shorter block too. glibc hands a large array back to the system when it
-    is freed, so one allocated afresh for each block would be faulted in
-    again for each block."""
-    space = np.empty((2, min(block, t1 - t0), width))
+    trial-by-trial loop to the bit, whatever the block size."""
     total = total_sq = 0.0
     for b0 in range(t0, t1, block):
-        b1 = min(b0 + block, t1)
-        x = simulate(seed, b0, b1, out=space[:, : b1 - b0])
+        x = simulate(seed, b0, min(b0 + block, t1))
         first = x[:1].copy()
         total = _row_sum(x, total)
         x[:1] = first
@@ -352,16 +351,69 @@ def _trial_chunk(simulate, width: int, block: int, seed: int, t0: int, t1: int):
     return total, total_sq
 
 
-def _market_block(adjacency, order, n_right, scheme, observe, seed, b0, b1, out):
+def _nbytes(specs) -> int:
+    """Bytes that _carve lays out for a list of (shape, dtype)."""
+    return sum(-(-math.prod(shape) * np.dtype(dtype).itemsize // 8) * 8 for shape, dtype in specs)
+
+
+def _carve(memory: np.ndarray, specs, offset: int = 0) -> list[np.ndarray]:
+    """Views of the flat uint8 `memory` for each (shape, dtype) of specs,
+    one after another from `offset`, each on an 8-byte boundary."""
+    views = []
+    for shape, dtype in specs:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        views.append(memory[offset : offset + size].view(dtype).reshape(shape))
+        offset += -(-size // 8) * 8
+    return views
+
+
+class _Arena:
+    """One estimator run's block memory in one process. A block of B
+    markets gets views of one buffer: the stream's jump buffers, the
+    weights and the prices [B, R], the kernel's arrays (over the stream's,
+    dead once the weights are drawn) and the observer's workspace [2, B,
+    width]. The first block a process runs, its largest, allocates the
+    buffer, so a forked share touches only its own pages; every later block
+    and chunk reuses them. The views are built once a block size, so the
+    shorter last block gets its own set. glibc hands a large freed array
+    back to the system, so one allocated each block is faulted in again."""
+
+    def __init__(self, n_left: int, n_right: int, width: int):
+        self.sides, self.width = (n_left, n_right), width
+        self.memory, self.views = None, {}
+
+    def layout(self, rows: int):
+        """The stream's, the kernel's and the rest's (shape, dtype) for a
+        block of `rows`, and the bytes of the region the first two share."""
+        n_left, n_right = self.sides
+        stream = [(shape, np.uint64) for shape in _jump_shapes(n_right, rows)]
+        kernel = _kernel_buffers(n_left, n_right, rows)
+        own = [((rows, n_right), float)] * 2 + [((2, rows, self.width), float)]
+        return stream, kernel, own, max(_nbytes(stream), _nbytes(kernel))
+
+    def __call__(self, rows: int) -> tuple:
+        if rows not in self.views:
+            stream, kernel, own, shared = self.layout(rows)
+            if self.memory is None:
+                self.memory = np.empty(shared + _nbytes(own), dtype=np.uint8)
+            weights, prices, space = _carve(self.memory, own, shared)
+            self.views[rows] = (_carve(self.memory, stream), weights, prices,
+                                _carve(self.memory, kernel), space)
+        return self.views[rows]
+
+
+def _market_block(adjacency, order, n_right, scheme, observe, arena, seed, b0, b1):
     """observe(weights, prices, assignments, out) over the markets of trials
     b0..b1-1. The weights W [B, n_right] come from one _trial_weights call
     (row r is trial_rng(seed, t).random(n_right) for its trial t, to the
     bit), the prices P [B, n_right] from the one price rule and the
     assignments A [B, n_left] (-1: unserved) from one kernel call on the
-    neighbor lists as index arrays."""
-    w = _trial_weights(seed, b0, b1, n_right)
-    prices = _price_array(w, scheme)
-    return observe(w, prices, _assign_min_score(adjacency, prices, order), out=out)
+    neighbor lists as index arrays, each written into its views of the
+    arena (out is the workspace) or, without one, allocated afresh."""
+    stream, w, prices, kernel, space = arena(b1 - b0) if arena else (None,) * 5
+    w = _trial_weights(seed, b0, b1, n_right, arena and (w, stream))
+    prices = _price_array(w, scheme, prices)
+    return observe(w, prices, _assign_min_score(adjacency, prices, order, kernel), out=space)
 
 
 def _estimate(
@@ -374,25 +426,40 @@ def _estimate(
     seed: int,
     jobs: int,
     level: float,
+    settles: bool = False,
 ) -> list[EstimateWithCI]:
     """One estimate for each value the observer returns a trial, read from
     the totals of _trial_chunk over trials 0..trials-1, for any jobs. The
-    observer's workspace holds `width` values a trial. A trial holds at its
-    peak 2 cells per value (the chunk's workspace, held all along), about 6
-    per item (the stream's or the kernel's temporaries, the weights and the
-    prices, the last block's still held while the next is drawn), 2 per
-    buyer (assignment and utility) and 32 for the stream's seed words and
-    the settled block. tracemalloc over steady-state blocks reads 588 cells
-    a trial on claim1's 210 edges at kvv20 (counted: 612), 656 on ratio at
-    kvv100 (834) and 343 on remark3 at n = 50 (442). Releasing the last
-    block's weights and prices first frees little, and on ratio it doubled
-    the page faults: the freed memory goes back to the system and the next
-    block faults it in again."""
-    cells = 6 * instance.n_right + 2 * instance.n_left + 2 * width + 32
-    block = _block_size(cells)
+    observer's workspace holds `width` values a trial; `settles` says that
+    it settles the block's accounting (_settle_block).
+
+    A trial counts its bytes of the run's arena (at a block whose ids take
+    4 bytes, their widest), the most any stage of a block adds to them and
+    32 cells for the seed words. The stages: the stream's coarse limbs (5
+    a row) and numpy's iterator buffers for its broadcast fine products (2
+    a double, up to 64 KiB each, so a whole operand in a small block); the
+    kernel's argsort output, its buffer for a broadcast add, the tie mask
+    and one arrival's gathered ids; the settled utilities, revenues and
+    five arrays over the sales. A block also counts, whatever its size, the
+    running totals, the first row and the reduction (4 per value) and 8 KiB
+    of views and other Python objects. tracemalloc over a fresh run of
+    three blocks, the arena's allocation included, reads within (3/4 of
+    the count, the count] at 2**14, 2**16 and 2**18 cells a block."""
+    n_left, n_right = instance.n_left, instance.n_right
+    arena = _Arena(n_left, n_right, width)
+    stream, _, own, shared = arena.layout(1 << 16)
+    s, q, _ = stream[0][0] if stream else (0, 0, 0)
+    degree = max(map(len, instance.adjacency), default=0)
+    added = max(
+        2 * s * q + 5 * q,
+        2 * n_right + (n_right + 2 * degree) // 8,
+        n_left + n_right + 5 * min(n_left, n_right) if settles else 0,
+    )
+    cells = -(-(shared + _nbytes(own)) // (8 << 16)) + added + 32
+    block = _block_size(cells, 4 * width + 1024)
     adjacency = tuple(np.array(neighbors, dtype=np.intp) for neighbors in instance.adjacency)
-    simulate = partial(_market_block, adjacency, sigma.order, instance.n_right, scheme, observe)
-    worker = partial(_trial_chunk, simulate, width, block, seed)
+    simulate = partial(_market_block, adjacency, sigma.order, n_right, scheme, observe, arena)
+    worker = partial(_trial_chunk, simulate, block, seed)
     totals, squares = (np.atleast_1d(x).tolist() for x in _run_chunks(worker, trials, jobs))
     z = _z(level)
     estimates = []
@@ -407,11 +474,12 @@ def _estimate(
 # Observers: what each estimator reads off a block of B market runs, given
 # the weights [B, n_right], the prices [B, n_right] and the assignments
 # [B, n_left] (-1 for an unserved buyer). Each returns a float array, [B] or
-# [B, k]. Given out, the chunk's workspace [2, B, width], an observer whose
-# arrays are large (the edge values) builds them there; without it, every
-# observer allocates afresh. They are bound with partial into the chunk
-# worker, which a forked child inherits (_run_chunks): nothing about a chunk
-# is pickled on its way out, only its results on their way back.
+# [B, k]. Given out, the run's arena's workspace [2, B, width], an observer
+# whose arrays are large (the edge values) builds them there; without it,
+# every observer allocates afresh. They are bound with partial into the
+# chunk worker, with the arena, which a forked child inherits (_run_chunks):
+# nothing about a chunk is pickled on its way out, only its results on
+# their way back.
 
 
 def _edge_values(buyers: np.ndarray, items: np.ndarray, w, prices, assignment, out=None):
@@ -456,8 +524,7 @@ def _last_buyer(adjacency, w, exp_prices, assignment, out=None) -> np.ndarray:
     # distinct weights into one price. That tie goes to the lower index,
     # while the uniform market takes the lower weight: only then can the
     # two markets differ, so only on those rows is the uniform market run.
-    ordered = np.sort(exp_prices, axis=1)
-    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    tied = _tied_rows(np.sort(exp_prices, axis=1))
     sale = uni_sale = assignment[:, last], (assignment == last).any(axis=1)
     if tied.any():
         uni_assignment = assignment.copy()
@@ -506,7 +573,8 @@ def edge_guarantee_sweep(
         raise ValueError("instance has no edges to sweep")
     observe = partial(_edge_values, *_edge_arrays(edges))
     estimates = _estimate(
-        instance, sigma, PriceScheme(scheme), observe, len(edges), trials, seed, jobs, level
+        instance, sigma, PriceScheme(scheme), observe, len(edges), trials, seed, jobs, level,
+        settles=True,
     )
     return dict(zip(edges, estimates))
 
@@ -587,7 +655,8 @@ def check_welfare_bound(
     observe = partial(_welfare, *_edge_arrays(optimum_pairs))
     width = 3 + len(optimum_pairs)  # it holds M*'s edge values until it sums them
     size, edge_sum, below = _estimate(
-        instance, sigma, PriceScheme.EXPONENTIAL, observe, width, trials, seed, jobs, level
+        instance, sigma, PriceScheme.EXPONENTIAL, observe, width, trials, seed, jobs, level,
+        settles=True,
     )
     return WelfareBound(
         matching_size=size,
@@ -852,10 +921,10 @@ def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
     ])
 
 
-def _property_violations(tuples, seed: int, b0: int, b1: int, out) -> np.ndarray:
-    """[B, 3] in out[0]: 1.0 where a tuple of b0..b1-1 violates
-    sold_if_cheaper, utility_floor or monotone availability, else 0.0."""
-    return np.logical_not(_property_block(*tuples(seed, b0, b1)).T, out=out[0])
+def _property_violations(tuples, seed: int, b0: int, b1: int) -> np.ndarray:
+    """[B, 3]: 1.0 where a tuple of b0..b1-1 violates sold_if_cheaper,
+    utility_floor or monotone availability, else 0.0."""
+    return np.logical_not(_property_block(*tuples(seed, b0, b1)).T).astype(float)
 
 
 def _property_chunk(
@@ -882,7 +951,7 @@ def _property_chunk(
         rows, edge_buyers, edge_items = _instance_rows(instance)
         tuples = partial(_fixed_tuples, rows, edge_buyers, edge_items, instance.n_right)
         cells = _tuple_cells(instance.n_left, instance.n_right, rows.shape[2], own_rows=False)
-    return _trial_chunk(partial(_property_violations, tuples), 3, _block_size(cells), seed, t0, t1)
+    return _trial_chunk(partial(_property_violations, tuples), _block_size(cells), seed, t0, t1)
 
 
 def property_sweep(

@@ -66,12 +66,14 @@ def prices_from_weights(weights, scheme: PriceScheme) -> PriceAssignment:
     return PriceAssignment(weights=ws, prices=prices, scheme=scheme)
 
 
-def _price_array(weights: np.ndarray, scheme: PriceScheme) -> np.ndarray:
+def _price_array(weights: np.ndarray, scheme: PriceScheme, out=None) -> np.ndarray:
     """The package's one price rule, elementwise on an array of any shape,
     so that market runs and estimator blocks price alike to the bit
-    (math.exp and np.exp can differ)."""
+    (math.exp and np.exp can differ). Exponential prices go into out, an
+    array of the weights' shape, if given; uniform prices are the weights."""
     if scheme is PriceScheme.EXPONENTIAL:
-        return np.exp(weights - 1.0)
+        out = np.subtract(weights, 1.0, out=out)
+        return np.exp(out, out=out)
     if scheme is PriceScheme.UNIFORM:
         return weights
     raise ValueError(f"unknown price scheme {scheme!r}")

@@ -37,13 +37,14 @@ class Matching:
         return tuple((i, j) for i, j in enumerate(self.assignment) if j is not None)
 
 
-def _block_size(cells: int) -> int:
+def _block_size(cells: int, fixed: int = 0) -> int:
     """Markets a block takes when each holds `cells` array cells at its
-    peak: as many as fit _BLOCK_CELLS, and at least one."""
-    return max(1, _BLOCK_CELLS // max(cells, 1))
+    peak and the block `fixed` more, whatever its size: as many as fit
+    _BLOCK_CELLS, and at least one."""
+    return max(1, (_BLOCK_CELLS - fixed) // max(cells, 1))
 
 
-def _assign_min_score(adjacency, score: np.ndarray, order) -> np.ndarray:
+def _assign_min_score(adjacency, score: np.ndarray, order, out=None) -> np.ndarray:
     """Sequentially assign each arriving left vertex to its available
     neighbor with the minimum score, ties going to the lowest index.
 
@@ -73,10 +74,19 @@ def _assign_min_score(adjacency, score: np.ndarray, order) -> np.ndarray:
     """
     if isinstance(order, np.ndarray) and order.ndim == 2:
         return _assign_per_market(adjacency, score, order)
-    return _assign_shared(adjacency, score, order)
+    return _assign_shared(adjacency, score, order, out)
 
 
-def _assign_shared(adjacency, score: np.ndarray, order) -> np.ndarray:
+def _kernel_buffers(n_left: int, n_right: int, n_markets: int) -> list[tuple]:
+    """(shape, dtype) of _assign_shared's four arrays for a block of
+    n_markets: the sorted scores, the cell map, the ids in the narrowest
+    unsigned dtype that numbers every cell, and the assignment."""
+    cells = n_markets * (n_right + 1)
+    return [((n_markets, n_right), float), ((n_markets, n_right + 1), np.intp),
+            ((n_right + 1, n_markets), np.min_scalar_type(cells)), ((n_left, n_markets), np.intp)]
+
+
+def _assign_shared(adjacency, score: np.ndarray, order, out=None) -> np.ndarray:
     """_assign_min_score's T markets on one graph and one arrival order, in
     rank space. With R = n_right, item j of market t has the id t·(R+1) + k,
     k its rank in score[t] (ties by index), until it is taken; an item taken
@@ -86,30 +96,50 @@ def _assign_shared(adjacency, score: np.ndarray, order) -> np.ndarray:
     over its neighbors' contiguous rows. cell_of maps each id to its cell
     j·T + t, a sentinel to -T + t: that cell is the arrival's purchase and
     gets the sentinel, wrapping onto row R for an unserved arrival. At the
-    end cell // T is the item, -1 an unserved arrival."""
+    end cell // T is the item, -1 an unserved arrival.
+
+    The four arrays are out, views of _kernel_buffers' shapes (a run's
+    arena: they need not be zeroed), or are allocated afresh; the argsort's
+    output always is. The ids are numbered by rank, then offset by market,
+    so no array of all the ids is built."""
     n_markets, n_right = score.shape
+    ordered, cell_of, ids, assignment = out or [
+        np.empty(shape, dtype) for shape, dtype in _kernel_buffers(len(adjacency), n_right, n_markets)
+    ]
     by_rank = np.argsort(score, axis=1)
     # the SIMD sort is not stable: tied rows are sorted again to rank ties by index
-    ordered = np.sort(score, axis=1)
-    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    if tied.any():
+    np.copyto(ordered, score)
+    ordered.sort(axis=1)
+    if (tied := _tied_rows(ordered)).any():
         by_rank[tied] = np.argsort(score[tied], axis=1, kind="stable")
-    cell_of = np.empty((n_markets, n_right + 1), dtype=np.intp)
     np.multiply(by_rank, n_markets, out=cell_of[:, :n_right])
     cell_of[:, n_right] = -n_markets
-    cell_of += np.arange(n_markets)[:, None]
-    ids = np.empty((n_right + 1, n_markets), dtype=np.min_scalar_type(cell_of.size))
+    markets = np.arange(n_markets)
+    cell_of += markets[:, None]
     flat = ids.reshape(-1)
-    flat[cell_of.ravel()] = np.arange(cell_of.size, dtype=ids.dtype)
+    flat[cell_of] = np.arange(n_right + 1, dtype=ids.dtype)
+    ids += (markets * (n_right + 1)).astype(ids.dtype)
     sentinel = ids[n_right].copy()
     if (ordered[:, -1:] == _INF).any():
         np.copyto(ids[:n_right], sentinel, where=(score == _INF).T)
-    assignment = np.full((len(adjacency), n_markets), -1, dtype=np.intp)
+    assignment.fill(-1)
     for b in order:
         if len(neighbors := adjacency[b]):
             cheapest = np.minimum.reduce(ids.take(neighbors, axis=0), axis=0)
             flat[cell_of.take(cheapest, out=assignment[b], mode="clip")] = sentinel
     return np.floor_divide(assignment, n_markets, out=assignment).T
+
+
+def _tied_rows(ordered: np.ndarray) -> np.ndarray:
+    """[T] bool: whether row t of the row-sorted [T, R] array has two equal
+    values. The rows are compared as one flat run, each last column's pair
+    with the next row dropped: the two-dimensional comparison would copy
+    both of its strided operands through buffers."""
+    equal = np.empty(ordered.shape, dtype=bool)
+    flat = ordered.reshape(-1)
+    np.equal(flat[1:], flat[:-1], out=equal.reshape(-1)[:-1])
+    equal[:, -1:] = False
+    return equal.any(axis=1)
 
 
 def _assign_per_market(adjacency: np.ndarray, score: np.ndarray, order: np.ndarray) -> np.ndarray:

@@ -139,6 +139,16 @@ def _limbs(values: list[int], shape: tuple) -> tuple[np.ndarray, ...]:
     return tuple(_frozen(a) for a in (hi, lo, lo & _LOW32, lo >> _S32))
 
 
+def _jump_shapes(n: int, rows: int) -> list[tuple]:
+    """Shapes of the fine jump's uint64 buffers for `rows` rows of n
+    doubles: _mul128's three for the powers, [s, q, rows], and three for
+    the sums, [s, 1, rows] (_lcg_jumps' s and q); none from _LONG_ROW."""
+    if n >= _LONG_ROW:
+        return []
+    q = math.isqrt(max(n - 1, 0)) + 1
+    return [(-(-n // q), q, rows)] * 3 + [(-(-n // q), 1, rows)] * 3
+
+
 @lru_cache(maxsize=32)
 def _lcg_jumps(n: int):
     """Limbs of (M**k, C_k), C_k = 1 + M + ... + M**(k-1), that reach draw
@@ -162,21 +172,30 @@ def _lcg_jumps(n: int):
     return coarse, (_limbs(jump_powers, (s, 1, 1)), _limbs(jump_sums, (s, 1, 1)))
 
 
-def _mul128(hi: np.ndarray, lo: np.ndarray, limbs) -> tuple[np.ndarray, np.ndarray]:
+def _mul128(hi: np.ndarray, lo: np.ndarray, limbs, out=None) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo)·c mod 2**128 for values times constants c that broadcast
-    against them: limbs of their broadcast shape, built in place in two
-    buffers of that shape and one partial product at a time."""
+    against them: limbs of their broadcast shape, built one partial product
+    at a time in three uint64 buffers of that shape (out, if given), two of
+    which hold the result. One cross product goes into the middle word
+    whole, where it cannot overflow; the other is split in place, so no
+    fourth buffer holds its low half."""
     c_hi, c_lo, c_lo0, c_lo1 = limbs
+    if out is None:
+        shape = np.broadcast(lo, c_lo).shape
+        out = [np.empty(shape, dtype=np.uint64) for _ in range(3)]
+    mid, out_hi, part = out
     a0 = lo & _LOW32
     a1 = lo >> _S32
-    mid = a0 * c_lo0
+    np.multiply(a0, c_lo0, out=mid)
     mid >>= _S32
-    out_hi = a1 * c_lo1
-    for a, c in ((a0, c_lo1), (a1, c_lo0)):
-        part = a * c
-        mid += part & _LOW32
-        part >>= _S32
-        out_hi += part
+    mid += np.multiply(a0, c_lo1, out=part)
+    np.multiply(a1, c_lo1, out=out_hi)
+    np.multiply(a1, c_lo0, out=part)
+    mid += part  # + (part & _LOW32), once part's high word is taken back out
+    part >>= _S32
+    out_hi += part
+    part <<= _S32
+    mid -= part
     mid >>= _S32
     out_hi += mid
     out_hi += np.multiply(lo, c_hi, out=mid)
@@ -191,7 +210,7 @@ def _add128(hi, lo, add_hi, add_lo) -> None:
     hi += lo < add_lo
 
 
-def _trial_weights(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
+def _trial_weights(seed: int, t0: int, t1: int, n: int, out=None) -> np.ndarray:
     """[t1 - t0, n] float64 whose row r is trial_rng(seed, t0 + r).random(n)
     to the bit: numpy's SeedSequence hashing as array operations over the
     rows, then, for n < _LONG_ROW, PCG64 seeding and random() the same way
@@ -199,6 +218,10 @@ def _trial_weights(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
     128/64), with rows the last axis of every temporary, so that each ufunc
     loops over the block's trials. A longer row is filled by one random()
     call on a PCG64 set to its trial's starting state.
+
+    out, if given, is the weights [t1 - t0, n] to write and the fine jump's
+    buffers (_jump_shapes), which hold its products and the XSL-RR output;
+    without it they are allocated afresh, as the coarse limbs always are.
 
     The jump's work is s·q >= n doubles a row (110 for n = 101..110, 121
     for 111..121, 132 from 122); the call costs a fixed 3-4 µs a row (most
@@ -209,15 +232,19 @@ def _trial_weights(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
     switch sits where the jump's work steps up: the estimators' rows on the
     benchmark's instances (n_right up to 100) take the jump, and a random
     property tuple at the default max_side of 10 (125 doubles) the call."""
+    rows = t1 - t0
     s0, s1, s2, s3 = states = _seed_states(seed, t0, t1)
+    weights, buffers = out or (
+        np.empty((rows, n)),
+        [np.empty(shape, dtype=np.uint64) for shape in _jump_shapes(n, rows)],
+    )
     if n >= _LONG_ROW:
-        out = np.empty((t1 - t0, n))
         bit_generator = np.random.PCG64(0)
         rng = np.random.Generator(bit_generator)
-        for row, words in zip(out, states.T.tolist()):
+        for row, words in zip(weights, states.T.tolist()):
             bit_generator.state = _start_state(*words)
             rng.random(out=row)
-        return out
+        return weights
     inc_hi = (s2 << _ONE) | (s3 >> _S63)
     inc_lo = (s3 << _ONE) | _ONE
     # initstate + inc, from which draw c is c + 2 LCG steps
@@ -228,20 +255,22 @@ def _trial_weights(seed: int, t0: int, t1: int, n: int) -> np.ndarray:
     hi, lo = _mul128(start_hi, start_lo, powers)
     _add128(hi, lo, *_mul128(inc_hi, inc_lo, sums))
     # fine: draw r·q + c is M**(rq)·state_c + C_rq·inc, [s, q, rows]
-    hi, lo = _mul128(hi, lo, jump_powers)
-    _add128(hi, lo, *_mul128(inc_hi, inc_lo, jump_sums))
-    lo ^= hi  # XSL-RR
+    hi, lo = _mul128(hi, lo, jump_powers, buffers[:3])
+    _add128(hi, lo, *_mul128(inc_hi, inc_lo, jump_sums, buffers[3:]))
+    lo ^= hi  # XSL-RR, into the buffer the products no longer use
     hi >>= _S58
-    x = np.right_shift(lo, hi)
+    x = np.right_shift(lo, hi, out=buffers[2])
     np.subtract(_S64, hi, out=hi)
     hi &= _S63
     lo <<= hi
     x |= lo
     x >>= _S11  # random() keeps the top 53 bits
-    s, q, rows = x.shape
-    out = np.empty((rows, n))
-    np.multiply(x.reshape(s * q, rows)[:n].T, 2.0**-53, out=out)
-    return out
+    s, q, _ = x.shape
+    # cast, then scaled in place: one multiply casting on the way would
+    # take a buffer as large as the weights, up to 64 KiB
+    np.copyto(weights, x.reshape(s * q, rows)[:n].T)
+    weights *= 2.0**-53
+    return weights
 
 
 def _seed_states(seed: int, t0: int, t1: int) -> np.ndarray:

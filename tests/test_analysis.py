@@ -226,13 +226,13 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
     cells, sizes = [], []
     block_size, trial_weights = analysis._block_size, analysis._trial_weights
 
-    def recording_cells(c):
-        cells.append(c)
-        return block_size(c)
+    def recording_cells(c, fixed=0):
+        cells.append((c, fixed))
+        return block_size(c, fixed)
 
-    def recording_sizes(seed, t0, t1, n):
+    def recording_sizes(seed, t0, t1, n, out=None):
         sizes.append(t1 - t0)
-        return trial_weights(seed, t0, t1, n)
+        return trial_weights(seed, t0, t1, n, out)
 
     monkeypatch.setattr(analysis, "_block_size", recording_cells)
     monkeypatch.setattr(analysis, "_trial_weights", recording_sizes)
@@ -240,52 +240,127 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
     per_trial = cells.copy()
     assert len(per_trial) == len(runs)
     for block in (1, 7, 300, analysis._CHUNK_TRIALS):
-        for run, c, want in zip(runs, per_trial, expected):
+        for run, (c, fixed), want in zip(runs, per_trial, expected):
             # a budget of exactly `block` trials of this estimator's cells
-            monkeypatch.setattr(matchers, "_BLOCK_CELLS", block * c)
+            monkeypatch.setattr(matchers, "_BLOCK_CELLS", block * c + fixed)
             sizes.clear()
             assert repr(run()) == want, (block, run)
             assert max(sizes) == block
 
 
 BLOCK_RUNS = {
-    "edge values kvv20": lambda: edge_guarantee_sweep(
-        kvv_hard_instance(20), EXP, ArrivalOrder.identity(20), 10, 1),
-    "matching size kvv100": lambda: estimate_matching_size(
-        kvv_hard_instance(100), ArrivalOrder.identity(100), 10, 1),
-    "welfare kvv20": lambda: check_welfare_bound(
-        kvv_hard_instance(20), ArrivalOrder.identity(20), 10, 1),
-    "last buyer n50": lambda: last_buyer_report(50, 10, 1),
+    "edge values kvv20": lambda trials: edge_guarantee_sweep(
+        kvv_hard_instance(20), EXP, ArrivalOrder.identity(20), trials, 1),
+    "matching size kvv100": lambda trials: estimate_matching_size(
+        kvv_hard_instance(100), ArrivalOrder.identity(100), trials, 1),
+    "welfare kvv20": lambda trials: check_welfare_bound(
+        kvv_hard_instance(20), ArrivalOrder.identity(20), trials, 1),
+    "last buyer n50": lambda trials: last_buyer_report(50, trials, 1),
 }
+
+
+def traced_run(monkeypatch, name, trials_in_blocks):
+    """The count _estimate makes a trial (its cells a trial and its share of
+    the block's fixed cells), the block size and the tracemalloc peak a
+    trial of a fresh run of BLOCK_RUNS[name] over that many blocks: all of
+    _run_chunks, the arena's first allocation included."""
+    counts, peaks = [], []
+    run_chunks, block_size = analysis._run_chunks, analysis._block_size
+
+    def count(cells, fixed=0):
+        counts.append((cells, fixed))
+        return block_size(cells, fixed)
+
+    def traced(worker, trials, jobs):
+        tracemalloc.start()
+        try:
+            return run_chunks(worker, trials, jobs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(analysis, "_block_size", count)
+    BLOCK_RUNS[name](10)  # also fills the stream's caches
+    (cells, fixed), = counts
+    block = block_size(cells, fixed)
+    monkeypatch.setattr(analysis, "_run_chunks", traced)
+    BLOCK_RUNS[name](trials_in_blocks * block)
+    return cells + fixed / block, block, peaks[-1] / (8 * block)
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
 def test_a_steady_state_block_peaks_within_its_counted_cells(monkeypatch, name):
-    # the chunk's workspace and its observer's arrays, over three blocks, so
-    # that anything a block keeps while the next is built shows
-    runs, counts = [], []
-    run_chunks, block_size = analysis._run_chunks, analysis._block_size
-
-    def capture(worker, trials, jobs):
-        runs.append(worker)
-        return run_chunks(worker, trials, jobs)
-
-    def count(cells):
-        counts.append(cells)
-        return block_size(cells)
-
-    monkeypatch.setattr(analysis, "_run_chunks", capture)
-    monkeypatch.setattr(analysis, "_block_size", count)
-    BLOCK_RUNS[name]()  # also fills the stream's caches
-    (worker,), (cells,) = runs, counts
-    block = worker.args[-2]
-    tracemalloc.start()
-    try:
-        worker(0, 3 * block)
-        peak = tracemalloc.get_traced_memory()[1] / (8 * block)
-    finally:
-        tracemalloc.stop()
+    # a fresh run of three blocks: the arena, the observer's arrays, and
+    # anything a block keeps while the next is built
+    cells, _, peak = traced_run(monkeypatch, name, 3)
     assert 0.75 * cells < peak <= cells
+
+
+@pytest.mark.parametrize("budget", [1 << 14, 1 << 16], ids=["2**14", "2**16"])
+@pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
+def test_a_small_block_peaks_within_its_counted_cells(monkeypatch, name, budget):
+    # blocks of tens of trials, where what a block holds whatever its size
+    # (the running totals, numpy's iterator buffers, its views) weighs most
+    monkeypatch.setattr(matchers, "_BLOCK_CELLS", budget)
+    cells, _, peak = traced_run(monkeypatch, name, 3)
+    assert 0.75 * cells < peak <= cells
+
+
+@pytest.mark.parametrize("name", ["matching size kvv100", "last buyer n50"])
+def test_steady_state_blocks_take_no_page_faults(monkeypatch, name):
+    # the arena is allocated by the first block of a chunk; blocks 2-4
+    # reuse it, and what they allocate afresh stays in the heap
+    resource = pytest.importorskip("resource")
+    readings = []
+    trial_chunk = analysis._trial_chunk
+
+    def reading(simulate, block, seed, t0, t1):
+        def read_block(seed, b0, b1):
+            readings.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, b0))
+            return simulate(seed, b0, b1)
+
+        totals = trial_chunk(read_block, block, seed, t0, t1)
+        readings.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, t1))
+        return totals
+
+    BLOCK_RUNS[name](10)
+    monkeypatch.setattr(analysis, "_trial_chunk", reading)
+    BLOCK_RUNS[name](analysis._CHUNK_TRIALS)  # one chunk
+    assert len(readings) >= 5
+    (start, b0), (end, b1) = readings[1], readings[4]
+    assert (end - start) / (b1 - b0) < 0.05
+
+
+OBSERVERS = {
+    "edge values": (lambda inst: partial(analysis._edge_values, *analysis._edge_arrays(inst.edges)),
+                    lambda inst: inst.edge_count),
+    "matching size": (lambda inst: analysis._matching_size, lambda inst: 1),
+    "welfare": (lambda inst: partial(analysis._welfare, *analysis._edge_arrays(inst.edges)),
+                lambda inst: 3 + inst.edge_count),
+    "last buyer": (lambda inst: partial(analysis._last_buyer, inst.adjacency), lambda inst: 5),
+}
+
+
+@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize("scheme", [EXP, UNI])
+@pytest.mark.parametrize("name", sorted(OBSERVERS))
+def test_the_arena_changes_no_bits(name, scheme, n):
+    # a full block, then a shorter last block with views of its own, and the
+    # full block again over what the shorter one left in the arena
+    inst = kvv_hard_instance(n)
+    observer, width = OBSERVERS[name]
+    observe = observer(inst)
+    adjacency = tuple(np.array(row, dtype=np.intp) for row in inst.adjacency)
+    block = partial(analysis._market_block, adjacency, range(n), n, scheme, observe)
+    arena = analysis._Arena(n, n, width(inst))
+    for b0, b1 in [(0, 300), (300, 410), (0, 300)]:
+        fresh = block(None, 9, b0, b1)
+        in_arena = block(arena, 9, b0, b1)
+        assert in_arena.shape == fresh.shape == (b1 - b0,) + fresh.shape[1:]
+        assert in_arena.tobytes() == fresh.tobytes()
+    assert sorted(arena.views) == [110, 300]
+    # the arena's views are of its one buffer, allocated for the first block
+    assert all(np.shares_memory(view, arena.memory) for view in arena(110)[1:3])
 
 
 def test_observers_without_a_workspace_return_arrays_of_their_own():
@@ -293,6 +368,10 @@ def test_observers_without_a_workspace_return_arrays_of_their_own():
     w = analysis._trial_weights(3, 0, 50, 20)
     prices = analysis._price_array(w, EXP)
     assignment = analysis._assign_min_score(inst.adjacency, prices, range(20))
+    # outside a run, the stream and the kernel allocate afresh too
+    assert not np.shares_memory(w, analysis._trial_weights(3, 0, 50, 20))
+    assert not np.shares_memory(
+        assignment, analysis._assign_min_score(inst.adjacency, prices, range(20)))
     edges = analysis._edge_arrays(inst.edges)
     observers = [(partial(analysis._edge_values, *edges), 210), (analysis._matching_size, 1),
                  (partial(analysis._welfare, *edges), 213),
@@ -681,9 +760,9 @@ def count_calls(monkeypatch) -> list[int]:
     calls = [0]
     fn = analysis._assign_min_score
 
-    def counting(adjacency, score, order):
+    def counting(adjacency, score, order, out=None):
         calls[0] += score.shape[0]
-        return fn(adjacency, score, order)
+        return fn(adjacency, score, order, out)
 
     monkeypatch.setattr(analysis, "_assign_min_score", counting)
     return calls
@@ -715,8 +794,8 @@ def test_last_buyer_report_tie_fallback_matches_two_simulations(monkeypatch):
     n, trials, seed = 2, 900, 12
     trial_weights = analysis._trial_weights
 
-    def tied_weights(seed, t0, t1, n):
-        w = trial_weights(seed, t0, t1, n)
+    def tied_weights(seed, t0, t1, n, out=None):
+        w = trial_weights(seed, t0, t1, n, out)  # into the run's arena
         w[np.arange(t0, t1) % 3 == 0] = TIED_WEIGHTS
         return w
 
