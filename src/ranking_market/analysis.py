@@ -44,7 +44,7 @@ from .matchers import (
     maximum_matching,
 )
 from .market import PriceAssignment, PriceScheme, _check_prices, _price_array, _settle_block
-from .streams import _LONG_ROW, _jump_shapes, _trial_weights
+from .streams import _jump_shapes, _trial_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -336,10 +336,10 @@ def _row_sum(x: np.ndarray, total):
 def _trial_chunk(simulate, block: int, seed: int, t0: int, t1: int):
     """The sums of x and of x * x over trials t0..t1-1, where x =
     simulate(seed, b0, b1) is a float array [B] or [B, k] for the trials
-    b0..b1-1 of a block of up to `block`: estimator markets (_market_block,
-    in its run's _Arena) or property tuples (_property_violations). _row_sum
-    adds the rows of x, then those of x * x (squared in place), to the
-    running totals one after another, so the sums equal those of a
+    b0..b1-1 of a block of up to `block`: estimator markets (_market_block)
+    or property tuples (_property_violations), each in its run's _Arena.
+    _row_sum adds the rows of x, then those of x * x (squared in place), to
+    the running totals one after another, so the sums equal those of a
     trial-by-trial loop to the bit, whatever the block size."""
     total = total_sq = 0.0
     for b0 in range(t0, t1, block):
@@ -368,38 +368,38 @@ def _carve(memory: np.ndarray, specs, offset: int = 0) -> list[np.ndarray]:
 
 
 class _Arena:
-    """One estimator run's block memory in one process. A block of B
-    markets gets views of one buffer: the stream's jump buffers, the
-    weights and the prices [B, R], the kernel's arrays (over the stream's,
-    dead once the weights are drawn) and the observer's workspace [2, B,
-    width]. The first block a process runs, its largest, allocates the
-    buffer, so a forked share touches only its own pages; every later block
-    and chunk reuses them. The views are built once a block size, so the
-    shorter last block gets its own set. glibc hands a large freed array
-    back to the system, so one allocated each block is faulted in again."""
+    """One run's block memory in one process. layout(rows) gives, for a
+    block of `rows`, the lists of (shape, dtype) laid out over one another
+    from the start of one buffer (an array is written only once the arrays
+    it overlaps are dead) and the list laid out after them; a block gets
+    views of each, in that order.
+    The first block a process runs, its largest, allocates the buffer, so a
+    forked share touches only its own pages; every later block and chunk
+    reuses it. The views are built once a block size, so the shorter last
+    block gets its own set. glibc hands a large freed array back to the
+    system, so one allocated each block is faulted in again."""
 
-    def __init__(self, n_left: int, n_right: int, width: int):
-        self.sides, self.width = (n_left, n_right), width
-        self.memory, self.views = None, {}
-
-    def layout(self, rows: int):
-        """The stream's, the kernel's and the rest's (shape, dtype) for a
-        block of `rows`, and the bytes of the region the first two share."""
-        n_left, n_right = self.sides
-        stream = [(shape, np.uint64) for shape in _jump_shapes(n_right, rows)]
-        kernel = _kernel_buffers(n_left, n_right, rows)
-        own = [((rows, n_right), float)] * 2 + [((2, rows, self.width), float)]
-        return stream, kernel, own, max(_nbytes(stream), _nbytes(kernel))
+    def __init__(self, layout):
+        self.layout, self.memory, self.views = layout, None, {}
 
     def __call__(self, rows: int) -> tuple:
         if rows not in self.views:
-            stream, kernel, own, shared = self.layout(rows)
+            overlays, own = self.layout(rows)
+            shared = max(map(_nbytes, overlays))
             if self.memory is None:
                 self.memory = np.empty(shared + _nbytes(own), dtype=np.uint8)
-            weights, prices, space = _carve(self.memory, own, shared)
-            self.views[rows] = (_carve(self.memory, stream), weights, prices,
-                                _carve(self.memory, kernel), space)
+            self.views[rows] = (*(_carve(self.memory, specs) for specs in overlays),
+                                *_carve(self.memory, own, shared))
         return self.views[rows]
+
+
+def _market_layout(n_left: int, n_right: int, width: int, rows: int):
+    """An estimator block's arena: the stream's buffers under the kernel's
+    (dead once the weights are drawn), then the weights and the prices [B,
+    R] and the observer's workspace [2, B, width]."""
+    kernel = _kernel_buffers(n_left, n_right, rows)
+    own = [((rows, n_right), float)] * 2 + [((2, rows, width), float)]
+    return [_jump_shapes(n_right, rows), kernel], own
 
 
 def _market_block(adjacency, order, n_right, scheme, observe, arena, seed, b0, b1):
@@ -409,9 +409,10 @@ def _market_block(adjacency, order, n_right, scheme, observe, arena, seed, b0, b
     bit), the prices P [B, n_right] from the one price rule and the
     assignments A [B, n_left] (-1: unserved) from one kernel call on the
     neighbor lists as index arrays, each written into its views of the
-    arena (out is the workspace) or, without one, allocated afresh."""
-    stream, w, prices, kernel, space = arena(b1 - b0) if arena else (None,) * 5
-    w = _trial_weights(seed, b0, b1, n_right, arena and (w, stream))
+    arena (_market_layout; out is the workspace) or, without one, allocated
+    afresh."""
+    stream, kernel, w, prices, space = arena(b1 - b0) if arena else (None,) * 5
+    w = _trial_weights(seed, b0, b1, n_right, arena and (stream, w))
     prices = _price_array(w, scheme, prices)
     return observe(w, prices, _assign_min_score(adjacency, prices, order, kernel), out=space)
 
@@ -446,8 +447,7 @@ def _estimate(
     three blocks, the arena's allocation included, reads within (3/4 of
     the count, the count] at 2**14, 2**16 and 2**18 cells a block."""
     n_left, n_right = instance.n_left, instance.n_right
-    arena = _Arena(n_left, n_right, width)
-    stream, _, own, shared = arena.layout(1 << 16)
+    (stream, kernel), own = _market_layout(n_left, n_right, width, 1 << 16)
     s, q, _ = stream[0][0] if stream else (0, 0, 0)
     degree = max(map(len, instance.adjacency), default=0)
     added = max(
@@ -455,9 +455,10 @@ def _estimate(
         2 * n_right + (n_right + 2 * degree) // 8,
         n_left + n_right + 5 * min(n_left, n_right) if settles else 0,
     )
-    cells = -(-(shared + _nbytes(own)) // (8 << 16)) + added + 32
+    cells = -(-(max(_nbytes(stream), _nbytes(kernel)) + _nbytes(own)) // (8 << 16)) + added + 32
     block = _block_size(cells, 4 * width + 1024)
     adjacency = tuple(np.array(neighbors, dtype=np.intp) for neighbors in instance.adjacency)
+    arena = _Arena(partial(_market_layout, n_left, n_right, width))
     simulate = partial(_market_block, adjacency, sigma.order, n_right, scheme, observe, arena)
     worker = partial(_trial_chunk, simulate, block, seed)
     totals, squares = (np.atleast_1d(x).tolist() for x in _run_chunks(worker, trials, jobs))
@@ -765,18 +766,25 @@ class PropertySweep:
 _MAX_ROW_CELLS = 4 * MAX_EDGES
 
 
-def _tuple_cells(n_left: int, n_right: int, width: int, own_rows: bool) -> int:
-    """Array cells one tuple adds to a block: the scores, assignments and
-    per-arrival arrays of its two markets, plus, when its graph is its own
-    (a random tuple), two per cell of its padded neighbor rows, for the rows
-    and for the doubles they are drawn from (_random_tuples). A row shorter
-    than _LONG_ROW doubles comes from the batched stream, whose temporaries
-    take up to 6 cells a double and 32 a row before the rows are built."""
-    cells = 8 * (n_left + n_right + width)
-    if not own_rows:
-        return cells
-    doubles = 5 + 2 * width + n_left * width
-    return max(cells + 2 * n_left * width, 6 * doubles + 32 if doubles < _LONG_ROW else 0)
+def _tuple_layout(doubles: int, rows: int):
+    """A property block's arena: the stream's buffers and, over the first
+    (s·q >= doubles cells a row, dead once the rows are written), the
+    block's rows of doubles [B, doubles]."""
+    return [_jump_shapes(doubles, rows), [((rows, doubles), float)]], []
+
+
+def _tuple_cells(n_left: int, n_right: int, width: int, doubles: int, own_rows: bool) -> int:
+    """Array cells one tuple adds to a block: its row of `doubles` and jump
+    buffers in the run's arena (_tuple_layout), then the most either stage
+    adds to them: the stream's coarse limbs and iterator buffers, as
+    _estimate counts them, and 32 cells for the seed words; or the scores,
+    assignments and per-arrival arrays of the tuple's two markets, with,
+    when its graph is its own (a random tuple), its padded neighbor rows
+    (_random_tuples)."""
+    (stream, u), _ = _tuple_layout(doubles, 1)
+    s, q, _ = stream[0][0] if stream else (0, 0, 0)
+    markets = 8 * (n_left + n_right + width) + (n_left * width if own_rows else 0)
+    return max(_nbytes(stream), _nbytes(u)) // 8 + max(2 * s * q + 5 * q + 32, markets)
 
 
 def _instance_rows(instance: BipartiteInstance):
@@ -794,7 +802,7 @@ def _instance_rows(instance: BipartiteInstance):
     return rows, buyers, items
 
 
-def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
+def _random_tuples(max_side: int, seed: int, t0: int, t1: int, arena=None):
     """Random property tuples t0..t1-1 in block form, padded to the block's
     largest sides L and R: the neighbor rows [B, L, R] (the padding item R
     marks a non-edge), the arrival orders [B, L], the weights [B, R] and the
@@ -808,9 +816,11 @@ def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
     last; the next m doubles are the weights, 0 past n_right; the last m**2
     are the coins of an [m, m] frame, an edge where below p inside the
     graph. Every (graph with an edge, edge of it) pair has positive
-    probability.
+    probability. The stream writes u into its views of the run's arena
+    (_tuple_layout), if given.
     """
-    u = _trial_weights(seed, t0, t1, 5 + 2 * max_side + max_side * max_side)
+    stream, (u,) = arena(t1 - t0) if arena else (None, (None,))
+    u = _trial_weights(seed, t0, t1, 5 + 2 * max_side + max_side * max_side, arena and (stream, u))
     n_left, n_right = (u[:, :2] * max_side).astype(np.intp).T + 1
     buyers = (u[:, 3] * n_left).astype(np.intp)
     items = (u[:, 4] * n_right).astype(np.intp)
@@ -823,19 +833,21 @@ def _random_tuples(max_side: int, seed: int, t0: int, t1: int):
     edges = coins < (0.2 + 0.7 * u[:, 2])[:, None, None]
     edges &= in_l[:, :, None] & in_r[:, None, :]
     edges[np.arange(len(u)), buyers, items] = True
-    del u, coins  # the doubles go before the rows are built
     rows = np.where(edges, np.arange(size_r), size_r)
     return rows, np.argsort(keys, axis=1, kind="stable"), weights, buyers, items
 
 
-def _fixed_tuples(rows, edge_buyers, edge_items, n_right: int, seed: int, t0: int, t1: int):
+def _fixed_tuples(rows, edge_buyers, edge_items, n_right: int, seed: int, t0: int, t1: int,
+                  arena=None):
     """Tuples t0..t1-1 of a sweep on a fixed instance, in _random_tuples'
     block form. Tuple t is a function of u = trial_rng(seed, t).random(1 +
     L + R): its edge is number floor(u0·E) of the E edges in row-major
     order, its arrival order the stable argsort of the next L doubles and
-    its weights the last R."""
+    its weights the last R; u goes into the run's arena as in
+    _random_tuples."""
     n_left = rows.shape[1]
-    u = _trial_weights(seed, t0, t1, 1 + n_left + n_right)
+    stream, (u,) = arena(t1 - t0) if arena else (None, (None,))
+    u = _trial_weights(seed, t0, t1, 1 + n_left + n_right, arena and (stream, u))
     picks = (u[:, 0] * len(edge_items)).astype(np.intp)
     orders = np.argsort(u[:, 1 : 1 + n_left], axis=1, kind="stable")
     return rows, orders, u[:, 1 + n_left :], edge_buyers[picks], edge_items[picks]
@@ -921,37 +933,17 @@ def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
     ])
 
 
-def _property_violations(tuples, seed: int, b0: int, b1: int) -> np.ndarray:
-    """[B, 3]: 1.0 where a tuple of b0..b1-1 violates sold_if_cheaper,
-    utility_floor or monotone availability, else 0.0."""
-    return np.logical_not(_property_block(*tuples(seed, b0, b1)).T).astype(float)
+def _property_violations(tuples, arena, seed: int, b0: int, b1: int) -> np.ndarray:
+    """[B, 3]: 1.0 where a tuple of b0..b1-1, drawn by tuples(seed, b0, b1,
+    arena), violates sold_if_cheaper, utility_floor or monotone
+    availability, else 0.0."""
+    return np.logical_not(_property_block(*tuples(seed, b0, b1, arena)).T).astype(float)
 
 
-def _property_chunk(
-    instance: BipartiteInstance | None,
-    max_side: int,
-    seed: int,
-    t0: int,
-    t1: int,
-):
+def _property_chunk(tuples, arena, block: int, seed: int, t0: int, t1: int):
     """The totals of _trial_chunk over the violation indicators of tuples
-    t0..t1-1: each total is a count. Tuple t is a function of one row of
-    doubles from trial_rng(seed, t): a random graph with sides up to
-    max_side (_random_tuples) or the fixed instance (_fixed_tuples), the
-    arrival order, the weights and the edge. A block's rows come from one
-    _trial_weights call, as a block of estimator trials' weights do.
-    Tuples are checked in blocks (_property_block) that _block_size sizes
-    from _tuple_cells: hundreds of tiny random graphs, or as few as one
-    tuple of a large instance.
-    """
-    if instance is None:
-        tuples = partial(_random_tuples, max_side)
-        cells = _tuple_cells(max_side, max_side, max_side, own_rows=True)
-    else:
-        rows, edge_buyers, edge_items = _instance_rows(instance)
-        tuples = partial(_fixed_tuples, rows, edge_buyers, edge_items, instance.n_right)
-        cells = _tuple_cells(instance.n_left, instance.n_right, rows.shape[2], own_rows=False)
-    return _trial_chunk(partial(_property_violations, tuples), _block_size(cells), seed, t0, t1)
+    t0..t1-1 in blocks of up to `block`: each total is a count."""
+    return _trial_chunk(partial(_property_violations, tuples, arena), block, seed, t0, t1)
 
 
 def property_sweep(
@@ -984,7 +976,28 @@ def property_sweep(
                 f"property sweep pads every buyer's neighbors to the largest degree: "
                 f"{cells} cells exceed {_MAX_ROW_CELLS}"
             )
-    totals, _ = _run_chunks(partial(_property_chunk, instance, max_side, seed), trials, jobs)
+    # Tuple t is one row of doubles from trial_rng(seed, t): a random graph
+    # (_random_tuples) or the fixed instance's (_fixed_tuples) arrival order,
+    # weights and edge. A block's rows are one _trial_weights call into the
+    # run's arena, and its tuples are checked at once (_property_block):
+    # hundreds of tiny random graphs, or as few as one tuple of a large
+    # instance. A block also counts what _estimate counts for three values
+    # whatever its size, and a fixed instance's rows and edges.
+    fixed = 4 * 3 + 1024
+    if instance is None:
+        n_left = n_right = width = max_side
+        doubles = 5 + 2 * max_side + max_side * max_side
+        tuples = partial(_random_tuples, max_side)
+    else:
+        rows, edge_buyers, edge_items = _instance_rows(instance)
+        n_left, n_right, width = instance.n_left, instance.n_right, rows.shape[2]
+        doubles = 1 + n_left + n_right
+        tuples = partial(_fixed_tuples, rows, edge_buyers, edge_items, n_right)
+        fixed += rows.size + 2 * edge_items.size
+    block = _block_size(_tuple_cells(n_left, n_right, width, doubles, instance is None), fixed)
+    arena = _Arena(partial(_tuple_layout, doubles))
+    worker = partial(_property_chunk, tuples, arena, block, seed)
+    totals, _ = _run_chunks(worker, trials, jobs)
     p1, p2, mono = (round(count) for count in totals.tolist())  # exact below 2**53 tuples
     return PropertySweep(
         trials=trials,

@@ -24,9 +24,9 @@ three steps:
 
 Step 1 is always array operations over the trials. A row shorter than
 ``_LONG_ROW`` doubles is then drawn by steps 2 and 3 as array operations
-too; a longer one by numpy's own ``random`` on one PCG64 set to the
-trial's starting state, which costs about the same at that length and less
-above it.
+too, into a run's block memory; a longer one by numpy's own ``random`` on
+one PCG64 set to the trial's starting state, which costs about the same at
+that length and less above it, at the block sizes runs take.
 
 128-bit numbers are held as two uint64 limbs (hi, lo); the high half of a
 64x64-bit product is assembled from 32-bit halves. All uint arithmetic wraps,
@@ -60,7 +60,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # Rows of at least this many doubles are drawn by numpy's own random() (see
 # _trial_weights for the measurement)
-_LONG_ROW = 111
+_LONG_ROW = 201
 
 _LOW32 = np.uint64(_MASK32)
 _ONE, _S11, _S32, _S58, _S63, _S64 = (np.uint64(s) for s in (1, 11, 32, 58, 63, 64))
@@ -140,13 +140,14 @@ def _limbs(values: list[int], shape: tuple) -> tuple[np.ndarray, ...]:
 
 
 def _jump_shapes(n: int, rows: int) -> list[tuple]:
-    """Shapes of the fine jump's uint64 buffers for `rows` rows of n
+    """(shape, dtype) of the fine jump's uint64 buffers for `rows` rows of n
     doubles: _mul128's three for the powers, [s, q, rows], and three for
     the sums, [s, 1, rows] (_lcg_jumps' s and q); none from _LONG_ROW."""
     if n >= _LONG_ROW:
         return []
     q = math.isqrt(max(n - 1, 0)) + 1
-    return [(-(-n // q), q, rows)] * 3 + [(-(-n // q), 1, rows)] * 3
+    s = -(-n // q)
+    return [((s, q, rows), np.uint64)] * 3 + [((s, 1, rows), np.uint64)] * 3
 
 
 @lru_cache(maxsize=32)
@@ -219,24 +220,29 @@ def _trial_weights(seed: int, t0: int, t1: int, n: int, out=None) -> np.ndarray:
     loops over the block's trials. A longer row is filled by one random()
     call on a PCG64 set to its trial's starting state.
 
-    out, if given, is the weights [t1 - t0, n] to write and the fine jump's
-    buffers (_jump_shapes), which hold its products and the XSL-RR output;
-    without it they are allocated afresh, as the coarse limbs always are.
+    out, if given, is the fine jump's buffers (_jump_shapes), which hold its
+    products and the XSL-RR output, and the weights [t1 - t0, n] to write,
+    which may overlay the first buffer (dead by then); without it they are
+    allocated afresh, as the coarse limbs always are.
 
-    The jump's work is s·q >= n doubles a row (110 for n = 101..110, 121
-    for 111..121, 132 from 122); the call costs a fixed 3-4 µs a row (most
-    of it setting the state) and little more a double. In CPU µs a row on a
-    2-vCPU VM (min of 7 rounds, blocks of 326 and 595 rows), the jump took
-    3.7-4.2 at 101-110 doubles against 3.8-4.3 for the call, 4.1-4.4 at
-    111-121 against 3.7-4.6, and 4.5-5.0 at 122-125 against 4.2-4.5. The
-    switch sits where the jump's work steps up: the estimators' rows on the
-    benchmark's instances (n_right up to 100) take the jump, and a random
-    property tuple at the default max_side of 10 (125 doubles) the call."""
+    The jump's work is s·q >= n doubles a row, and its cost a row falls as
+    the block grows; the call costs a fixed 3-4 µs a row (most of it
+    setting the state) and little more a double. Each writing into a run's
+    arena at the block size its count gives, in CPU µs a row on a 2-vCPU VM
+    (median of 9 interleaved rounds, each the best of 5 blocks), the jump
+    took 2.62 at 173 doubles (blocks of 248) and 2.94 at 200 (217) against
+    3.32 and 3.41 for the call (blocks of 431 and 383), 3.54 at 229 (192)
+    against 3.46, and 4.84 at 201 (78, a kvv100 property tuple) against
+    4.07. So the property sweep's random rows up to max_side 13 (200
+    doubles) take the jump, the default max_side of 10 (125) among them,
+    and a kvv100 tuple and max_side 14 (229) the call. An estimator's row
+    is near the crossover there: at n_right 200 (blocks of 160) the jump
+    took 4.53 against 4.09, at 150 (210) 3.36 against 3.96."""
     rows = t1 - t0
     s0, s1, s2, s3 = states = _seed_states(seed, t0, t1)
-    weights, buffers = out or (
+    buffers, weights = out or (
+        [np.empty(shape, dtype) for shape, dtype in _jump_shapes(n, rows)],
         np.empty((rows, n)),
-        [np.empty(shape, dtype=np.uint64) for shape in _jump_shapes(n, rows)],
     )
     if n >= _LONG_ROW:
         bit_generator = np.random.PCG64(0)

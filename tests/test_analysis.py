@@ -352,7 +352,7 @@ def test_the_arena_changes_no_bits(name, scheme, n):
     observe = observer(inst)
     adjacency = tuple(np.array(row, dtype=np.intp) for row in inst.adjacency)
     block = partial(analysis._market_block, adjacency, range(n), n, scheme, observe)
-    arena = analysis._Arena(n, n, width(inst))
+    arena = analysis._Arena(partial(analysis._market_layout, n, n, width(inst)))
     for b0, b1 in [(0, 300), (300, 410), (0, 300)]:
         fresh = block(None, 9, b0, b1)
         in_arena = block(arena, 9, b0, b1)
@@ -360,7 +360,7 @@ def test_the_arena_changes_no_bits(name, scheme, n):
         assert in_arena.tobytes() == fresh.tobytes()
     assert sorted(arena.views) == [110, 300]
     # the arena's views are of its one buffer, allocated for the first block
-    assert all(np.shares_memory(view, arena.memory) for view in arena(110)[1:3])
+    assert all(np.shares_memory(view, arena.memory) for view in arena(110)[2:4])
 
 
 def test_observers_without_a_workspace_return_arrays_of_their_own():
@@ -560,12 +560,19 @@ STREAM_SPANS = [(0, 128), (128, 256), (2048, 2048 + 333), (2**32 - 300, 2**32 + 
 # _LONG_ROW doubles and more are drawn by numpy's own random() instead, from
 # a PCG64 set to each trial's starting state: the sizes on either side of the
 # switch check both ways, and every span, the one across t = 2**32 too, checks
-# that starting state.
+# that starting state. The property sweep's rows on each side of it: random
+# tuples at the largest max_side whose K = 5 + 2·m + m² doubles take the jump
+# and at the next, and a tuple of kvv100, 1 + 2·100 doubles.
+JUMP_SIDE = max(m for m in range(1, 100) if 5 + 2 * m + m * m < _LONG_ROW)
+SWEEP_ROWS = [5 + 2 * m + m * m for m in (JUMP_SIDE, JUMP_SIDE + 1)] + [1 + 2 * 100]
+
+
 @pytest.mark.parametrize(
-    "n", [0, 1, 2, 3, 5, 7, 17, 20, 37, 50, 100, _LONG_ROW - 1, _LONG_ROW, 125, 1000]
+    "n", sorted({0, 1, 2, 3, 5, 7, 17, 20, 37, 50, 100, 125, _LONG_ROW - 1, _LONG_ROW, *SWEEP_ROWS,
+                 1000})
 )
 def test_trial_weights_equal_trial_rng_bit_for_bit(n):
-    # 12 seeds x 1190 rows x 15 sizes: about 2.1e5 (seed, t) pairs
+    # 12 seeds x 1190 rows x 16 sizes: about 2.3e5 (seed, t) pairs
     seeds = STREAM_SEEDS + [cli._fresh_seed() for _ in range(3)]  # random 48-bit seeds
     for seed in seeds:
         for t0, t1 in STREAM_SPANS:

@@ -413,6 +413,7 @@ def test_runs_that_draw_no_generator_do_not_import_numpy_random():
         ["oracle-check", "--kvv", "6", "--trials", "300"],
         ["run", "--kvv", "20"],
         ["properties", "--kvv", "6", "--sweep", "300"],
+        ["properties", "--sweep", "300"],  # random graphs at the default max_side
     ]
     script = (
         "import contextlib, io, sys\n"

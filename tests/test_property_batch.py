@@ -172,6 +172,28 @@ def test_fixed_instance_tuples_reach_every_order_and_edge():
     assert seen == set(itertools.product(itertools.permutations(range(3)), inst.edges))
 
 
+@pytest.mark.parametrize("max_side", [3, 10, 14, 0], ids=["3", "10", "14", "kvv30"])
+def test_the_arena_changes_no_tuple_bits(max_side):
+    # a full block, then a shorter last block with views of its own, and the
+    # full block again over what the shorter one left in the arena; max_side
+    # 14's rows are filled by numpy's own random() into the arena's rows,
+    # which have it to themselves
+    if max_side:
+        tuples, doubles = partial(_random_tuples, max_side), 5 + 2 * max_side + max_side**2
+    else:
+        rows, edge_buyers, edge_items = _instance_rows(kvv_hard_instance(30))
+        tuples, doubles = partial(_fixed_tuples, rows, edge_buyers, edge_items, 30), 61
+    arena = analysis._Arena(partial(analysis._tuple_layout, doubles))
+    for b0, b1 in [(0, 300), (300, 410), (0, 300)]:
+        fresh, in_arena = tuples(9, b0, b1), tuples(9, b0, b1, arena)
+        assert [a.tobytes() for a in in_arena] == [a.tobytes() for a in fresh]
+    assert sorted(arena.views) == [110, 300]
+    # the rows are views of the one buffer, over the jump's first buffer
+    stream, (u,) = arena(110)
+    assert np.shares_memory(u, arena.memory)
+    assert not stream or np.shares_memory(u, stream[0])
+
+
 def test_blocks_are_sized_by_their_working_set(monkeypatch):
     sizes = []
     block = analysis._property_block
@@ -181,41 +203,58 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
         return block(rows, orders, weights, buyers, items)
 
     monkeypatch.setattr(analysis, "_property_block", recording)
-    # random sides up to 10: 8 * (10 + 10 + 10) + 2 * 10 * 10 = 440 cells a
-    # tuple, 2**18 // 440 = 595 tuples a block
+    # random sides up to 10: the arena's 3 * 132 + 3 * 11 cells of jump
+    # buffers (the 125 doubles over the first), then the stream's 2 * 132 +
+    # 5 * 12 + 32 = 356 cells, more than the markets' 8 * 30 + 100: 785
+    # cells a tuple and 1036 a block, (2**18 - 1036) // 785 = 332 a block
     property_sweep(1300, seed=3)
-    assert sizes == [595, 595, 110]
-    # kvv30: 8 * (30 + 30 + 30) cells a tuple
-    for cells, expected in [(2000, [2, 2, 1]), (719, [1] * 5)]:
+    assert sizes == [332, 332, 332, 304]
+    # kvv30: 936 cells a tuple, and its rows and edges, 2866 cells a block
+    cells, fixed = 936, 2866
+    for budget, expected in [(fixed + 2 * cells, [2, 2, 1]), (fixed + 2 * cells - 1, [1] * 5)]:
         sizes.clear()
-        monkeypatch.setattr(matchers, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(matchers, "_BLOCK_CELLS", budget)
         property_sweep(5, seed=3, instance=kvv_hard_instance(30))
         assert sizes == expected
 
 
 def test_tuple_cells_cover_every_row_of_doubles():
-    assert analysis._tuple_cells(10, 10, 10, own_rows=True) == 8 * 30 + 2 * 100
-    assert analysis._tuple_cells(10, 10, 10, own_rows=False) == 8 * 30
-    # two cells per padded cell cover a tuple's K = 5 + 2·m + m² doubles,
-    # at every size a sweep accepts
+    assert analysis._tuple_cells(10, 10, 10, 125, own_rows=True) == 3 * 132 + 3 * 11 + 356
+    # a fixed 10 x 10 instance's 21 doubles, 5 x 5 of them in the jump: its
+    # two markets, 8 * 30 cells, outweigh the stream's 2 * 25 + 5 * 5 + 32
+    assert analysis._tuple_cells(10, 10, 10, 21, own_rows=False) == 3 * 25 + 3 * 5 + 8 * 30
+    # a tuple's K = 5 + 2·m + m² doubles stay in the arena while its padded
+    # rows are built, at every size a sweep accepts
     for m in range(1, math.isqrt(MAX_EDGES) + 1):
-        assert analysis._tuple_cells(m, m, m, own_rows=True) >= 5 + 2 * m + m * m
+        doubles = 5 + 2 * m + m * m
+        assert analysis._tuple_cells(m, m, m, doubles, own_rows=True) >= doubles + m * m
 
 
-@pytest.mark.parametrize("max_side", [3, 9, 10])
-def test_random_tuple_blocks_peak_within_their_counted_cells(max_side):
-    # below max_side 10 a row of doubles is shorter than streams._LONG_ROW
-    # and comes from the batched stream, whose temporaries set the peak
-    cells = analysis._tuple_cells(max_side, max_side, max_side, own_rows=True)
-    block = matchers._block_size(cells)
-    analysis._property_chunk(None, max_side, 5, 0, block)  # fills the stream's caches
+@pytest.mark.parametrize("max_side, instance", [(3, None), (9, None), (10, None),
+                                                (10, kvv_hard_instance(30))],
+                         ids=["3", "9", "10", "kvv30"])
+def test_random_tuple_blocks_peak_within_their_counted_cells(monkeypatch, max_side, instance):
+    # a fresh run of three blocks, the arena's allocation and a fixed
+    # instance's rows included: every row of doubles takes the jump here
+    counts = []
+    block_size = analysis._block_size
+
+    def count(cells, fixed=0):
+        counts.append((cells, fixed))
+        return block_size(cells, fixed)
+
+    monkeypatch.setattr(analysis, "_block_size", count)
+    property_sweep(10, 5, instance=instance, max_side=max_side)  # fills the stream's caches
+    (cells, fixed), = counts
+    block = block_size(cells, fixed)
     tracemalloc.start()
     try:
-        analysis._property_chunk(None, max_side, 5, 0, 3 * block)
+        property_sweep(3 * block, 5, instance=instance, max_side=max_side)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * cells * block
+    count = 8 * (cells * block + fixed)
+    assert 0.75 * count < peak <= count
 
 
 def test_the_padded_neighbor_rows_are_shared_not_copied(monkeypatch):
@@ -228,9 +267,9 @@ def test_the_padded_neighbor_rows_are_shared_not_copied(monkeypatch):
         return kernel(adjacency, score, order)
 
     monkeypatch.setattr(analysis, "_assign_min_score", recording)
-    # 8 * (30 + 30 + 30) cells a tuple: blocks of 2**18 // 720 = 364 tuples
+    # 936 cells a tuple and 2866 a block: blocks of (2**18 - 2866) // 936 = 277
     property_sweep(500, seed=3, instance=kvv_hard_instance(30))
-    assert [shape for _, shape in seen] == [(728, 30), (272, 30)]
+    assert [shape for _, shape in seen] == [(554, 30), (446, 30)]
     assert all(a.shape == (1, 30, 30) and a is seen[0][0] for a, _ in seen)
 
 
