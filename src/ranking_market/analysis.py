@@ -434,28 +434,32 @@ def _estimate(
     observer's workspace holds `width` values a trial; `settles` says that
     it settles the block's accounting (_settle_block).
 
-    A trial counts its bytes of the run's arena (at a block whose ids take
-    4 bytes, their widest), the most any stage of a block adds to them and
-    32 cells for the seed words. The stages: the stream's coarse limbs (5
-    a row) and numpy's iterator buffers for its broadcast fine products (2
-    a double, up to 64 KiB each, so a whole operand in a small block); the
-    kernel's argsort output, its buffer for a broadcast add, the tie mask
-    and one arrival's gathered ids; the settled utilities, revenues and
-    five arrays over the sales. A block also counts, whatever its size, the
-    running totals, the first row and the reduction (4 per value) and 8 KiB
-    of views and other Python objects. tracemalloc over a fresh run of
-    three blocks, the arena's allocation included, reads within (3/4 of
-    the count, the count] at 2**14, 2**16 and 2**18 cells a block."""
+    A trial counts its bytes of the run's arena, its ids at 2 bytes (the
+    widest a block of 2**18 cells needs, a trial taking over 4(R + 1)
+    cells) unless one market's R + 1 need 4, and the most any stage of a
+    block adds to them: the stream's seed words (32 cells), or its coarse
+    limbs (5 a row), 8 kept words and numpy's iterator buffers for its
+    broadcast fine products (2 a double, up to 64 KiB each, so a whole
+    operand in a small block); the kernel's buffer for the columns it ORs
+    into its keys, its near-tie mask and one arrival's gathered ids; the
+    settled utilities, revenues and five arrays over the sales. A block
+    also counts, whatever its size, the running totals, the first row and
+    the reduction (4 per value) and 8 KiB of views and other Python
+    objects. tracemalloc over a fresh run of three blocks, the arena's
+    allocation included, reads within (3/4 of the count, the count] at
+    2**14, 2**16 and 2**18 cells a block."""
     n_left, n_right = instance.n_left, instance.n_right
-    (stream, kernel), own = _market_layout(n_left, n_right, width, 1 << 16)
+    rows = max(1, 0xFFFF // (n_right + 1))
+    (stream, kernel), own = _market_layout(n_left, n_right, width, rows)
     s, q, _ = stream[0][0] if stream else (0, 0, 0)
     degree = max(map(len, instance.adjacency), default=0)
     added = max(
-        2 * s * q + 5 * q,
-        2 * n_right + (n_right + 2 * degree) // 8,
+        32,
+        2 * s * q + 5 * q + 8,
+        n_right + (n_right + 2 * degree) // 8,
         n_left + n_right + 5 * min(n_left, n_right) if settles else 0,
     )
-    cells = -(-(max(_nbytes(stream), _nbytes(kernel)) + _nbytes(own)) // (8 << 16)) + added + 32
+    cells = -(-(max(_nbytes(stream), _nbytes(kernel)) + _nbytes(own)) // (8 * rows)) + added
     block = _block_size(cells, 4 * width + 1024)
     adjacency = tuple(np.array(neighbors, dtype=np.intp) for neighbors in instance.adjacency)
     arena = _Arena(partial(_market_layout, n_left, n_right, width))
@@ -776,15 +780,15 @@ def _tuple_layout(doubles: int, rows: int):
 def _tuple_cells(n_left: int, n_right: int, width: int, doubles: int, own_rows: bool) -> int:
     """Array cells one tuple adds to a block: its row of `doubles` and jump
     buffers in the run's arena (_tuple_layout), then the most either stage
-    adds to them: the stream's coarse limbs and iterator buffers, as
-    _estimate counts them, and 32 cells for the seed words; or the scores,
+    adds to them: the stream's seed words, or its coarse limbs, kept words
+    and iterator buffers, as _estimate counts them; or the scores,
     assignments and per-arrival arrays of the tuple's two markets, with,
     when its graph is its own (a random tuple), its padded neighbor rows
     (_random_tuples)."""
     (stream, u), _ = _tuple_layout(doubles, 1)
     s, q, _ = stream[0][0] if stream else (0, 0, 0)
     markets = 8 * (n_left + n_right + width) + (n_left * width if own_rows else 0)
-    return max(_nbytes(stream), _nbytes(u)) // 8 + max(2 * s * q + 5 * q + 32, markets)
+    return max(_nbytes(stream), _nbytes(u)) // 8 + max(32, 2 * s * q + 5 * q + 8, markets)
 
 
 def _instance_rows(instance: BipartiteInstance):

@@ -305,71 +305,71 @@ def cmd_run(args, instance, sigma):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_seed_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int)
+
+
+# Each subcommand's help and argument groups, in --help order; it runs
+# cmd_<name>, looked up when the parser is built
+_SUBCOMMANDS = {
+    "gen": ("generate an instance in the interchange format", [
+        _add_instance_args, _add_seed_arg, lambda p: p.add_argument("--out", metavar="PATH"),
+    ]),
+    "ratio": ("estimate E[|M|]/|M*| for the price market", [
+        _add_instance_args, _add_sigma_arg, _add_trial_args, _add_output_args,
+    ]),
+    "claim1": ("per-edge E[util+rev] >= 1-1/e check", [
+        _add_instance_args, _add_scheme_arg, _add_sigma_arg, _add_trial_args,
+        lambda p: p.add_argument(
+            "--edge", nargs=2, type=int, metavar=("I", "J"), help="single edge to test"),
+        _add_output_args,
+    ]),
+    "remark3": ("uniform-price failure report on the hard instance", [
+        lambda p: p.add_argument("--n", type=int, required=True), _add_trial_args, _add_output_args,
+    ]),
+    "properties": ("zero-tolerance sweep of the pathwise properties", [
+        lambda p: _add_instance_args(p, required=False),
+        lambda p: p.add_argument("--sweep", type=int, default=10_000, help="number of random tuples"),
+        _add_seed_arg,
+        lambda p: p.add_argument("--jobs", type=int, default=1),
+        _add_output_args,
+    ]),
+    "oracle-check": ("Monte Carlo vs exact permutation enumeration", [
+        _add_instance_args, _add_sigma_arg, _add_trial_args, _add_output_args,
+    ]),
+    "run": ("replay a single market run and dump the outcome", [
+        _add_instance_args, _add_scheme_arg, _add_sigma_arg, _add_seed_arg, _add_output_args,
+    ]),
+}
+
+
+def _build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser: every subcommand, or only `subcommand`'s.
+    With one, the subcommand list's metavar names them all, so that its
+    usage and error text are the full parser's; the full parser keeps
+    argparse's default, under which its errors call the list "subcommand"."""
     parser = argparse.ArgumentParser(
         prog="ranking-market",
         description="Online matching via RANKING / posted prices, with verification experiments.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gen", help="generate an instance in the interchange format")
-    _add_instance_args(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("ratio", help="estimate E[|M|]/|M*| for the price market")
-    _add_instance_args(p)
-    _add_sigma_arg(p)
-    _add_trial_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_ratio)
-
-    p = sub.add_parser("claim1", help="per-edge E[util+rev] >= 1-1/e check")
-    _add_instance_args(p)
-    _add_scheme_arg(p)
-    _add_sigma_arg(p)
-    _add_trial_args(p)
-    p.add_argument("--edge", nargs=2, type=int, metavar=("I", "J"), help="single edge to test")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_claim1)
-
-    p = sub.add_parser("remark3", help="uniform-price failure report on the hard instance")
-    p.add_argument("--n", type=int, required=True)
-    _add_trial_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_remark3)
-
-    p = sub.add_parser("properties", help="zero-tolerance sweep of the pathwise properties")
-    _add_instance_args(p, required=False)
-    p.add_argument("--sweep", type=int, default=10_000, help="number of random tuples")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_properties)
-
-    p = sub.add_parser("oracle-check", help="Monte Carlo vs exact permutation enumeration")
-    _add_instance_args(p)
-    _add_sigma_arg(p)
-    _add_trial_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_oracle_check)
-
-    p = sub.add_parser("run", help="replay a single market run and dump the outcome")
-    _add_instance_args(p)
-    _add_scheme_arg(p)
-    _add_sigma_arg(p)
-    p.add_argument("--seed", type=int)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_run)
-
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True, metavar=subcommand and "{" + ",".join(_SUBCOMMANDS) + "}"
+    )
+    for name, (text, groups) in _SUBCOMMANDS.items():
+        if subcommand in (None, name):
+            p = sub.add_parser(name, help=text)
+            for add in groups:
+                add(p)
+            p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand through the pipeline the module docstring describes
     and return its exit code."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a run builds only its own subcommand's parser, -h or a typo the whole tree
+    args = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
         if args.seed is None:
             args.seed = _fresh_seed()

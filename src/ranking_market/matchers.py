@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -66,11 +68,12 @@ def _assign_min_score(adjacency, score: np.ndarray, order, out=None) -> np.ndarr
     order with gaps and tail filled by an item whose score is inf in every
     market. On a shared graph only the order of each market's scores
     matters: the markets run in rank space, one integer min over the
-    arrival's neighbor rows per arrival, ties found by one sort of the
-    values and an unserved arrival's cell -T + t (see _assign_shared). With
-    their own graphs, per arrival, argmin over the gathered neighbor scores
-    takes the first minimum (the lowest index), a minimum below inf is a
-    purchase, and the taken item's score becomes inf.
+    arrival's neighbor rows per arrival, ranks from one sort of keys built
+    from the values and an unserved arrival's cell -T + t (see
+    _assign_shared). With their own graphs, per arrival, argmin over the
+    gathered neighbor scores takes the first minimum (the lowest index), a
+    minimum below inf is a purchase, and the taken item's score becomes
+    inf.
     """
     if isinstance(order, np.ndarray) and order.ndim == 2:
         return _assign_per_market(adjacency, score, order)
@@ -79,48 +82,41 @@ def _assign_min_score(adjacency, score: np.ndarray, order, out=None) -> np.ndarr
 
 def _kernel_buffers(n_left: int, n_right: int, n_markets: int) -> list[tuple]:
     """(shape, dtype) of _assign_shared's four arrays for a block of
-    n_markets: the sorted scores, the cell map, the ids in the narrowest
+    n_markets: the sorted rank keys, the cell map, the ids in the narrowest
     unsigned dtype that numbers every cell, and the assignment."""
     cells = n_markets * (n_right + 1)
-    return [((n_markets, n_right), float), ((n_markets, n_right + 1), np.intp),
+    return [((n_markets, n_right), np.int64), ((n_markets, n_right + 1), np.intp),
             ((n_right + 1, n_markets), np.min_scalar_type(cells)), ((n_left, n_markets), np.intp)]
 
 
 def _assign_shared(adjacency, score: np.ndarray, order, out=None) -> np.ndarray:
     """_assign_min_score's T markets on one graph and one arrival order, in
     rank space. With R = n_right, item j of market t has the id t·(R+1) + k,
-    k its rank in score[t] (ties by index), until it is taken; an item taken
-    or scoring inf has market t's sentinel id t·(R+1) + R instead. ids[j, t]
-    holds them in the narrowest unsigned dtype, with a row R of sentinels,
-    so an arrival's cheapest available neighbor in every market is one min
-    over its neighbors' contiguous rows. cell_of maps each id to its cell
-    j·T + t, a sentinel to -T + t: that cell is the arrival's purchase and
-    gets the sentinel, wrapping onto row R for an unserved arrival. At the
-    end cell // T is the item, -1 an unserved arrival.
+    k its rank in score[t] (ties by index, _rank), until it is taken; an
+    item taken or scoring inf has market t's sentinel id t·(R+1) + R
+    instead. ids[j, t] holds them in the narrowest unsigned dtype, with a
+    row R of sentinels, so an arrival's cheapest available neighbor in
+    every market is one min over its neighbors' contiguous rows. cell_of
+    maps each id to its cell j·T + t, a sentinel to -T + t: that cell is the
+    arrival's purchase and gets the sentinel, wrapping onto row R for an
+    unserved arrival. At the end cell // T is the item, -1 an unserved
+    arrival.
 
     The four arrays are out, views of _kernel_buffers' shapes (a run's
-    arena: they need not be zeroed), or are allocated afresh; the argsort's
-    output always is. The ids are numbered by rank, then offset by market,
-    so no array of all the ids is built."""
+    arena: they need not be zeroed), or are allocated afresh."""
     n_markets, n_right = score.shape
-    ordered, cell_of, ids, assignment = out or [
+    keys, cell_of, ids, assignment = out or [
         np.empty(shape, dtype) for shape, dtype in _kernel_buffers(len(adjacency), n_right, n_markets)
     ]
-    by_rank = np.argsort(score, axis=1)
-    # the SIMD sort is not stable: tied rows are sorted again to rank ties by index
-    np.copyto(ordered, score)
-    ordered.sort(axis=1)
-    if (tied := _tied_rows(ordered)).any():
-        by_rank[tied] = np.argsort(score[tied], axis=1, kind="stable")
-    np.multiply(by_rank, n_markets, out=cell_of[:, :n_right])
+    any_inf = _rank(score, keys, cell_of)
+    np.multiply(keys, n_markets, out=cell_of[:, :n_right])
     cell_of[:, n_right] = -n_markets
-    markets = np.arange(n_markets)
-    cell_of += markets[:, None]
+    cell_of += np.arange(n_markets)[:, None]
     flat = ids.reshape(-1)
-    flat[cell_of] = np.arange(n_right + 1, dtype=ids.dtype)
-    ids += (markets * (n_right + 1)).astype(ids.dtype)
+    # id t·(R+1) + k into cell_of[t, k]'s cell: one arange, scattered
+    flat[cell_of] = np.arange(cell_of.size, dtype=ids.dtype).reshape(cell_of.shape)
     sentinel = ids[n_right].copy()
-    if (ordered[:, -1:] == _INF).any():
+    if any_inf:
         np.copyto(ids[:n_right], sentinel, where=(score == _INF).T)
     assignment.fill(-1)
     for b in order:
@@ -128,6 +124,46 @@ def _assign_shared(adjacency, score: np.ndarray, order, out=None) -> np.ndarray:
             cheapest = np.minimum.reduce(ids.take(neighbors, axis=0), axis=0)
             flat[cell_of.take(cheapest, out=assignment[b], mode="clip")] = sentinel
     return np.floor_divide(assignment, n_markets, out=assignment).T
+
+
+# +inf's bits as an int64, above every finite double's, and those below the sign
+_INF_KEY, _BELOW_SIGN = np.float64(_INF).view(np.int64), np.int64(2**63 - 1)
+
+
+def _rank(score: np.ndarray, keys: np.ndarray, cell_of: np.ndarray) -> bool:
+    """Write each row's stable argsort of the [T, R] scores into `keys` [T,
+    R] by one in-place int64 sort there; return whether a score is +inf.
+    A key is its score's bits (-0.0 made +0.0; a negative score's bits
+    below the sign flipped, in a second pass only when a first key is
+    negative), whose int64 order is the scores', with the low k = max(1,
+    bit_length(R - 1)) bits replaced by its column, so keys & (2**k - 1) is
+    the argsort wherever no two neighboring keys agree above those bits.
+    Rows where two do (ties and near-ties, but not inf keys, which keep
+    column order and become sentinels anyway) are ranked by np.argsort
+    (kind="stable") instead. cell_of's memory holds the neighbors' xor."""
+    n_right = score.shape[1]
+    low = (1 << max(1, (n_right - 1).bit_length())) - 1
+    columns = np.arange(n_right)
+    for signed in (False, True):
+        np.add(score, 0.0, out=keys.view(float))
+        if signed:
+            np.bitwise_xor(keys, _BELOW_SIGN, out=keys, where=keys < 0)
+        keys &= ~low
+        keys |= columns
+        keys.sort(axis=1)
+        if not (keys[:, :1] < 0).any():
+            break
+    # pairs[t, c]: the xor of row t's keys c and c + 1, all ones past its end
+    flat, pairs = keys.reshape(-1), cell_of.reshape(-1)[: keys.size]
+    np.bitwise_xor(flat[1:], flat[:-1], out=pairs[:-1])
+    pairs.reshape(keys.shape)[:, -1:] = -1
+    if any_inf := (keys[:, -1:] >= _INF_KEY).any():
+        pairs[flat >= _INF_KEY] = -1
+    keys &= low
+    if pairs.size and (near := pairs.view(np.uint64)).min() <= low:
+        tied = (near.reshape(keys.shape) <= low).any(axis=1)
+        keys[tied] = np.argsort(score[tied], axis=1, kind="stable")
+    return bool(any_inf)
 
 
 def _tied_rows(ordered: np.ndarray) -> np.ndarray:
@@ -196,39 +232,84 @@ def maximum_matching(instance: BipartiteInstance) -> Matching:
     """Offline maximum matching via augmenting paths (Kuhn's algorithm).
 
     Only the cardinality is contractual; when several maximum matchings
-    exist, which one is returned is an implementation detail.
+    exist, which one is returned is an implementation detail. The search
+    stops once min(n_left, n_right) pairs are matched: no augmenting path
+    is left then, so the pairs are those the remaining roots would leave.
+    On a graph with an edge in at least one cell of 64, whose rows as bit
+    masks take no more memory than their tuples' pointers, the search runs
+    on the masks (_mask_path) and finds the same paths.
     """
-    match_right = [-1] * instance.n_right
-    match_left: list[int | None] = [None] * instance.n_left
-    adjacency = instance.adjacency
-    for root in range(instance.n_left):
-        visited = [False] * instance.n_right
-        # Depth-first search for an augmenting path from root, on an explicit
-        # stack so path length is not bounded by the recursion limit:
-        # path[d] is the left vertex at depth d and cursor[d] the index of
-        # the neighbor it is trying.
-        path = [root]
-        cursor = [0]
-        while path:
-            neighbors = adjacency[path[-1]]
-            k = cursor[-1]
-            while k < len(neighbors) and visited[neighbors[k]]:
-                k += 1
-            if k == len(neighbors):
-                path.pop()
-                cursor.pop()
-                continue
-            cursor[-1] = k
-            v = neighbors[k]
-            visited[v] = True
-            if match_right[v] == -1:
-                for u, c in zip(path, cursor):
-                    match_right[adjacency[u][c]] = u
-                    match_left[u] = adjacency[u][c]
-                break
-            path.append(match_right[v])
-            cursor.append(0)
+    n_left, n_right = instance.n_left, instance.n_right
+    match_right = [-1] * n_right
+    match_left: list[int | None] = [None] * n_left
+    if 64 * instance.edge_count >= n_left * n_right:
+        rows = np.zeros((n_left, n_right), dtype=bool)
+        rows[np.repeat(np.arange(n_left), list(map(len, instance.adjacency))),
+             np.fromiter(chain.from_iterable(instance.adjacency), np.intp)] = True
+        masks = [int.from_bytes(row, "little") for row in np.packbits(rows, axis=1, bitorder="little")]
+        search = partial(_mask_path, masks, match_right)
+    else:
+        search = partial(_scan_path, instance.adjacency, match_right)
+    size = 0
+    for root in range(n_left):
+        if size == min(n_left, n_right):
+            break
+        path, taken = search(root)
+        for u, v in zip(path, taken):
+            match_right[v] = u
+            match_left[u] = v
+        size += bool(taken)
     return Matching(tuple(match_left))
+
+
+def _scan_path(adjacency, match_right: list[int], root: int) -> tuple[list, list]:
+    """Depth-first search from root for an augmenting path: its left
+    vertices and the right vertex each takes, or two empty lists. Each left
+    vertex tries its unvisited neighbors in order; the stack is explicit so
+    path length is not bounded by the recursion limit: path[d] is the left
+    vertex at depth d and cursor[d] the index of the neighbor it is trying."""
+    visited = [False] * len(match_right)
+    path = [root]
+    cursor = [0]
+    while path:
+        neighbors = adjacency[path[-1]]
+        k = cursor[-1]
+        while k < len(neighbors) and visited[neighbors[k]]:
+            k += 1
+        if k == len(neighbors):
+            path.pop()
+            cursor.pop()
+            continue
+        cursor[-1] = k
+        v = neighbors[k]
+        visited[v] = True
+        if match_right[v] == -1:
+            return path, [adjacency[u][c] for u, c in zip(path, cursor)]
+        path.append(match_right[v])
+        cursor.append(0)
+    return [], []
+
+
+def _mask_path(masks: list[int], match_right: list[int], root: int) -> tuple[list, list]:
+    """_scan_path on rows held as ints whose set bits are the neighbors.
+    Rows are increasing and every neighbor before a cursor is visited, so
+    the neighbor a scan reaches is the lowest set bit of the row and the
+    unvisited bits: a few integer operations instead of a step past each
+    visited neighbor, about half a row a step on a dense graph."""
+    unvisited = (1 << len(match_right)) - 1
+    path, taken = [root], []
+    while path:
+        free = masks[path[-1]] & unvisited
+        if not free:
+            path.pop()
+            del taken[-1:]
+            continue
+        unvisited ^= (low := free & -free)
+        taken.append(v := low.bit_length() - 1)
+        if match_right[v] == -1:
+            return path, taken
+        path.append(match_right[v])
+    return [], []
 
 
 def _permutations(n: int) -> np.ndarray:

@@ -392,6 +392,58 @@ def test_cli_output_matches_the_golden_digest(tmp_path, capsys):
     assert digest.hexdigest() == GOLDEN_CLI_DIGEST
 
 
+PARSER_EXITS = [
+    ["--help"],
+    *([name, "--help"] for name in cli._SUBCOMMANDS),
+    ["nope"],  # an unknown subcommand
+    [],
+    ["ratio", "--kvv", "5", "extra"],  # the top-level usage names every subcommand
+    ["ratio"],  # a missing required option
+    ["remark3", "--trials", "5"],
+    ["claim1", "--kvv", "5", "--edge", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_a_run_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    # main builds only the named subcommand's parser: its help, usage and
+    # errors, and their exit codes, are the full parser's to the byte
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser().parse_args(argv)
+    expected = (full.value.code, capsys.readouterr())
+    with pytest.raises(SystemExit) as run:
+        main(argv)
+    assert (run.value.code, capsys.readouterr()) == expected
+
+
+def test_an_unknown_subcommand_is_named_as_argparse_names_it(capsys):
+    with pytest.raises(SystemExit) as run:
+        main(["nope"])
+    assert run.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "ranking-market: error: argument subcommand: invalid choice: 'nope' (choose from "
+        "'gen', 'ratio', 'claim1', 'remark3', 'properties', 'oracle-check', 'run')"
+    )
+
+
+def test_a_run_builds_only_its_subcommands_parser(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+
+    def recording(subcommand=None):
+        parser = build(subcommand)
+        (action,) = [a for a in parser._actions if a.dest == "subcommand"]
+        built.append((subcommand, sorted(action.choices)))
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    assert run_cli(capsys, "ratio", "--kvv", "3", "--trials", "10", "--seed", "1")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == [("ratio", ["ratio"]), (None, sorted(cli._SUBCOMMANDS))]
+
+
 def test_start_up_imports_no_module_a_run_may_not_need():
     # the chunk runner forks without a process pool and imports signal only
     # to reap its children, a fresh seed comes from os.urandom and json is

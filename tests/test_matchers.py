@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,60 @@ def test_maximum_matching_long_chain_needs_no_recursion():
         assert maximum_matching(chain_instance(n)).size == brute_force_max_size(chain_instance(n))
 
 
+def test_maximum_matching_stops_once_a_side_is_saturated(monkeypatch):
+    # a dense random 400 x 200 graph saturates its right side at root 199:
+    # no root after it is searched
+    roots = []
+    for name in ("_mask_path", "_scan_path"):
+        search = getattr(matchers, name)
+        monkeypatch.setattr(matchers, name, lambda *a, search=search: roots.append(a[-1]) or search(*a))
+    inst = random_bipartite(400, 200, 0.5, np.random.default_rng(3))
+    assert maximum_matching(inst).size == 200
+    assert roots == list(range(200))
+
+
+def test_a_dense_random_graph_is_matched_in_under_a_second():
+    # 2000 x 1000 at p = 0.5: each search runs about 500 deep, and a scan
+    # past the visited neighbors took tens of seconds
+    inst = random_bipartite(2000, 1000, 0.5, np.random.default_rng(3))
+    started = time.perf_counter()
+    m = maximum_matching(inst)
+    assert time.perf_counter() - started < 1.0
+    assert m.size == 1000
+    validate_matching(m, inst)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.03, 0.1, 0.5, 0.9])
+def test_both_searches_return_a_full_searchs_pairs(p):
+    # below an edge in 64 cells the rows are scanned, above it searched as
+    # bit masks; either way the pairs are those of Kuhn's search from every
+    # root in neighbor order
+    rng = np.random.default_rng(int(p * 100))
+    for _ in range(40):
+        n_left, n_right = rng.integers(1, 60, size=2)
+        inst = random_bipartite(int(n_left), int(n_right), p, rng)
+        assert maximum_matching(inst).pairs == full_kuhn_pairs(inst)
+
+
+def full_kuhn_pairs(instance) -> tuple:
+    """Kuhn's augmenting-path search from every root, recursively: the
+    matching maximum_matching returns, with no early exit."""
+    match_right = [-1] * instance.n_right
+
+    def augment(u, visited):
+        for v in instance.adjacency[u]:
+            if not visited[v]:
+                visited[v] = True
+                if match_right[v] == -1 or augment(match_right[v], visited):
+                    match_right[v] = u
+                    return True
+        return False
+
+    for root in range(instance.n_left):
+        augment(root, [False] * instance.n_right)
+    return tuple(sorted((u, v) for v, u in enumerate(match_right) if u != -1))
+
+
 def test_greedy_takes_the_lowest_index_open_neighbor():
     rng = np.random.default_rng(22)
     for _ in range(40):
@@ -378,3 +433,67 @@ def test_per_market_block_kernel_equals_the_scalar_loop_market_by_market(gaps):
         for t, (inst, sigma) in enumerate(markets):
             expected = reference_assignment(inst, score[t].tolist(), sigma.order)
             assert block[t].tolist() == as_row(expected, n_left), (copies, t)
+
+
+def rank_blocks():
+    """Adversarial [T, R] score blocks for the rank-space kernel's key sort."""
+    rng = np.random.default_rng(61)
+    yield "repeated", rng.choice([0.25, 0.5, 1.0], size=(40, 150))
+    # chains one ulp apart: the steps differ only in the bits a key drops
+    base = rng.random((40, 1)) + 0.5
+    yield "nextafter", base + rng.integers(0, 300, size=(40, 300)) * np.spacing(base)
+    chain = [0.5]
+    for _ in range(99):
+        chain.append(np.nextafter(chain[-1], 1.0))
+    yield "nextafter chain", np.array([chain, chain[::-1], rng.permutation(chain)])
+    several = rng.random((40, 20))
+    several[:, ::3] = np.inf
+    yield "several inf", several
+    yield "signed zeros", rng.choice([0.0, -0.0, 0.5], size=(40, 30))
+    # one +0.0 before one -0.0 in rows of otherwise distinct values
+    zeros = rng.random((40, 30))
+    places = np.sort(rng.choice(30, size=(40, 2)), axis=1)
+    zeros[np.arange(40), places[:, 0]], zeros[np.arange(40), places[:, 1]] = 0.0, -0.0
+    yield "a +0.0 then a -0.0", zeros
+    yield "negative", rng.standard_normal((40, 60))
+    negative = rng.standard_normal((40, 60))
+    negative[:, 7] = -np.inf
+    yield "negative and one -inf", negative
+    yield "integer ranks", np.array([rng.permutation(64) for _ in range(40)], dtype=float)
+    yield "R = 1", rng.random((40, 1))
+    for k in (4, 7):  # R at 2**k and 2**k + 1, where the index bits grow
+        for n_right in (2**k, 2**k + 1):
+            yield f"R = {n_right}", np.round(rng.random((40, n_right)), 2)
+    yield "one market at R = 10**5", rng.random((1, 10**5))
+
+
+@pytest.mark.parametrize("name, score", list(rank_blocks()), ids=lambda x: x if isinstance(x, str) else "")
+def test_rank_space_equals_the_stable_argsort(name, score):
+    # the kernel's ids follow each row's stable argsort: item j of market t
+    # holds id t·(R+1) + (its place in that argsort) until taken
+    n_markets, n_right = score.shape
+    reference = np.argsort(score, axis=1, kind="stable")
+    keys = np.empty((n_markets, n_right), np.int64)
+    cell_of = np.empty((n_markets, n_right + 1), np.intp)
+    before = score.copy()
+    assert matchers._rank(score, keys, cell_of) == bool(np.isposinf(score).any())
+    assert np.array_equal(score, before)
+    assert np.array_equal(keys, reference)
+    # and the whole kernel equals the scalar loop, on a graph small enough
+    if n_right <= 1000:
+        inst = random_bipartite(30, n_right, min(1.0, 8 / n_right), np.random.default_rng(n_right))
+        assert_rows_equal_the_scalar_loop(inst, score, range(30))
+
+
+def test_rows_of_several_inf_scores_need_no_fallback(monkeypatch):
+    # inf keys agree above the column bits only with each other: they keep
+    # their column order, so such rows are not sorted again
+    score = np.random.default_rng(62).random((40, 20))
+    score[:, ::3] = np.inf
+    keys = np.empty(score.shape, np.int64)
+    cell_of = np.empty((40, 21), np.intp)
+    argsort, calls = np.argsort, []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+    assert matchers._rank(score, keys, cell_of)
+    assert calls == []
+    assert np.array_equal(keys, argsort(score, axis=1, kind="stable"))

@@ -204,11 +204,11 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
 
     monkeypatch.setattr(analysis, "_property_block", recording)
     # random sides up to 10: the arena's 3 * 132 + 3 * 11 cells of jump
-    # buffers (the 125 doubles over the first), then the stream's 2 * 132 +
-    # 5 * 12 + 32 = 356 cells, more than the markets' 8 * 30 + 100: 785
-    # cells a tuple and 1036 a block, (2**18 - 1036) // 785 = 332 a block
+    # buffers (the 125 doubles over the first), then the markets' 8 * 30 +
+    # 100 = 340 cells, more than the stream's 2 * 132 + 5 * 12 + 8: 769
+    # cells a tuple and 1036 a block, (2**18 - 1036) // 769 = 339 a block
     property_sweep(1300, seed=3)
-    assert sizes == [332, 332, 332, 304]
+    assert sizes == [339, 339, 339, 283]
     # kvv30: 936 cells a tuple, and its rows and edges, 2866 cells a block
     cells, fixed = 936, 2866
     for budget, expected in [(fixed + 2 * cells, [2, 2, 1]), (fixed + 2 * cells - 1, [1] * 5)]:
@@ -219,9 +219,9 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
 
 
 def test_tuple_cells_cover_every_row_of_doubles():
-    assert analysis._tuple_cells(10, 10, 10, 125, own_rows=True) == 3 * 132 + 3 * 11 + 356
+    assert analysis._tuple_cells(10, 10, 10, 125, own_rows=True) == 3 * 132 + 3 * 11 + 8 * 30 + 100
     # a fixed 10 x 10 instance's 21 doubles, 5 x 5 of them in the jump: its
-    # two markets, 8 * 30 cells, outweigh the stream's 2 * 25 + 5 * 5 + 32
+    # two markets, 8 * 30 cells, outweigh the stream's 2 * 25 + 5 * 5 + 8
     assert analysis._tuple_cells(10, 10, 10, 21, own_rows=False) == 3 * 25 + 3 * 5 + 8 * 30
     # a tuple's K = 5 + 2·m + m² doubles stay in the arena while its padded
     # rows are built, at every size a sweep accepts
