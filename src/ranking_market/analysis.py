@@ -44,7 +44,7 @@ from .matchers import (
     maximum_matching,
 )
 from .market import PriceAssignment, PriceScheme, _check_prices, _price_array, _settle_block
-from .streams import _jump_shapes, _trial_weights
+from .streams import _jump_shapes, _seed_limbs, _trial_weights
 
 GUARANTEE = 1.0 - 1.0 / math.e
 
@@ -335,20 +335,35 @@ def _row_sum(x: np.ndarray, total):
 
 def _trial_chunk(simulate, block: int, seed: int, t0: int, t1: int):
     """The sums of x and of x * x over trials t0..t1-1, where x =
-    simulate(seed, b0, b1) is a float array [B] or [B, k] for the trials
-    b0..b1-1 of a block of up to `block`: estimator markets (_market_block)
-    or property tuples (_property_violations), each in its run's _Arena.
+    simulate(seed, b0, b1, limbs) is a float array [B] or [B, k] for the
+    trials b0..b1-1 of a block of up to `block`: estimator markets
+    (_market_block) or property tuples (_property_violations), each in its
+    run's _Arena. The chunk's seeded start and inc limbs are hashed here in
+    one pass, and each block draws its stream from its slice of them.
     _row_sum adds the rows of x, then those of x * x (squared in place), to
     the running totals one after another, so the sums equal those of a
     trial-by-trial loop to the bit, whatever the block size."""
+    limbs = _seed_limbs(seed, t0, t1)
     total = total_sq = 0.0
     for b0 in range(t0, t1, block):
-        x = simulate(seed, b0, min(b0 + block, t1))
+        b1 = min(b0 + block, t1)
+        x = simulate(seed, b0, b1, limbs[:, b0 - t0 : b1 - t0])
         first = x[:1].copy()
         total = _row_sum(x, total)
         x[:1] = first
         total_sq = _row_sum(np.multiply(x, x, out=x), total_sq)
     return total, total_sq
+
+
+def _chunk_cells(trials: int) -> int:
+    """Cells a chunk holds while its blocks run, whatever their size: its
+    trials' seeded limbs (_seed_limbs), 4 a trial of the chunk. Hashing
+    them adds about 5 a trial more (the pool and a temporary over half the
+    limbs: tracemalloc reads 8.6 in all a trial at 2048 and 9.2 at 400),
+    but before the chunk's first block, when no block stage is live; a
+    later chunk's hashing goes past the count only where a block's stages
+    add less than that, by at most 80 KiB."""
+    return 4 * min(trials, _CHUNK_TRIALS)
 
 
 def _nbytes(specs) -> int:
@@ -402,17 +417,18 @@ def _market_layout(n_left: int, n_right: int, width: int, rows: int):
     return [_jump_shapes(n_right, rows), kernel], own
 
 
-def _market_block(adjacency, order, n_right, scheme, observe, arena, seed, b0, b1):
+def _market_block(adjacency, order, n_right, scheme, observe, arena, seed, b0, b1, limbs=None):
     """observe(weights, prices, assignments, out) over the markets of trials
     b0..b1-1. The weights W [B, n_right] come from one _trial_weights call
-    (row r is trial_rng(seed, t).random(n_right) for its trial t, to the
-    bit), the prices P [B, n_right] from the one price rule and the
+    on the block's slice of its chunk's limbs, if given (row r is
+    trial_rng(seed, t).random(n_right) for its trial t, to the bit), the
+    prices P [B, n_right] from the one price rule and the
     assignments A [B, n_left] (-1: unserved) from one kernel call on the
     neighbor lists as index arrays, each written into its views of the
     arena (_market_layout; out is the workspace) or, without one, allocated
     afresh."""
     stream, kernel, w, prices, space = arena(b1 - b0) if arena else (None,) * 5
-    w = _trial_weights(seed, b0, b1, n_right, arena and (stream, w))
+    w = _trial_weights(seed, b0, b1, n_right, arena and (stream, w), limbs)
     prices = _price_array(w, scheme, prices)
     return observe(w, prices, _assign_min_score(adjacency, prices, order, kernel), out=space)
 
@@ -437,30 +453,29 @@ def _estimate(
     A trial counts its bytes of the run's arena, its ids at 2 bytes (the
     widest a block of 2**18 cells needs, a trial taking over 4(R + 1)
     cells) unless one market's R + 1 need 4, and the most any stage of a
-    block adds to them: the stream's seed words (32 cells), or its coarse
-    limbs (5 a row), 8 kept words and numpy's iterator buffers for its
-    broadcast fine products (2 a double, up to 64 KiB each, so a whole
-    operand in a small block); the kernel's buffer for the columns it ORs
-    into its keys, its near-tie mask and one arrival's gathered ids; the
-    settled utilities, revenues and five arrays over the sales. A block
-    also counts, whatever its size, the running totals, the first row and
-    the reduction (4 per value) and 8 KiB of views and other Python
-    objects. tracemalloc over a fresh run of three blocks, the arena's
-    allocation included, reads within (3/4 of the count, the count] at
-    2**14, 2**16 and 2**18 cells a block."""
+    block adds to them: the stream's halves of its coarse lo words (2 a
+    coarse state) and numpy's iterator buffers for its broadcast fine
+    products (2 a double, up to 64 KiB each, so a whole operand in a small
+    block); the kernel's buffer for the columns it ORs into its keys, its
+    near-tie mask and one arrival's gathered ids; the settled utilities,
+    revenues and five arrays over the sales. A block also counts, whatever
+    its size, the running totals, the first row and the reduction (4 per
+    value), 8 KiB of views and other Python objects, and its chunk's seeded
+    limbs (_chunk_cells). tracemalloc over a fresh run of three blocks, the
+    arena's allocation included, reads within (3/4 of the count, the count]
+    at 2**14, 2**16 and 2**18 cells a block."""
     n_left, n_right = instance.n_left, instance.n_right
     rows = max(1, 0xFFFF // (n_right + 1))
     (stream, kernel), own = _market_layout(n_left, n_right, width, rows)
     s, q, _ = stream[0][0] if stream else (0, 0, 0)
     degree = max(map(len, instance.adjacency), default=0)
     added = max(
-        32,
-        2 * s * q + 5 * q + 8,
+        2 * s * q + 2 * q,
         n_right + (n_right + 2 * degree) // 8,
         n_left + n_right + 5 * min(n_left, n_right) if settles else 0,
     )
     cells = -(-(max(_nbytes(stream), _nbytes(kernel)) + _nbytes(own)) // (8 * rows)) + added
-    block = _block_size(cells, 4 * width + 1024)
+    block = _block_size(cells, 4 * width + 1024 + _chunk_cells(trials))
     adjacency = tuple(np.array(neighbors, dtype=np.intp) for neighbors in instance.adjacency)
     arena = _Arena(partial(_market_layout, n_left, n_right, width))
     simulate = partial(_market_block, adjacency, sigma.order, n_right, scheme, observe, arena)
@@ -780,15 +795,14 @@ def _tuple_layout(doubles: int, rows: int):
 def _tuple_cells(n_left: int, n_right: int, width: int, doubles: int, own_rows: bool) -> int:
     """Array cells one tuple adds to a block: its row of `doubles` and jump
     buffers in the run's arena (_tuple_layout), then the most either stage
-    adds to them: the stream's seed words, or its coarse limbs, kept words
-    and iterator buffers, as _estimate counts them; or the scores,
-    assignments and per-arrival arrays of the tuple's two markets, with,
-    when its graph is its own (a random tuple), its padded neighbor rows
-    (_random_tuples)."""
+    adds to them: the stream's halves of words and iterator buffers, as
+    _estimate counts them; or the scores, assignments and per-arrival
+    arrays of the tuple's two markets, with, when its graph is its own (a
+    random tuple), its padded neighbor rows (_random_tuples)."""
     (stream, u), _ = _tuple_layout(doubles, 1)
     s, q, _ = stream[0][0] if stream else (0, 0, 0)
     markets = 8 * (n_left + n_right + width) + (n_left * width if own_rows else 0)
-    return max(_nbytes(stream), _nbytes(u)) // 8 + max(32, 2 * s * q + 5 * q + 8, markets)
+    return max(_nbytes(stream), _nbytes(u)) // 8 + max(2 * s * q + 2 * q, markets)
 
 
 def _instance_rows(instance: BipartiteInstance):
@@ -806,7 +820,7 @@ def _instance_rows(instance: BipartiteInstance):
     return rows, buyers, items
 
 
-def _random_tuples(max_side: int, seed: int, t0: int, t1: int, arena=None):
+def _random_tuples(max_side: int, seed: int, t0: int, t1: int, arena=None, limbs=None):
     """Random property tuples t0..t1-1 in block form, padded to the block's
     largest sides L and R: the neighbor rows [B, L, R] (the padding item R
     marks a non-edge), the arrival orders [B, L], the weights [B, R] and the
@@ -821,10 +835,12 @@ def _random_tuples(max_side: int, seed: int, t0: int, t1: int, arena=None):
     are the coins of an [m, m] frame, an edge where below p inside the
     graph. Every (graph with an edge, edge of it) pair has positive
     probability. The stream writes u into its views of the run's arena
-    (_tuple_layout), if given.
+    (_tuple_layout), if given, from the block's slice of its chunk's seeded
+    limbs, if given.
     """
     stream, (u,) = arena(t1 - t0) if arena else (None, (None,))
-    u = _trial_weights(seed, t0, t1, 5 + 2 * max_side + max_side * max_side, arena and (stream, u))
+    doubles = 5 + 2 * max_side + max_side * max_side
+    u = _trial_weights(seed, t0, t1, doubles, arena and (stream, u), limbs)
     n_left, n_right = (u[:, :2] * max_side).astype(np.intp).T + 1
     buyers = (u[:, 3] * n_left).astype(np.intp)
     items = (u[:, 4] * n_right).astype(np.intp)
@@ -842,16 +858,16 @@ def _random_tuples(max_side: int, seed: int, t0: int, t1: int, arena=None):
 
 
 def _fixed_tuples(rows, edge_buyers, edge_items, n_right: int, seed: int, t0: int, t1: int,
-                  arena=None):
+                  arena=None, limbs=None):
     """Tuples t0..t1-1 of a sweep on a fixed instance, in _random_tuples'
     block form. Tuple t is a function of u = trial_rng(seed, t).random(1 +
     L + R): its edge is number floor(u0·E) of the E edges in row-major
     order, its arrival order the stable argsort of the next L doubles and
-    its weights the last R; u goes into the run's arena as in
+    its weights the last R; u is drawn into the run's arena as in
     _random_tuples."""
     n_left = rows.shape[1]
     stream, (u,) = arena(t1 - t0) if arena else (None, (None,))
-    u = _trial_weights(seed, t0, t1, 1 + n_left + n_right, arena and (stream, u))
+    u = _trial_weights(seed, t0, t1, 1 + n_left + n_right, arena and (stream, u), limbs)
     picks = (u[:, 0] * len(edge_items)).astype(np.intp)
     orders = np.argsort(u[:, 1 : 1 + n_left], axis=1, kind="stable")
     return rows, orders, u[:, 1 + n_left :], edge_buyers[picks], edge_items[picks]
@@ -937,11 +953,11 @@ def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
     ])
 
 
-def _property_violations(tuples, arena, seed: int, b0: int, b1: int) -> np.ndarray:
+def _property_violations(tuples, arena, seed: int, b0: int, b1: int, limbs=None) -> np.ndarray:
     """[B, 3]: 1.0 where a tuple of b0..b1-1, drawn by tuples(seed, b0, b1,
-    arena), violates sold_if_cheaper, utility_floor or monotone
+    arena, limbs), violates sold_if_cheaper, utility_floor or monotone
     availability, else 0.0."""
-    return np.logical_not(_property_block(*tuples(seed, b0, b1, arena)).T).astype(float)
+    return np.logical_not(_property_block(*tuples(seed, b0, b1, arena, limbs)).T).astype(float)
 
 
 def _property_chunk(tuples, arena, block: int, seed: int, t0: int, t1: int):
@@ -986,8 +1002,9 @@ def property_sweep(
     # run's arena, and its tuples are checked at once (_property_block):
     # hundreds of tiny random graphs, or as few as one tuple of a large
     # instance. A block also counts what _estimate counts for three values
-    # whatever its size, and a fixed instance's rows and edges.
-    fixed = 4 * 3 + 1024
+    # whatever its size, its chunk's seeded limbs and a fixed instance's
+    # rows and edges.
+    fixed = 4 * 3 + 1024 + _chunk_cells(trials)
     if instance is None:
         n_left = n_right = width = max_side
         doubles = 5 + 2 * max_side + max_side * max_side

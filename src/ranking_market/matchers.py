@@ -339,3 +339,30 @@ def exact_ranking_expectation(instance: BipartiteInstance, sigma: ArrivalOrder) 
         for block in np.split(ranks, range(rows, len(ranks), rows))
     )
     return Fraction(int(served), len(ranks))
+
+
+def exact_kvv_matching_size(n: int) -> Fraction:
+    """RANKING's exact expected matching size on kvv_hard_instance(n) under
+    the identity order, for any n >= 1, as a chain on the pool: the items
+    of i..n-1 still available when buyer i arrives. Every such item was a
+    neighbour of every earlier buyer and none was preferred, so the pool is
+    a uniform subset of its size s. Buyer i is served when s >= 1 and takes
+    a uniform member; item i, which no later buyer can take, is then left
+    in the pool, unsold for good, with probability (s - 1) / (n - i)."""
+    if n < 1:
+        raise ValueError("kvv_hard_instance requires n >= 1")
+    pool = {n: Fraction(1)}  # the distribution of s
+    size = Fraction(0)
+    for i in range(n):
+        after = {}
+        for s, p in pool.items():
+            if s == 0:
+                after[0] = after.get(0, 0) + p
+                continue
+            size += p
+            stays = Fraction(s - 1, n - i)
+            if stays:
+                after[s - 2] = after.get(s - 2, 0) + p * stays
+            after[s - 1] = after.get(s - 1, 0) + p * (1 - stays)
+        pool = after
+    return size

@@ -19,14 +19,19 @@ three steps:
    ``(x >> 11) * 2**-53``. k steps from state x are the jump
    ``M**k·x + C_k·inc`` with ``C_k = 1 + M + ... + M**(k-1)``. A row of n
    is reached in two levels, with k = r·q + c and q about sqrt(n): a coarse
-   jump from the start to each of the q states of draws 0..q-1, then a fine
-   jump of r·q steps from each of them, one 128-bit product a double.
+   jump from the start to each of the q states of draws 0..q-1, which are
+   the row's draws r = 0, then a fine jump of r·q steps from each of them
+   for r = 1..s-1, one 128-bit product a double past the first q. The
+   products by inc of both levels are one product.
 
-Step 1 is always array operations over the trials. A row shorter than
-``_LONG_ROW`` doubles is then drawn by steps 2 and 3 as array operations
-too, into a run's block memory; a longer one by numpy's own ``random`` on
-one PCG64 set to the trial's starting state, which costs about the same at
-that length and less above it, at the block sizes runs take.
+Steps 1 and 2's seeding run once a chunk: ``_seed_limbs`` hashes the
+chunk's trials as array operations and keeps only their seeded start and
+inc, four uint64 a trial, and each block of the chunk draws from its slice
+of them. The rest runs once a block: a row shorter than ``_LONG_ROW``
+doubles is drawn by the jumps and step 3 as array operations, into a run's
+block memory; a longer one by numpy's own ``random`` on one PCG64 set to
+the trial's starting state, which costs about the same at that length and
+less above it, at the block sizes runs take.
 
 128-bit numbers are held as two uint64 limbs (hi, lo); the high half of a
 64x64-bit product is assembled from 32-bit halves. All uint arithmetic wraps,
@@ -54,6 +59,8 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 # for each source word of the pool, the words it is mixed into, in order
 _OTHERS = tuple(np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL))
+# the pool words that the low and the high halves of the four words hash
+_HALF_WORDS = (np.array([0, 2, 0, 2]), np.array([1, 3, 1, 3]))
 
 # PCG64's LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -103,17 +110,18 @@ def _hashmix(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of a pool word x with a hashed word y."""
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    r ^= r >> _XSHIFT
-    return r
+    """SeedSequence's mix of a pool word x with a hashed word y, in place in
+    both."""
+    x *= _MIX_MULT_L
+    x -= np.multiply(y, _MIX_MULT_R, out=y)
+    x ^= x >> _XSHIFT
+    return x
 
 
-def _generate_state(words: list, rows: int) -> np.ndarray:
-    """SeedSequence(entropy).generate_state(4, np.uint64) for `rows` entropy
-    lists of equal length at once, as a [4, rows] uint64 array. words[i] is
-    the i-th entropy word: an int shared by every row, or a [rows] uint32
-    array."""
+def _seed_pool(words: list, rows: int) -> np.ndarray:
+    """SeedSequence(entropy)'s pool, [4, rows] uint32, for `rows` entropy
+    lists of equal length at once. words[i] is the i-th entropy word: an int
+    shared by every row, or a [rows] uint32 array."""
     a = _hash_constants(_INIT_A, _MULT_A, _POOL * max(_POOL, len(words)))
     pool = np.zeros((_POOL, rows), dtype=np.uint32)
     for i, word in enumerate(words[:_POOL]):
@@ -126,9 +134,21 @@ def _generate_state(words: list, rows: int) -> np.ndarray:
     for word in words[_POOL:]:
         pool = _mix(pool, _hashmix(np.asarray(word, dtype=np.uint32), a[k : k + _POOL + 1]))
         k += _POOL
-    out = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
-    out = out.astype(np.uint64)
-    return out[0::2] | (out[1::2] << _S32)
+    return pool
+
+
+def _generate_state(pool: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """generate_state(4, np.uint64) of SeedSequences with the pools [4,
+    rows], into out, [4, rows] little-endian uint64. generate_state's uint32
+    word j hashes pool word j % 4 and is the low (j even) or the high half
+    of uint64 word j // 2, so each half is hashed where it lies in out."""
+    b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    for half, value in enumerate(np.moveaxis(out.view("<u4").reshape(_POOL, -1, 2), 2, 0)):
+        pool.take(_HALF_WORDS[half], axis=0, out=value, mode="clip")
+        value ^= b[half : 2 * _POOL : 2]
+        value *= b[half + 1 :: 2]
+        value ^= value >> _XSHIFT
+    return out
 
 
 def _limbs(values: list[int], shape: tuple) -> tuple[np.ndarray, ...]:
@@ -140,14 +160,15 @@ def _limbs(values: list[int], shape: tuple) -> tuple[np.ndarray, ...]:
 
 
 def _jump_shapes(n: int, rows: int) -> list[tuple]:
-    """(shape, dtype) of the fine jump's uint64 buffers for `rows` rows of n
-    doubles: _mul128's three for the powers, [s, q, rows], and three for
-    the sums, [s, 1, rows] (_lcg_jumps' s and q); none from _LONG_ROW."""
+    """(shape, dtype) of the jump's uint64 buffers for `rows` rows of n
+    doubles: _mul128's three for the states, [s, q, rows], and three for
+    the products by inc, [q + s - 1, rows] (_lcg_jumps' s and q); none from
+    _LONG_ROW."""
     if n >= _LONG_ROW:
         return []
     q = math.isqrt(max(n - 1, 0)) + 1
     s = -(-n // q)
-    return [((s, q, rows), np.uint64)] * 3 + [((s, 1, rows), np.uint64)] * 3
+    return [((s, q, rows), np.uint64)] * 3 + [((q + s - 1, rows), np.uint64)] * 3
 
 
 @lru_cache(maxsize=32)
@@ -155,8 +176,10 @@ def _lcg_jumps(n: int):
     """Limbs of (M**k, C_k), C_k = 1 + M + ... + M**(k-1), that reach draw
     k = r·q + c of a row of n, q about sqrt(n): the coarse steps k = c + 2
     for c < q ([q, 1]: draw c of the seeded generator is c + 2 LCG steps
-    from initstate + inc) and the fine jumps k = r·q for r < s = ceil(n /
-    q) ([s, 1, 1]). Both come by stepping: q + s pairs, not one per draw."""
+    from initstate + inc) and the fine jumps k = r·q for 0 < r < s = ceil(n
+    / q) ([s - 1, 1, 1]; r = 0 is the coarse state itself): the powers of
+    each, then the sums of both stacked, [q + s - 1, 1], for one product by
+    inc. Both come by stepping: q + s pairs, not one per draw."""
     q = math.isqrt(max(n - 1, 0)) + 1
     s = -(-n // q)
     powers, sums = [1], [0]
@@ -165,12 +188,12 @@ def _lcg_jumps(n: int):
         sums.append((sums[-1] * _PCG_MULT + 1) & _MASK128)
     jump_powers, jump_sums = [], []
     power, total = 1, 0
-    for _ in range(s):
+    for _ in range(1, s):
+        power, total = power * powers[q] & _MASK128, (total * powers[q] + sums[q]) & _MASK128
         jump_powers.append(power)
         jump_sums.append(total)
-        power, total = power * powers[q] & _MASK128, (total * powers[q] + sums[q]) & _MASK128
-    coarse = (_limbs(powers[2:], (q, 1)), _limbs(sums[2:], (q, 1)))
-    return coarse, (_limbs(jump_powers, (s, 1, 1)), _limbs(jump_sums, (s, 1, 1)))
+    sums = _limbs(sums[2:] + jump_sums, (q + s - 1, 1))
+    return _limbs(powers[2:], (q, 1)), _limbs(jump_powers, (s - 1, 1, 1)), sums
 
 
 def _mul128(hi: np.ndarray, lo: np.ndarray, limbs, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -211,35 +234,39 @@ def _add128(hi, lo, add_hi, add_lo) -> None:
     hi += lo < add_lo
 
 
-def _trial_weights(seed: int, t0: int, t1: int, n: int, out=None) -> np.ndarray:
+def _trial_weights(seed: int, t0: int, t1: int, n: int, out=None, limbs=None) -> np.ndarray:
     """[t1 - t0, n] float64 whose row r is trial_rng(seed, t0 + r).random(n)
-    to the bit: numpy's SeedSequence hashing as array operations over the
-    rows, then, for n < _LONG_ROW, PCG64 seeding and random() the same way
-    (the steps are in the module docstring; PCG64 is O'Neill 2014's XSL-RR
-    128/64), with rows the last axis of every temporary, so that each ufunc
-    loops over the block's trials. A longer row is filled by one random()
-    call on a PCG64 set to its trial's starting state.
+    to the bit: for n < _LONG_ROW, PCG64's steps and random() as array
+    operations (the steps are in the module docstring; PCG64 is O'Neill
+    2014's XSL-RR 128/64), with rows the last axis of every temporary, so
+    that each ufunc loops over the block's trials. A longer row is filled
+    by one random() call on a PCG64 set to its trial's starting state.
 
-    out, if given, is the fine jump's buffers (_jump_shapes), which hold its
-    products and the XSL-RR output, and the weights [t1 - t0, n] to write,
-    which may overlay the first buffer (dead by then); without it they are
-    allocated afresh, as the coarse limbs always are.
+    limbs, if given, is the trials' seeded start and inc (_seed_limbs),
+    sliced from those a chunk hashed at once; without it they are hashed
+    here. out, if given, is the jump's buffers (_jump_shapes), which hold
+    its products and the XSL-RR output, and the weights [t1 - t0, n] to
+    write, which may overlay the first buffer (dead by then); without it
+    they are allocated afresh.
 
     The jump's work is s·q >= n doubles a row, and its cost a row falls as
     the block grows; the call costs a fixed 3-4 µs a row (most of it
     setting the state) and little more a double. Each writing into a run's
-    arena at the block size its count gives, in CPU µs a row on a 2-vCPU VM
-    (median of 9 interleaved rounds, each the best of 5 blocks), the jump
-    took 2.62 at 173 doubles (blocks of 248) and 2.94 at 200 (217) against
-    3.32 and 3.41 for the call (blocks of 431 and 383), 3.54 at 229 (192)
-    against 3.46, and 4.84 at 201 (78, a kvv100 property tuple) against
-    4.07. So the property sweep's random rows up to max_side 13 (200
-    doubles) take the jump, the default max_side of 10 (125) among them,
-    and a kvv100 tuple and max_side 14 (229) the call. An estimator's row
-    is near the crossover there: at n_right 200 (blocks of 160) the jump
-    took 4.53 against 4.09, at 150 (210) 3.36 against 3.96."""
+    arena at the block size its count gives, with the chunk's limbs, in CPU
+    µs a row on a 2-vCPU VM (median of 9 interleaved rounds, each the best
+    of 5 blocks), the jump took 2.53 at 173 doubles (blocks of 239), 2.99
+    at 200 (211) and 3.23 at 229 (188) against 3.34, 3.40 and 3.49 for the
+    call (blocks of 418, 371 and 332), 3.66 at 260 against 3.60, and 4.46
+    at 201 (74, a kvv100 property tuple) against 4.15. An estimator's
+    smaller blocks cross over earlier: at n_right 150 (blocks of 214) the
+    jump took 2.19 against 3.38, at 175 3.43 against 3.43, at 200 (161)
+    3.83 against 3.50 and at 225 4.21 against 3.57. No one switch suits
+    both, so it stays at 201: the property sweep's random rows up to
+    max_side 13 (200 doubles) take the jump, the default max_side of 10
+    (125) among them, and a kvv100 tuple and max_side 14 (229) the call."""
     rows = t1 - t0
-    s0, s1, s2, s3 = states = _seed_states(seed, t0, t1)
+    limbs = _seed_limbs(seed, t0, t1) if limbs is None else limbs
+    start_hi, start_lo, inc_hi, inc_lo = limbs
     buffers, weights = out or (
         [np.empty(shape, dtype) for shape, dtype in _jump_shapes(n, rows)],
         np.empty((rows, n)),
@@ -247,25 +274,30 @@ def _trial_weights(seed: int, t0: int, t1: int, n: int, out=None) -> np.ndarray:
     if n >= _LONG_ROW:
         bit_generator = np.random.PCG64(0)
         rng = np.random.Generator(bit_generator)
-        for row, words in zip(weights, states.T.tolist()):
+        for row, *words in zip(weights, *limbs.tolist()):
             bit_generator.state = _start_state(*words)
             rng.random(out=row)
         return weights
-    inc_hi = (s2 << _ONE) | (s3 >> _S63)
-    inc_lo = (s3 << _ONE) | _ONE
-    # initstate + inc, from which draw c is c + 2 LCG steps
-    start_lo = s1 + inc_lo
-    start_hi = s0 + inc_hi + (start_lo < inc_lo)
-    (powers, sums), (jump_powers, jump_sums) = _lcg_jumps(n)
-    # coarse: the states of draws 0..q-1, [q, rows]
-    hi, lo = _mul128(start_hi, start_lo, powers)
-    _add128(hi, lo, *_mul128(inc_hi, inc_lo, sums))
+    if n == 0:
+        return weights
+    powers, jump_powers, sums = _lcg_jumps(n)
+    states = buffers[:3]
+    q = len(powers[0])
+    # every product by inc at once: the coarse steps' C_(c+2)·inc, then
+    # the fine jumps' C_rq·inc
+    terms_hi, terms_lo = _mul128(inc_hi, inc_lo, sums, buffers[3:])
+    # coarse: the states of draws 0..q-1 (start is initstate + inc, from
+    # which draw c is c + 2 LCG steps), into row r = 0 of the fine jump
+    hi, lo = _mul128(start_hi, start_lo, powers, [b[0] for b in states])
+    _add128(hi, lo, terms_hi[:q], terms_lo[:q])
     # fine: draw r·q + c is M**(rq)·state_c + C_rq·inc, [s, q, rows]
-    hi, lo = _mul128(hi, lo, jump_powers, buffers[:3])
-    _add128(hi, lo, *_mul128(inc_hi, inc_lo, jump_sums, buffers[3:]))
+    if len(terms_lo) > q:
+        fine = _mul128(hi, lo, jump_powers, [b[1:] for b in states])
+        _add128(*fine, terms_hi[q:, None], terms_lo[q:, None])
+    lo, hi, x = states
     lo ^= hi  # XSL-RR, into the buffer the products no longer use
     hi >>= _S58
-    x = np.right_shift(lo, hi, out=buffers[2])
+    np.right_shift(lo, hi, out=x)
     np.subtract(_S64, hi, out=hi)
     hi &= _S63
     lo <<= hi
@@ -279,6 +311,22 @@ def _trial_weights(seed: int, t0: int, t1: int, n: int, out=None) -> np.ndarray:
     return weights
 
 
+def _seed_limbs(seed: int, t0: int, t1: int) -> np.ndarray:
+    """[4, t1 - t0] uint64: the rows start_hi, start_lo, inc_hi and inc_lo
+    of trials t0..t1-1's seeded PCG64s, inc = (s2:s3 << 1) | 1 and start =
+    s0:s1 + inc (initstate + inc) from their words (_seed_states), made
+    from those words in place."""
+    s0, s1, s2, s3 = limbs = _seed_states(seed, t0, t1)
+    s2 <<= _ONE
+    s2 |= s3 >> _S63
+    s3 <<= _ONE
+    s3 |= _ONE
+    s1 += s3
+    s0 += s2
+    s0 += s1 < s3
+    return limbs
+
+
 def _seed_states(seed: int, t0: int, t1: int) -> np.ndarray:
     """[4, t1 - t0] uint64: column r is SeedSequence((seed, t0 + r))
     .generate_state(4, np.uint64), the words that seed trial t0 + r's PCG64.
@@ -290,30 +338,29 @@ def _seed_states(seed: int, t0: int, t1: int) -> np.ndarray:
     """
     seed_words = _uint32_words(seed)
     _uint32_words(t0)  # a negative trial index raises as trial_rng does
-    parts = []
+    pools = []
     t = t0
     while t < t1:
         high = t >> 32
         end = min(t1, (high + 1) << 32)
         low = np.arange(end - t, dtype=np.uint32) + np.uint32(t & _MASK32)
         words = seed_words + [low] + (_uint32_words(high) if high else [])
-        parts.append(_generate_state(words, end - t))
+        pools.append((t - t0, end - t0, _seed_pool(words, end - t)))
         t = end
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts, axis=1) if parts else np.empty((4, 0), dtype=np.uint64)
+    states = np.empty((_POOL, t1 - t0), dtype="<u8")
+    for a, b, pool in pools:
+        _generate_state(pool, states[:, a:b])
+    return states
 
 
-def _start_state(s0: int, s1: int, s2: int, s3: int) -> dict:
-    """The state, for PCG64's ``state`` setter, of a PCG64 seeded with
-    generate_state's four words: ``(s0:s1 + inc)·M + inc`` with ``inc =
-    (s2:s3 << 1) | 1``."""
-    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-    state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
+def _start_state(start_hi: int, start_lo: int, inc_hi: int, inc_lo: int) -> dict:
+    """The state, for PCG64's ``state`` setter, of a PCG64 seeded as
+    _seed_limbs gives it: one LCG step from start = initstate + inc."""
+    inc = inc_hi << 64 | inc_lo
+    state = ((start_hi << 64 | start_lo) * _PCG_MULT + inc) & _MASK128
     return {
         "bit_generator": "PCG64",
         "state": {"state": state, "inc": inc},
         "has_uint32": 0,
         "uinteger": 0,
     }
-

@@ -22,6 +22,8 @@ from ranking_market import (
     edge_guarantee_sweep,
     estimate_competitive_ratio,
     estimate_matching_size,
+    exact_kvv_matching_size,
+    exact_ranking_expectation,
     greedy,
     kvv_hard_instance,
     last_buyer_report,
@@ -230,9 +232,9 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
         cells.append((c, fixed))
         return block_size(c, fixed)
 
-    def recording_sizes(seed, t0, t1, n, out=None):
+    def recording_sizes(seed, t0, t1, n, out=None, limbs=None):
         sizes.append(t1 - t0)
-        return trial_weights(seed, t0, t1, n, out)
+        return trial_weights(seed, t0, t1, n, out, limbs)
 
     monkeypatch.setattr(analysis, "_block_size", recording_cells)
     monkeypatch.setattr(analysis, "_trial_weights", recording_sizes)
@@ -263,7 +265,10 @@ def traced_run(monkeypatch, name, trials_in_blocks):
     """The count _estimate makes a trial (its cells a trial and its share of
     the block's fixed cells), the block size and the tracemalloc peak a
     trial of a fresh run of BLOCK_RUNS[name] over that many blocks: all of
-    _run_chunks, the arena's first allocation included."""
+    _run_chunks, the arena's first allocation included. The count is the
+    measured run's own, since a chunk's seeded limbs count by its trials
+    (_chunk_cells): its blocks can come out smaller than those of the short
+    run that sized it, and then there are more of them."""
     counts, peaks = [], []
     run_chunks, block_size = analysis._run_chunks, analysis._block_size
 
@@ -285,6 +290,8 @@ def traced_run(monkeypatch, name, trials_in_blocks):
     block = block_size(cells, fixed)
     monkeypatch.setattr(analysis, "_run_chunks", traced)
     BLOCK_RUNS[name](trials_in_blocks * block)
+    cells, fixed = counts[-1]
+    block = block_size(cells, fixed)
     return cells + fixed / block, block, peaks[-1] / (8 * block)
 
 
@@ -315,9 +322,9 @@ def test_steady_state_blocks_take_no_page_faults(monkeypatch, name):
     trial_chunk = analysis._trial_chunk
 
     def reading(simulate, block, seed, t0, t1):
-        def read_block(seed, b0, b1):
+        def read_block(seed, b0, b1, limbs):
             readings.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, b0))
-            return simulate(seed, b0, b1)
+            return simulate(seed, b0, b1, limbs)
 
         totals = trial_chunk(read_block, block, seed, t0, t1)
         readings.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, t1))
@@ -582,6 +589,51 @@ def test_trial_weights_equal_trial_rng_bit_for_bit(n):
                 assert np.array_equal(batched[r], trial_rng(seed, t).random(n)), (seed, t, n)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 20, 50, 100, 125, 200, _LONG_ROW - 1, _LONG_ROW])
+@pytest.mark.parametrize("seed", [5, 2**64 + 7], ids=["one word", "three words"])
+def test_chunk_sliced_draws_equal_trial_rng_bit_for_bit(seed, n):
+    # the one block loop hashes its chunk's limbs once and hands each block
+    # its slice: blocks of 300 from 400 below t = 2**32, so the second and
+    # third start mid-chunk, the second crosses 2**32 (where t gains an
+    # entropy word and the hashing is split) and the last is short
+    t0, t1 = 2**32 - 400, 2**32 + 250
+    seen = []
+
+    def simulate(seed, b0, b1, limbs):
+        batched = analysis._trial_weights(seed, b0, b1, n, None, limbs)
+        assert batched.shape == (b1 - b0, n)
+        for r, t in enumerate(range(b0, b1)):
+            assert np.array_equal(batched[r], trial_rng(seed, t).random(n)), (seed, t, n)
+        seen.append((b0, b1))
+        return np.zeros(b1 - b0)
+
+    analysis._trial_chunk(simulate, 300, seed, t0, t1)
+    assert seen == [(t0, t0 + 300), (t0 + 300, t0 + 600), (t0 + 600, t1)]
+
+
+def test_chunks_give_the_same_results_at_one_and_two_jobs():
+    # four chunks: the forked share hashes its own chunks' limbs
+    trials = 3 * analysis._CHUNK_TRIALS + 5
+    size = partial(estimate_matching_size, kvv_hard_instance(20), ArrivalOrder.identity(20), trials, 4)
+    assert size(jobs=1) == size(jobs=2)
+    assert property_sweep(trials, 4, jobs=1) == property_sweep(trials, 4, jobs=2)
+
+
+def test_exact_kvv_matching_size_equals_the_enumeration():
+    for n in range(1, 9):
+        inst = kvv_hard_instance(n)
+        assert exact_kvv_matching_size(n) == exact_ranking_expectation(inst, ArrivalOrder.identity(n))
+    with pytest.raises(ValueError):
+        exact_kvv_matching_size(0)
+
+
+@pytest.mark.parametrize("n, trials", [(20, 20000), (100, 3000)])
+def test_the_ratio_estimate_agrees_with_the_exact_kvv_chain(n, trials):
+    est, optimum = estimate_competitive_ratio(kvv_hard_instance(n), ArrivalOrder.identity(n), trials, 5)
+    exact = float(exact_kvv_matching_size(n)) / optimum
+    assert abs(est.mean - exact) <= 4 * est.stderr, (est.mean, exact, est.stderr)
+
+
 def test_trial_weights_draw_a_row_of_a_million():
     # a file instance's side, far past the switch to numpy's own random()
     n, seed, t = 10**6, 2**64 + 7, 2**32 + 5
@@ -801,8 +853,8 @@ def test_last_buyer_report_tie_fallback_matches_two_simulations(monkeypatch):
     n, trials, seed = 2, 900, 12
     trial_weights = analysis._trial_weights
 
-    def tied_weights(seed, t0, t1, n, out=None):
-        w = trial_weights(seed, t0, t1, n, out)  # into the run's arena
+    def tied_weights(seed, t0, t1, n, out=None, limbs=None):
+        w = trial_weights(seed, t0, t1, n, out, limbs)  # into the run's arena
         w[np.arange(t0, t1) % 3 == 0] = TIED_WEIGHTS
         return w
 

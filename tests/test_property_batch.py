@@ -203,14 +203,16 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
         return block(rows, orders, weights, buyers, items)
 
     monkeypatch.setattr(analysis, "_property_block", recording)
-    # random sides up to 10: the arena's 3 * 132 + 3 * 11 cells of jump
+    # random sides up to 10: the arena's 3 * 132 + 3 * 22 cells of jump
     # buffers (the 125 doubles over the first), then the markets' 8 * 30 +
-    # 100 = 340 cells, more than the stream's 2 * 132 + 5 * 12 + 8: 769
-    # cells a tuple and 1036 a block, (2**18 - 1036) // 769 = 339 a block
+    # 100 = 340 cells, more than the stream's 2 * 132 + 2 * 12: 802 cells a
+    # tuple, and 1036 a block with the chunk's 4 * 1300 cells of seeded
+    # limbs: (2**18 - 1036 - 5200) // 802 = 319 a block
     property_sweep(1300, seed=3)
-    assert sizes == [339, 339, 339, 283]
-    # kvv30: 936 cells a tuple, and its rows and edges, 2866 cells a block
-    cells, fixed = 936, 2866
+    assert sizes == [319, 319, 319, 319, 24]
+    # kvv30: 957 cells a tuple, and its rows and edges and the chunk's 4 * 5
+    # cells of limbs, 2886 cells a block
+    cells, fixed = 957, 2886
     for budget, expected in [(fixed + 2 * cells, [2, 2, 1]), (fixed + 2 * cells - 1, [1] * 5)]:
         sizes.clear()
         monkeypatch.setattr(matchers, "_BLOCK_CELLS", budget)
@@ -219,10 +221,10 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
 
 
 def test_tuple_cells_cover_every_row_of_doubles():
-    assert analysis._tuple_cells(10, 10, 10, 125, own_rows=True) == 3 * 132 + 3 * 11 + 8 * 30 + 100
+    assert analysis._tuple_cells(10, 10, 10, 125, own_rows=True) == 3 * 132 + 3 * 22 + 8 * 30 + 100
     # a fixed 10 x 10 instance's 21 doubles, 5 x 5 of them in the jump: its
-    # two markets, 8 * 30 cells, outweigh the stream's 2 * 25 + 5 * 5 + 8
-    assert analysis._tuple_cells(10, 10, 10, 21, own_rows=False) == 3 * 25 + 3 * 5 + 8 * 30
+    # two markets, 8 * 30 cells, outweigh the stream's 2 * 25 + 2 * 5
+    assert analysis._tuple_cells(10, 10, 10, 21, own_rows=False) == 3 * 25 + 3 * 9 + 8 * 30
     # a tuple's K = 5 + 2·m + m² doubles stay in the arena while its padded
     # rows are built, at every size a sweep accepts
     for m in range(1, math.isqrt(MAX_EDGES) + 1):
@@ -253,6 +255,10 @@ def test_random_tuple_blocks_peak_within_their_counted_cells(monkeypatch, max_si
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the measured run's own count: its chunk's seeded limbs count by its
+    # tuples (_chunk_cells), so its blocks can be smaller than the short run's
+    cells, fixed = counts[-1]
+    block = block_size(cells, fixed)
     count = 8 * (cells * block + fixed)
     assert 0.75 * count < peak <= count
 
@@ -267,9 +273,10 @@ def test_the_padded_neighbor_rows_are_shared_not_copied(monkeypatch):
         return kernel(adjacency, score, order)
 
     monkeypatch.setattr(analysis, "_assign_min_score", recording)
-    # 936 cells a tuple and 2866 a block: blocks of (2**18 - 2866) // 936 = 277
+    # 957 cells a tuple and 2866 a block, with the chunk's 4 * 500 cells of
+    # seeded limbs: blocks of (2**18 - 2866 - 2000) // 957 = 268
     property_sweep(500, seed=3, instance=kvv_hard_instance(30))
-    assert [shape for _, shape in seen] == [(554, 30), (446, 30)]
+    assert [shape for _, shape in seen] == [(536, 30), (464, 30)]
     assert all(a.shape == (1, 30, 30) and a is seen[0][0] for a, _ in seen)
 
 
