@@ -40,6 +40,7 @@ from .matchers import (
     _block_size,
     _check_sigma,
     _kernel_buffers,
+    _MASK_ITEMS,
     _tied_rows,
     maximum_matching,
 )
@@ -796,12 +797,23 @@ def _tuple_cells(n_left: int, n_right: int, width: int, doubles: int, own_rows: 
     """Array cells one tuple adds to a block: its row of `doubles` and jump
     buffers in the run's arena (_tuple_layout), then the most either stage
     adds to them: the stream's halves of words and iterator buffers, as
-    _estimate counts them; or the scores, assignments and per-arrival
-    arrays of the tuple's two markets, with, when its graph is its own (a
-    random tuple), its padded neighbor rows (_random_tuples)."""
+    _estimate counts them; or the tuple's two markets. On shared padded
+    rows (a fixed instance) those are their scores, assignments and
+    per-arrival arrays. A random tuple's graph is its own edges [L, R],
+    one byte a cell: up to _MASK_ITEMS items the mask kernel adds their
+    float copy for its product and its masks, picks and decode, 8 cells a
+    vertex and 24 a tuple (tracemalloc over a block of 300 reads 0.85-0.97
+    of this at sides 1 to 53); above that, the padded neighbor rows built
+    from them."""
     (stream, u), _ = _tuple_layout(doubles, 1)
     s, q, _ = stream[0][0] if stream else (0, 0, 0)
-    markets = 8 * (n_left + n_right + width) + (n_left * width if own_rows else 0)
+    markets = 8 * (n_left + n_right + width)
+    if own_rows:
+        edges = -(-n_left * n_right // 8)
+        if width <= _MASK_ITEMS:
+            markets = 8 * (n_left + n_right) + 24 + n_left * n_right + edges
+        else:
+            markets += n_left * width + edges
     return max(_nbytes(stream), _nbytes(u)) // 8 + max(2 * s * q + 2 * q, markets)
 
 
@@ -822,9 +834,9 @@ def _instance_rows(instance: BipartiteInstance):
 
 def _random_tuples(max_side: int, seed: int, t0: int, t1: int, arena=None, limbs=None):
     """Random property tuples t0..t1-1 in block form, padded to the block's
-    largest sides L and R: the neighbor rows [B, L, R] (the padding item R
-    marks a non-edge), the arrival orders [B, L], the weights [B, R] and the
-    tuples' buyers and items.
+    largest sides L and R: the graphs as bool edges [B, L, R], which the
+    kernel takes as they are (_assign_min_score), the arrival orders [B,
+    L], the weights [B, R] and the tuples' buyers and items.
 
     Tuple t is a function of u = trial_rng(seed, t).random(K), m = max_side:
     sides n_left = floor(u0·m) + 1 and n_right = floor(u1·m) + 1, edge
@@ -853,8 +865,7 @@ def _random_tuples(max_side: int, seed: int, t0: int, t1: int, arena=None, limbs
     edges = coins < (0.2 + 0.7 * u[:, 2])[:, None, None]
     edges &= in_l[:, :, None] & in_r[:, None, :]
     edges[np.arange(len(u)), buyers, items] = True
-    rows = np.where(edges, np.arange(size_r), size_r)
-    return rows, np.argsort(keys, axis=1, kind="stable"), weights, buyers, items
+    return edges, np.argsort(keys, axis=1, kind="stable"), weights, buyers, items
 
 
 def _fixed_tuples(rows, edge_buyers, edge_items, n_right: int, seed: int, t0: int, t1: int,
@@ -932,19 +943,20 @@ def _nested_block(full, reduced, orders, items, n_items: int) -> np.ndarray:
     return sizes & (held[rows, full_steps] <= arrivals).all(axis=1)
 
 
-def _property_block(rows, orders, weights, buyers, items) -> np.ndarray:
+def _property_block(graphs, orders, weights, buyers, items) -> np.ndarray:
     """[3, B] bool: whether sold_if_cheaper, utility_floor and monotone
     availability hold for each of a block of B tuples under exponential
-    prices, given the neighbor rows [B or 1, L, D] padded with the item R,
-    the arrival orders [B, L], the weights [B, R] and the tuples' buyers
-    and items. Both markets of every tuple go through one kernel call,
-    sharing the tuple's rows; check_counterfactual_properties and
+    prices, given the graphs (a random block's edges [B, L, R] or a fixed
+    instance's neighbor rows [1, L, D] padded with the item R), the
+    arrival orders [B, L], the weights [B, R] and the tuples' buyers and
+    items. Both markets of every tuple go through one kernel call, sharing
+    the tuple's graph; check_counterfactual_properties and
     check_monotone_availability reach the same verdicts for one tuple."""
     n_tuples, n_right = weights.shape
     prices = np.full((n_tuples, n_right + 1), math.inf)  # the padding item scores inf
     prices[:, :n_right] = _price_array(weights, PriceScheme.EXPONENTIAL)
     assignment = _assign_min_score(
-        rows, _removal_scores(prices, items), np.concatenate([orders, orders])
+        graphs, _removal_scores(prices, items), np.concatenate([orders, orders])
     )
     full, reduced = assignment[:n_tuples], assignment[n_tuples:]
     return np.vstack([

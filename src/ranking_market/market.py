@@ -4,7 +4,9 @@ Items carry prices derived from independent uniform weights; buyers arrive
 in a given order and purchase the cheapest available neighbor. With the
 exponential price curve p = e^(w-1) the process is the economic reading of
 RANKING: sorting items by price induces a uniformly random priority
-permutation, so the produced matching coincides with RANKING's.
+permutation, so the produced matching coincides with RANKING's. Over that
+permutation the per-edge utility plus revenue has an exact value on small
+instances (exact_edge_guarantee).
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 from .instance import ArrivalOrder, BipartiteInstance, RightPermutation
-from .matchers import Matching, _assign_min_score, _check_sigma
+from .matchers import Matching, _assign_min_score, _check_sigma, _ranking_blocks
 
 
 class PriceScheme(Enum):
@@ -154,3 +157,66 @@ def welfare_decomposition(outcome: MarketOutcome) -> tuple[float, float, int]:
         math.fsum(outcome.revs),
         outcome.matching.size,
     )
+
+
+def _price_moments(n: int, scheme: PriceScheme) -> list[tuple[Fraction, Fraction]]:
+    """E[price] of the rank-k item of n, k = 0..n-1 (0 the cheapest), as
+    (a, b) for a + b/e. Its weight is the order statistic U_(k+1) ~ Beta(k
+    + 1, n - k), so a uniform price, the weight, has mean (k+1)/(n+1). For
+    e^(w-1), expand the density's (1-u)^(n-1-k): E[e^U] = n!/(k!(n-1-k)!)
+    · sum_m C(n-1-k, m)(-1)^m I(k+m), where I(m) = int_0^1 u^m e^u du = e -
+    m·I(m-1), I(0) = e - 1, is alpha_m·e + beta_m; dividing by e, a takes
+    the alpha terms and b the beta terms."""
+    if scheme is PriceScheme.UNIFORM:
+        return [(Fraction(k + 1, n + 1), Fraction(0)) for k in range(n)]
+    alpha, beta = [1], [-1]
+    for m in range(1, n):
+        alpha.append(1 - m * alpha[-1])
+        beta.append(-m * beta[-1])
+    moments = []
+    for k in range(n):
+        scale = Fraction(math.factorial(n), math.factorial(k) * math.factorial(n - 1 - k))
+        terms = [(-1) ** m * math.comb(n - 1 - k, m) for m in range(n - k)]
+        moments.append((scale * sum(c * alpha[k + m] for m, c in enumerate(terms)),
+                        scale * sum(c * beta[k + m] for m, c in enumerate(terms))))
+    return moments
+
+
+def exact_edge_guarantee(
+    instance: BipartiteInstance, sigma: ArrivalOrder, scheme: PriceScheme | str
+) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+    """Exact E[util_i + rev_j] for every edge (i, j), in the instance's edge
+    order, as (A, B) with the value A + B/e, over the market's i.i.d.
+    uniform weights: the value edge_guarantee_sweep estimates. The weights'
+    order is a uniform ranking, independent of their sorted values, and
+    fixes the matching; so one pass over the n_right! rankings (the
+    enumeration and n_right <= 8 guard of exact_ranking_expectation)
+    counts, for every buyer, the rank of the item it buys and, for every
+    item, its rank when it sells, and the rank-k price's exact mean
+    (_price_moments) turns the counts into each edge's value."""
+    scheme = PriceScheme(scheme)
+    blocks = _ranking_blocks(instance, sigma)
+    n_left, n_right = instance.n_left, instance.n_right
+    # bought[i·(R+1) + k]: rankings in which buyer i buys the rank-k item
+    # (k = R: nothing); sold[j·(R+1) + k]: in which item j sells at rank k
+    bought = np.zeros(n_left * (n_right + 1), dtype=np.int64)
+    sold = np.zeros(n_right * (n_right + 1), dtype=np.int64)
+    for ranks, assignment in blocks:
+        # rank R in the last column, where an unserved buyer's -1 reads
+        padded = np.hstack([ranks, np.full((len(ranks), 1), n_right)])
+        rank = padded[np.arange(len(ranks))[:, None], assignment]
+        bought += np.bincount((rank + np.arange(n_left) * (n_right + 1)).ravel(),
+                              minlength=bought.size)
+        served = assignment >= 0
+        sold += np.bincount((assignment * (n_right + 1) + rank)[served], minlength=sold.size)
+    moments = _price_moments(n_right, scheme)
+    a = np.array([a for a, _ in moments], dtype=object)
+    b = np.array([b for _, b in moments], dtype=object)
+    bought = bought.reshape(n_left, n_right + 1)[:, :n_right]
+    sold = sold.reshape(n_right, n_right + 1)[:, :n_right]
+    # util_i is 1 - p for the item it buys, rev_j is p when it sells
+    util_a, util_b = bought.sum(axis=1) - bought @ a, -(bought @ b)
+    rev_a, rev_b = sold @ a, sold @ b
+    total = math.factorial(n_right)
+    return {(i, j): (Fraction(util_a[i] + rev_a[j], total), Fraction(util_b[i] + rev_b[j], total))
+            for i, j in instance.edges}

@@ -4,6 +4,7 @@ instance."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -19,6 +20,10 @@ _INF = float("inf")
 # rankings) holds about this many 8-byte array cells, 2 MiB, whatever the
 # instance: see _block_size.
 _BLOCK_CELLS = 1 << 18
+
+# Most items of a dense per-market graph that the mask kernel takes: a row
+# mask sums distinct powers of two in float64, exact below 2**53.
+_MASK_ITEMS = 53
 
 
 @dataclass(frozen=True)
@@ -62,20 +67,30 @@ def _assign_min_score(adjacency, score: np.ndarray, order, out=None) -> np.ndarr
     T markets either share one graph and one arrival order (adjacency[b] a
     sequence or intp array of buyer b's neighbors in ascending order, order
     a sequence of left vertices) or each have their own: order a
-    [T, n_left] array, row t market t's arrival order, and adjacency a
-    [T', n_left, D] intp array of padded neighbor rows for T a multiple of
-    T', adjacency[t % T', b] buyer b's neighbors in market t in ascending
-    order with gaps and tail filled by an item whose score is inf in every
-    market. On a shared graph only the order of each market's scores
-    matters: the markets run in rank space, one integer min over the
-    arrival's neighbor rows per arrival, ranks from one sort of keys built
-    from the values and an unserved arrival's cell -T + t (see
-    _assign_shared). With their own graphs, per arrival, argmin over the
+    [T, n_left] array, row t market t's arrival order, and market t's graph
+    adjacency[t % T'] for T a multiple of T'. That graph is either dense,
+    a bool [T', n_left, R] edge matrix (a random property tuple's, R <=
+    n_right), or padded neighbor rows, a [T', n_left, D] intp array (a
+    fixed instance's, T' = 1), adjacency[t % T', b] buyer b's neighbors in
+    ascending order with gaps and tail filled by an item whose score is
+    inf in every market. On a shared graph only the order of each market's
+    scores matters: the markets run in rank space, one integer min over
+    the arrival's neighbor rows per arrival, ranks from one sort of keys
+    built from the values and an unserved arrival's cell -T + t (see
+    _assign_shared). Dense graphs of at most _MASK_ITEMS items run in bit
+    space, one cand & -cand over the block per arrival (_assign_masks);
+    larger ones become padded rows, with column R, which must score inf,
+    as the padding item. On padded rows, per arrival, argmin over the
     gathered neighbor scores takes the first minimum (the lowest index), a
     minimum below inf is a purchase, and the taken item's score becomes
-    inf.
+    inf (_assign_per_market).
     """
     if isinstance(order, np.ndarray) and order.ndim == 2:
+        if adjacency.dtype == bool:
+            n_items = adjacency.shape[2]
+            if n_items <= _MASK_ITEMS:
+                return _assign_masks(adjacency, score, order)
+            adjacency = np.where(adjacency, np.arange(n_items), n_items)
         return _assign_per_market(adjacency, score, order)
     return _assign_shared(adjacency, score, order, out)
 
@@ -176,6 +191,58 @@ def _tied_rows(ordered: np.ndarray) -> np.ndarray:
     np.equal(flat[1:], flat[:-1], out=equal.reshape(-1)[:-1])
     equal[:, -1:] = False
     return equal.any(axis=1)
+
+
+def _assign_masks(edges: np.ndarray, score: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """_assign_min_score's T markets on dense graphs of R <= _MASK_ITEMS
+    items, in bit space (_arrival_masks). Per arrival, the lowest set bit
+    of the arrival's row mask and the available bits is its purchase: cand
+    & -cand, then cleared from the available bits. A bit's float exponent
+    gives its rank, and the market's argsort the item."""
+    ranked, picks = _arrival_masks(edges, score, order)
+    n_markets, n_left = order.shape
+    available = np.full(n_markets, -1, dtype=np.int64)
+    lowest = np.empty_like(available)
+    for cand in picks:
+        cand &= available
+        np.negative(cand, out=lowest)
+        cand &= lowest
+        available ^= cand
+    # 2**k's float exponent field is k + 1023, 0's is 0: column k + 1, or 0
+    columns = picks.astype(float).view(np.int64)
+    columns >>= 52
+    columns -= 1022
+    np.maximum(columns, 0, out=columns)
+    markets = np.arange(n_markets)
+    columns += markets * ranked.shape[1]
+    assignment = np.empty((n_markets, n_left), dtype=np.intp)
+    assignment.reshape(-1)[order.T + markets * n_left] = ranked.reshape(-1).take(columns)
+    return assignment
+
+
+def _arrival_masks(edges: np.ndarray, score: np.ndarray, order: np.ndarray):
+    """For _assign_masks' T markets, market t = c·T' + g on edges[g]: the
+    items by rank [T, R + 1] (column k + 1 market t's rank-k item by one
+    stable argsort of its scores, column 0 -1) and the row masks [L, T]
+    int64 (row k each market's k-th arrival's). The rank-k item is the bit
+    2**k, an item scoring inf 0, and buyer b's mask sums its edges' bits:
+    one batched float product [T', L, R] @ [T', R, T / T'], exact because
+    each partial sum is a sum of distinct powers of two below 2**53."""
+    n_markets, n_left = order.shape
+    n_graphs, _, n_items = edges.shape
+    n_copies = n_markets // n_graphs
+    copy, graph = np.divmod(np.arange(n_markets), n_graphs)
+    ranked = np.empty((n_markets, n_items + 1), dtype=np.intp)
+    ranked[:, 0] = -1
+    ranked[:, 1:] = np.argsort(score[:, :n_items], axis=1, kind="stable")
+    # bits[g, j, c]: item j's bit in market c·T' + g
+    bits = np.empty((n_graphs, n_items, n_copies))
+    bits.reshape(-1)[ranked[:, 1:] * n_copies + (graph * n_items * n_copies + copy)[:, None]] = (
+        2.0 ** np.arange(n_items))
+    bits.transpose(2, 0, 1)[(score[:, :n_items] == _INF).reshape(n_copies, n_graphs, n_items)] = 0.0
+    rows = np.matmul(edges.astype(float), bits)
+    picks = rows.reshape(-1).take(order.T * n_copies + (graph * n_left * n_copies + copy))
+    return ranked, picks.astype(np.int64)
 
 
 def _assign_per_market(adjacency: np.ndarray, score: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -323,22 +390,29 @@ def _permutations(n: int) -> np.ndarray:
     return perms
 
 
+def _ranking_blocks(instance: BipartiteInstance, sigma: ArrivalOrder):
+    """The exact oracles' one enumeration: blocks of all n_right! rankings
+    in itertools.permutations' order, each a pair of its ranks [P, n_right]
+    (row p ranks the items as the p-th permutation, 0 the cheapest) and
+    RANKING's assignments [P, n_left] under sigma, from one kernel call.
+    Guarded to n_right <= 8; the guard and sigma's check run at the call."""
+    _check_sigma(instance, sigma)
+    if instance.n_right > 8:
+        raise ValueError("exact enumeration is limited to n_right <= 8")
+    ranks = _permutations(instance.n_right)
+    # the kernel holds under 6 cells per item: scores, ranks, sorted scores, cell map, ids
+    rows = _block_size(instance.n_left + 6 * instance.n_right)
+    return ((block, _assign_min_score(instance.adjacency, block.astype(float), sigma.order))
+            for block in np.split(ranks, range(rows, len(ranks), rows)))
+
+
 def exact_ranking_expectation(instance: BipartiteInstance, sigma: ArrivalOrder) -> Fraction:
     """Exact expected RANKING matching size over all n_right! permutations,
     as a rational number. Oracle for the Monte Carlo estimators; guarded to
     n_right <= 8."""
-    _check_sigma(instance, sigma)
-    if instance.n_right > 8:
-        raise ValueError("exact enumeration is limited to n_right <= 8")
-    # one market per ranking: row p ranks the items as the p-th permutation
-    ranks = _permutations(instance.n_right).astype(float)
-    # the kernel holds under 6 cells per item: scores, ranks, sorted scores, cell map, ids
-    rows = _block_size(instance.n_left + 6 * instance.n_right)
-    served = sum(
-        np.count_nonzero(_assign_min_score(instance.adjacency, block, sigma.order) >= 0)
-        for block in np.split(ranks, range(rows, len(ranks), rows))
-    )
-    return Fraction(int(served), len(ranks))
+    blocks = _ranking_blocks(instance, sigma)
+    served = sum(np.count_nonzero(assignment >= 0) for _, assignment in blocks)
+    return Fraction(int(served), math.factorial(instance.n_right))
 
 
 def exact_kvv_matching_size(n: int) -> Fraction:

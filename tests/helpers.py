@@ -119,33 +119,36 @@ TUPLE_SEEDS = [0, 2**32 - 1, 2**32 + 5, 2**64 + 7]
 
 def random_tuple_block(max_side: int, seed: int, t0: int, t1: int) -> tuple:
     """Tuples t0..t1-1 drawn by random_tuple, padded as
-    analysis._random_tuples pads them."""
+    analysis._random_tuples pads them: the edges [B, L, R], the arrival
+    orders, the weights and the checked edges' buyers and items."""
     draws = [random_tuple(max_side, seed, t) for t in range(t0, t1)]
     size_l = max(inst.n_left for inst, _, _, _ in draws)
     size_r = max(inst.n_right for inst, _, _, _ in draws)
-    rows = np.full((len(draws), size_l, size_r), size_r)
+    edges = np.zeros((len(draws), size_l, size_r), dtype=bool)
     orders = np.tile(np.arange(size_l), (len(draws), 1))
     padded = np.zeros((len(draws), size_r))
     for r, (inst, order, weights, _) in enumerate(draws):
         for i, j in inst.edges:
-            rows[r, i, j] = j
+            edges[r, i, j] = True
         orders[r, : inst.n_left] = order
         padded[r, : inst.n_right] = weights
     buyers, items = np.array([edge for _, _, _, edge in draws]).T
-    return rows, orders, padded, buyers, items
+    return edges, orders, padded, buyers, items
 
 
 def check_random_tuple_blocks(
     max_side: int, seed: int, t0: int, t1: int, block: int = 128
 ) -> None:
-    """analysis._random_tuples against random_tuple_block, block by block."""
-    names = ("rows", "orders", "weights", "buyers", "items")
+    """analysis._random_tuples against random_tuple_block, block by block:
+    every array with its shape and dtype."""
+    names = ("edges", "orders", "weights", "buyers", "items")
     for b0 in range(t0, t1, block):
         b1 = min(b0 + block, t1)
         got = _random_tuples(max_side, seed, b0, b1)
         expected = random_tuple_block(max_side, seed, b0, b1)
         for name, a, b in zip(names, got, expected, strict=True):
-            assert a.shape == b.shape and np.array_equal(a, b), (max_side, seed, b0, name)
+            assert a.shape == b.shape and a.dtype == b.dtype, (max_side, seed, b0, name)
+            assert np.array_equal(a, b), (max_side, seed, b0, name)
 
 
 def fixed_tuple(instance: BipartiteInstance, seed: int, t: int):

@@ -22,6 +22,7 @@ from ranking_market import (
     edge_guarantee_sweep,
     estimate_competitive_ratio,
     estimate_matching_size,
+    exact_edge_guarantee,
     exact_kvv_matching_size,
     exact_ranking_expectation,
     greedy,
@@ -36,7 +37,7 @@ from ranking_market import (
     RightPermutation,
     trial_rng,
 )
-from ranking_market import PriceAssignment, analysis, cli, matchers, run_market
+from ranking_market import PriceAssignment, analysis, cli, market, matchers, run_market
 from ranking_market.analysis import _markets, _nested_block
 from ranking_market.streams import _LONG_ROW
 from helpers import (
@@ -632,6 +633,110 @@ def test_the_ratio_estimate_agrees_with_the_exact_kvv_chain(n, trials):
     est, optimum = estimate_competitive_ratio(kvv_hard_instance(n), ArrivalOrder.identity(n), trials, 5)
     exact = float(exact_kvv_matching_size(n)) / optimum
     assert abs(est.mean - exact) <= 4 * est.stderr, (est.mean, exact, est.stderr)
+
+
+def integral_u_m_exp_u(m: int) -> tuple[Fraction, Fraction]:
+    """int_0^1 u^m e^u du as (alpha, beta) for alpha·e + beta, by m
+    integrations by parts at once: the boundary terms at 1 are e·sum_i
+    (-1)^i m!/(m-i)!, the one at 0 is (-1)^(m+1)·m!."""
+    alpha = sum((-1) ** i * math.perm(m, i) for i in range(m + 1))
+    return Fraction(alpha), Fraction((-1) ** (m + 1) * math.factorial(m))
+
+
+def kvv_last_edge(n: int, scheme: PriceScheme) -> tuple[Fraction, Fraction]:
+    """kvv's last edge in closed form, as (A, B) for A + B/e: 1-1/e + (1 -
+    E[e^(U_(n)-1)])/n! under exp prices, U_(n) ~ Beta(n, 1), so that
+    E[e^(U_(n)-1)] = n·I(n-1)/e; 1/2 + 1/(n+1)! under uniform prices."""
+    if scheme is UNI:
+        return Fraction(1, 2) + Fraction(1, math.factorial(n + 1)), Fraction(0)
+    alpha, beta = integral_u_m_exp_u(n - 1)
+    return 1 + (1 - n * alpha) / math.factorial(n), -1 - n * beta / math.factorial(n)
+
+
+# e to about 48 digits: A + B/e can cancel far past a double's precision
+E = sum(Fraction(1, math.factorial(k)) for k in range(40))
+
+
+def edge_value(exact: tuple[Fraction, Fraction]) -> float:
+    a, b = exact
+    return float(a + b / E)
+
+
+def test_exact_edge_guarantee_on_kvv_takes_its_closed_forms():
+    pinned = {3: (Fraction(2, 3), 0), 5: (Fraction(19, 30), 0), 7: (Fraction(177, 280), 0),
+              8: (Fraction(7879, 5760), -2)}
+    for n in range(1, 9):
+        inst, sigma = kvv_hard_instance(n), ArrivalOrder.identity(n)
+        for scheme in (EXP, UNI):
+            exact = exact_edge_guarantee(inst, sigma, scheme)
+            assert list(exact) == list(inst.edges)
+            assert exact[(n - 1, n - 1)] == kvv_last_edge(n, scheme), (n, scheme)
+            values = {edge: edge_value(v) for edge, v in exact.items()}
+            if scheme is EXP and n >= 3:
+                assert min(values, key=values.get) == (n - 1, n - 1), n
+            if scheme is EXP:
+                assert min(values.values()) > GUARANTEE, n
+            if scheme is EXP and n in pinned:
+                assert exact[(n - 1, n - 1)] == pinned[n], n
+    # kvv8's last edge sits 2.5e-6 above the guarantee
+    assert 2.4e-6 < edge_value(pinned[8]) - GUARANTEE < 2.6e-6
+
+
+def test_price_moments_are_the_order_statistics_means():
+    # E[e^(U_(k)-1)] = sum_j E[U_(k)^j] / (e·j!), with E[U_(k)^j] = k(k+1)
+    # ...(k+j-1) / ((n+1)...(n+j)) for U_(k) ~ Beta(k, n+1-k)
+    for n in range(1, 9):
+        for k, moment in enumerate(market._price_moments(n, EXP), start=1):
+            series = sum(math.prod((k + i) / (n + 1 + i) for i in range(j)) / math.factorial(j)
+                         for j in range(30)) / math.e
+            assert abs(edge_value(moment) - series) < 1e-13, (n, k)
+        assert market._price_moments(n, UNI) == [(Fraction(k, n + 1), 0) for k in range(1, n + 1)]
+
+
+def test_exact_edge_guarantee_equals_a_from_scratch_enumeration():
+    # every ranking run by the reference loop, each edge's value added up
+    # with the rank-k price's mean
+    rng = np.random.default_rng(71)
+    for _ in range(6):
+        inst = random_instance(rng, max_side=4)
+        sigma = ArrivalOrder.random(inst.n_left, rng)
+        for scheme in (EXP, UNI):
+            moments = market._price_moments(inst.n_right, scheme)
+            totals = dict.fromkeys(inst.edges, (Fraction(0), Fraction(0)))
+            for perm in itertools.permutations(range(inst.n_right)):
+                assignment = reference_assignment(inst, perm, sigma.order)
+                for i, j in inst.edges:
+                    a = b = Fraction(0)
+                    if assignment[i] is not None:
+                        a, b = 1 - moments[perm[assignment[i]]][0], -moments[perm[assignment[i]]][1]
+                    if j in assignment:
+                        a, b = a + moments[perm[j]][0], b + moments[perm[j]][1]
+                    totals[i, j] = (totals[i, j][0] + a, totals[i, j][1] + b)
+            count = math.factorial(inst.n_right)
+            expected = {edge: (a / count, b / count) for edge, (a, b) in totals.items()}
+            assert exact_edge_guarantee(inst, sigma, scheme) == expected
+
+
+@pytest.mark.parametrize("scheme", [EXP, UNI])
+def test_the_edge_sweep_agrees_with_the_exact_edge_values(scheme):
+    inst, sigma = kvv_hard_instance(5), ArrivalOrder.identity(5)
+    exact = exact_edge_guarantee(inst, sigma, scheme)
+    for edge, est in edge_guarantee_sweep(inst, scheme, sigma, 20_000, 5).items():
+        assert abs(est.mean - edge_value(exact[edge])) <= 4 * est.stderr, (edge, est, exact[edge])
+
+
+def test_exact_edge_guarantee_of_a_graph_without_edges_is_empty():
+    for n_left, n_right in ((0, 3), (3, 0), (0, 0), (2, 2)):
+        inst = make_instance(n_left, n_right, [])
+        assert exact_edge_guarantee(inst, ArrivalOrder.identity(n_left), EXP) == {}
+
+
+def test_exact_edge_guarantee_shares_the_enumeration_guard():
+    inst = kvv_hard_instance(9)
+    with pytest.raises(ValueError, match="n_right <= 8"):
+        exact_edge_guarantee(inst, ArrivalOrder.identity(9), EXP)
+    with pytest.raises(ValueError, match="arrival order"):
+        exact_edge_guarantee(kvv_hard_instance(3), ArrivalOrder.identity(2), EXP)
 
 
 def test_trial_weights_draw_a_row_of_a_million():

@@ -403,36 +403,84 @@ def test_block_kernel_with_one_inf_score_in_a_block():
     assert (np.delete(sold, 77) == 20).all()
 
 
-@pytest.mark.parametrize("gaps", [False, True], ids=["tail", "gaps"])
-def test_per_market_block_kernel_equals_the_scalar_loop_market_by_market(gaps):
-    # every market has its own graph and arrival order, padded to the
-    # block's largest: missing buyers arrive last with no neighbors, and a
-    # row's missing neighbors are the padding item R, which scores inf;
-    # with copies > 1, market t runs on the rows of graph t % len(cases)
-    # with its own scores and arrival order
-    rng = np.random.default_rng(44)
-    cases = list(_block_cases(rng))
+def per_market_graphs(cases, layout: str) -> np.ndarray:
+    """The graphs of (instance, order) cases in a per-market kernel form,
+    padded to the largest sides: a row's neighbors first and the padding
+    item R after them ("tail"), each at its own index ("gaps"), or the
+    dense bool edges [T', L, R] ("dense")."""
     n_left = max(inst.n_left for inst, _ in cases)
     n_right = max(inst.n_right for inst, _ in cases)
-    adjacency = np.full((len(cases), n_left, n_right), n_right, dtype=np.intp)
+    if layout == "dense":
+        graphs = np.zeros((len(cases), n_left, n_right), dtype=bool)
+    else:
+        graphs = np.full((len(cases), n_left, n_right), n_right, dtype=np.intp)
     for t, (inst, _) in enumerate(cases):
         for b, neighbors in enumerate(inst.adjacency):
-            adjacency[t, b, list(neighbors) if gaps else slice(len(neighbors))] = neighbors
+            columns = list(neighbors) if layout != "tail" else slice(len(neighbors))
+            graphs[t, b, columns] = True if layout == "dense" else neighbors
+    return graphs
+
+
+def assert_markets_equal_the_scalar_loop(cases, graphs, copies: int, rng, inf_share: float = 0.0):
+    """Run `copies` markets on each graph of the cases, market t on graph t
+    % len(cases) with the case's order (first copy) or a random one and
+    its own rounded (tied) scores, a share of them inf, and check each
+    market against the from-scratch loop."""
+    n_left, n_right = graphs.shape[1], graphs.shape[2]
+    markets = [(inst, sigma if c == 0 else ArrivalOrder.random(inst.n_left, rng))
+               for c in range(copies) for inst, sigma in cases]
+    orders = np.tile(np.arange(n_left), (len(markets), 1))
+    score = np.full((len(markets), n_right + 1), np.inf)
+    for t, (inst, sigma) in enumerate(markets):
+        orders[t, : inst.n_left] = sigma.order
+        score[t, : inst.n_right] = np.round(rng.random(inst.n_right), 1)  # ties
+    score[rng.random(score.shape) < inf_share] = np.inf
+    before = score.copy()
+    block = _assign_min_score(graphs, score, orders)
+    assert block.shape == (len(markets), n_left) and block.dtype == np.intp
+    assert np.array_equal(score, before)
+    for t, (inst, sigma) in enumerate(markets):
+        expected = reference_assignment(inst, score[t].tolist(), sigma.order)
+        assert block[t].tolist() == as_row(expected, n_left), (copies, t)
+    return block
+
+
+@pytest.mark.parametrize("layout", ["tail", "gaps", "dense"])
+def test_per_market_block_kernel_equals_the_scalar_loop_market_by_market(layout):
+    # every market has its own graph and arrival order, padded to the
+    # block's largest: missing buyers arrive last with no neighbors, and a
+    # row's missing neighbors are the padding item R, which scores inf, or
+    # are no edge of the dense graph; with copies > 1, market t runs on
+    # graph t % len(cases) with its own scores and arrival order
+    rng = np.random.default_rng(44)
+    cases = list(_block_cases(rng))
+    graphs = per_market_graphs(cases, layout)
     for copies in (1, 3):
-        markets = [(inst, sigma if c == 0 else ArrivalOrder.random(inst.n_left, rng))
-                   for c in range(copies) for inst, sigma in cases]
-        orders = np.tile(np.arange(n_left), (len(markets), 1))
-        score = np.full((len(markets), n_right + 1), np.inf)
-        for t, (inst, sigma) in enumerate(markets):
-            orders[t, : inst.n_left] = sigma.order
-            score[t, : inst.n_right] = np.round(rng.random(inst.n_right), 1)  # ties
-        before = score.copy()
-        block = _assign_min_score(adjacency, score, orders)
-        assert block.shape == (len(markets), n_left) and block.dtype == np.intp
-        assert np.array_equal(score, before)
-        for t, (inst, sigma) in enumerate(markets):
-            expected = reference_assignment(inst, score[t].tolist(), sigma.order)
-            assert block[t].tolist() == as_row(expected, n_left), (copies, t)
+        assert_markets_equal_the_scalar_loop(cases, graphs, copies, rng)
+        assert_markets_equal_the_scalar_loop(cases, graphs, copies, rng, inf_share=0.15)
+
+
+@pytest.mark.parametrize("n_left, n_right", [(1, 6), (6, 1), (60, 53), (60, 54)],
+                         ids=["L1", "R1", "53", "54"])
+def test_dense_graphs_equal_the_scalar_loop_at_the_mask_bound(monkeypatch, n_left, n_right):
+    # up to 53 items the mask kernel runs, its top bit 2**52 taken on the
+    # complete graphs; from 54 the edges become padded neighbor rows
+    rng = np.random.default_rng(n_left + n_right)
+    cases = [(random_bipartite(n_left, n_right, p, rng), ArrivalOrder.random(n_left, rng))
+             for p in (1.0, 1.0, 0.5, 0.2, 0.0)]
+    routes = []
+    for name in ("_assign_masks", "_assign_per_market"):
+        kernel = getattr(matchers, name)
+        monkeypatch.setattr(matchers, name, lambda *a, k=kernel, n=name: routes.append(n) or k(*a))
+    graphs = per_market_graphs(cases, "dense")
+    for copies in (1, 3):
+        block = assert_markets_equal_the_scalar_loop(cases, graphs, copies, rng)
+        # the complete graphs sell min(L, R) items, with no inf score the
+        # most expensive ones too when L >= R
+        assert ((block[:2] >= 0).sum(axis=1) == min(n_left, n_right)).all()
+    assert_markets_equal_the_scalar_loop(cases, graphs, 3, rng, inf_share=0.05)
+    expected = "_assign_masks" if n_right <= matchers._MASK_ITEMS else "_assign_per_market"
+    assert routes == [expected] * 3
 
 
 def rank_blocks():

@@ -51,6 +51,7 @@ from helpers import (
     TUPLE_SEEDS,
     availability_nested,
     check_random_tuple_blocks,
+    count_forks,
     fixed_tuple,
     random_tuple,
     reference_assignment,
@@ -94,19 +95,24 @@ def blocks(tuples, count: int):
         yield b0, tuples(b0, min(b0 + BLOCK, count))
 
 
-@pytest.mark.parametrize("max_side, count", [(1, 1000), (3, 3000), (10, 10_000), (37, 1000)],
-                         ids=["1", "3", "10", "37"])
+# sides up to 53 take the mask kernel, up to 60 the padded neighbor rows
+@pytest.mark.parametrize("max_side, count", [(1, 1000), (3, 3000), (10, 10_000), (37, 1000),
+                                             (60, 300)],
+                         ids=["1", "3", "10", "37", "60"])
 def test_random_tuples_match_the_reference_loop(max_side, count):
     seed = 17
     totals = np.zeros(3, dtype=int)
+    widths = set()
     for b0, block in blocks(partial(_random_tuples, max_side, seed), count):
-        rows, orders, weights, buyers, items = block
+        graphs, orders, weights, buyers, items = block
+        assert graphs.dtype == bool and graphs.shape[2] == weights.shape[1]
+        widths.add(graphs.shape[2])
         verdicts = _property_block(*block).T.tolist()
         for r, t in enumerate(range(b0, b0 + len(items))):
             inst, sigma, pa, chosen, expected = reference_tuple(None, max_side, seed, t)
             n_left, n_right = inst.n_left, inst.n_right
-            # the padding item marks a non-edge; nothing outside the graph is an edge
-            edges = np.argwhere(rows[r] < weights.shape[1])
+            # nothing outside the graph is an edge
+            edges = np.argwhere(graphs[r])
             assert list(map(tuple, edges.tolist())) == list(inst.edges), t
             assert tuple(orders[r, :n_left].tolist()) == sigma.order, t
             assert orders[r, n_left:].tolist() == list(range(n_left, orders.shape[1])), t
@@ -115,6 +121,7 @@ def test_random_tuples_match_the_reference_loop(max_side, count):
             assert (int(buyers[r]), int(items[r])) == chosen, t
             assert tuple(verdicts[r]) == expected, t
             totals += np.logical_not(expected)
+    assert (max(widths) > matchers._MASK_ITEMS) == (max_side > matchers._MASK_ITEMS)
     sweep = property_sweep(count, seed, max_side=max_side)
     assert totals.tolist() == [0, 0, 0]
     assert [sweep.sold_if_cheaper_violations, sweep.utility_floor_violations,
@@ -125,12 +132,12 @@ def test_random_tuples_reach_every_graph_size_and_checked_edge():
     # sides up to 3: every (n_left, n_right) and every cell of its corner as
     # the checked edge, 36 in all, each with probability >= 1/81
     max_side, count = 3, 4000
-    rows, orders, weights, buyers, items = _random_tuples(max_side, 11, 0, count)
+    edges, orders, weights, buyers, items = _random_tuples(max_side, 11, 0, count)
     seen = set()
     for t in range(count):
         inst = random_tuple(max_side, 11, t)[0]
         n_left, n_right, buyer, item = inst.n_left, inst.n_right, buyers[t], items[t]
-        assert buyer < n_left and item < n_right and rows[t, buyer, item] == item, t
+        assert buyer < n_left and item < n_right and edges[t, buyer, item], t
         assert sorted(orders[t, :n_left].tolist()) == list(range(n_left)), t
         assert orders[t, n_left:].tolist() == list(range(n_left, orders.shape[1])), t
         seen.add((n_left, n_right, int(buyer), int(item)))
@@ -204,12 +211,12 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
 
     monkeypatch.setattr(analysis, "_property_block", recording)
     # random sides up to 10: the arena's 3 * 132 + 3 * 22 cells of jump
-    # buffers (the 125 doubles over the first), then the markets' 8 * 30 +
-    # 100 = 340 cells, more than the stream's 2 * 132 + 2 * 12: 802 cells a
-    # tuple, and 1036 a block with the chunk's 4 * 1300 cells of seeded
-    # limbs: (2**18 - 1036 - 5200) // 802 = 319 a block
+    # buffers (the 125 doubles over the first), then the mask kernel's
+    # 8 * 20 + 24 + 100 + 13 = 297 cells, more than the stream's 2 * 132 +
+    # 2 * 12: 759 cells a tuple, and 1036 a block with the chunk's 4 * 1300
+    # cells of seeded limbs: (2**18 - 1036 - 5200) // 759 = 337 a block
     property_sweep(1300, seed=3)
-    assert sizes == [319, 319, 319, 319, 24]
+    assert sizes == [337, 337, 337, 289]
     # kvv30: 957 cells a tuple, and its rows and edges and the chunk's 4 * 5
     # cells of limbs, 2886 cells a block
     cells, fixed = 957, 2886
@@ -221,20 +228,28 @@ def test_blocks_are_sized_by_their_working_set(monkeypatch):
 
 
 def test_tuple_cells_cover_every_row_of_doubles():
-    assert analysis._tuple_cells(10, 10, 10, 125, own_rows=True) == 3 * 132 + 3 * 22 + 8 * 30 + 100
+    # random sides up to 10: the mask kernel's 8 cells a vertex and 24 a
+    # tuple, the edges' float copy and the edges themselves, one byte a cell
+    assert analysis._tuple_cells(10, 10, 10, 125, own_rows=True) == (
+        3 * 132 + 3 * 22 + 8 * 20 + 24 + 100 + 13)
+    # from 54 items the kernel pads them into neighbor rows instead
+    k = 5 + 2 * 54 + 54 * 54
+    assert analysis._tuple_cells(54, 54, 54, k, own_rows=True) == (
+        analysis._tuple_cells(54, 54, 54, k, own_rows=False) + 54 * 54 + 365)
     # a fixed 10 x 10 instance's 21 doubles, 5 x 5 of them in the jump: its
     # two markets, 8 * 30 cells, outweigh the stream's 2 * 25 + 2 * 5
     assert analysis._tuple_cells(10, 10, 10, 21, own_rows=False) == 3 * 25 + 3 * 9 + 8 * 30
-    # a tuple's K = 5 + 2·m + m² doubles stay in the arena while its padded
-    # rows are built, at every size a sweep accepts
+    # a tuple's K = 5 + 2·m + m² doubles stay in the arena while the kernel
+    # builds the float copy of its edges or its padded rows, at every size a
+    # sweep accepts
     for m in range(1, math.isqrt(MAX_EDGES) + 1):
         doubles = 5 + 2 * m + m * m
         assert analysis._tuple_cells(m, m, m, doubles, own_rows=True) >= doubles + m * m
 
 
-@pytest.mark.parametrize("max_side, instance", [(3, None), (9, None), (10, None),
+@pytest.mark.parametrize("max_side, instance", [(3, None), (9, None), (10, None), (54, None),
                                                 (10, kvv_hard_instance(30))],
-                         ids=["3", "9", "10", "kvv30"])
+                         ids=["3", "9", "10", "54", "kvv30"])
 def test_random_tuple_blocks_peak_within_their_counted_cells(monkeypatch, max_side, instance):
     # a fresh run of three blocks, the arena's allocation and a fixed
     # instance's rows included: every row of doubles takes the jump here
@@ -299,6 +314,22 @@ def test_removing_the_next_item_breaks_monotone_availability(monkeypatch, instan
 
     monkeypatch.setattr(analysis, "_removal_scores", next_item)
     assert property_sweep(2000, seed=5, instance=instance).monotone_violations > 0
+
+
+def test_a_mutant_counts_the_same_in_a_forked_child(monkeypatch):
+    # three chunks, the second in a child: the mask kernel's product runs
+    # there too, and the violations it finds add up to the same counts
+    removal_scores = analysis._removal_scores
+
+    def next_item(prices, items):
+        return removal_scores(prices, items + 1)
+
+    monkeypatch.setattr(analysis, "_removal_scores", next_item)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 2)
+    alone = _counts(property_sweep(5000, seed=5))
+    forks = count_forks(monkeypatch)
+    assert _counts(property_sweep(5000, seed=5, jobs=2)) == alone
+    assert len(forks) == 1 and alone[2] > 0
 
 
 def test_the_full_market_read_from_the_reduced_one_breaks_sold_if_cheaper(monkeypatch):

@@ -6,7 +6,8 @@ checks, so no output digest can catch a block that draws the wrong tuples.
 This check compares ``_random_tuples`` blocks with blocks built one tuple at
 a time by ``helpers.random_tuple`` from ``trial_rng(seed, t).random(K)``:
 every size class, seeds of one to three entropy words and a span of t
-crossing 2**32. Blocks too few to reach the largest sides are checked in
+crossing 2**32. A block's graphs are compared as the bool edges [B, L, R]
+that the kernel takes. Blocks too few to reach the largest sides are checked in
 ``test_property_batch.py``.
 """
 
